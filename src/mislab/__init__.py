@@ -17,7 +17,9 @@ from .analysis import (
 from .byzantine import DEFAULT_X_CAP, STRATEGY_KINDS, make_strategy
 from .daemons import DAEMON_KINDS, make_daemon
 from .engine import (
+    Activity,
     Configuration,
+    FairnessAges,
     FixedDraws,
     Move,
     RngStream,
@@ -28,10 +30,10 @@ from .engine import (
     apply_transition,
     derive_seed,
     dump_trace,
-    enabled_rules,
     initial_configuration,
     is_stable,
     run_script,
+    update_activable,
 )
 from .errors import ConfigError, EngineError, InvariantViolation, ScriptError
 from .graphs import (

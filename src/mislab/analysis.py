@@ -127,8 +127,8 @@ class ColorLedger:
     Tracks per transition i: the freshly-up set A_i, the color of every
     executed candidacy/try-withdrawal move (candidacy moves take their own
     index; a try-withdrawal takes the index since when its node has been
-    continuously up), which colors still have possible withdrawal moves and
-    by which nodes, and, at each color's death, whether some member it never
+    continuously up), which colors still have possible withdrawal moves,
+    and, at each color's death, whether some member it never
     shared with another color ended up settled.
     """
 
@@ -143,7 +143,6 @@ class ColorLedger:
         self.fresh_sets: dict[int, frozenset[int]] = {}
         self.records: dict[int, ColorRecord] = {}
         self.move_colors: list[tuple[int, ...]] = []
-        self.live_history: list[dict[int, frozenset[int]]] = []
         a0 = frozenset(u for u in range(g.n) if initial.s[u])
         if a0:
             self.fresh_sets[0] = a0
@@ -208,7 +207,7 @@ class ColorLedger:
         withdrawal moves, then settle the accounts of colors that just lost
         their last one."""
         i = self.index
-        possible: dict[int, set[int]] = {}
+        live: set[int] = set()
         for u in range(self.g.n):
             if Rule.TRY_WITHDRAW in self.algo.enabled_rules(self.g, cfg, u):
                 color = self._top_since[u]
@@ -221,9 +220,7 @@ class ColorLedger:
                     raise InvariantViolation(
                         f"index {i}: color {color} died at {record.died} but "
                         f"node {u} can still move with it")
-                possible.setdefault(color, set()).add(u)
-        live = {color: frozenset(nodes) for color, nodes in possible.items()}
-        self.live_history.append(live)
+                live.add(color)
         settled = None
         for record in self.records.values():
             if record.died is None and record.color not in live:
@@ -232,10 +229,6 @@ class ColorLedger:
                     settled = locally_alone_set(self.g, cfg)
                 record.success = any(
                     u in settled for u in record.members - record.tainted)
-
-    @property
-    def live_colors(self) -> frozenset[int]:
-        return frozenset(self.live_history[-1])
 
     def all_dead(self) -> bool:
         return all(r.died is not None for r in self.records.values())

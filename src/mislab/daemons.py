@@ -155,7 +155,7 @@ def make_daemon(kind: str, n: int, *, fairness: int | None = None,
         return AgedFairDaemon(fairness if fairness is not None else n)
     if kind == "random_subset":
         return RandomSubsetDaemon(density)
-    if kind in ("singleton", "singleton_roundrobin_adversarial"):
+    if kind == "singleton":
         return SingletonDaemon()
     if kind == "conflict_greedy":
         return ConflictGreedyDaemon()

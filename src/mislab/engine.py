@@ -4,14 +4,17 @@ Semantics fixed here, shared by every run:
   - guards are evaluated against the pre-transition configuration; commands
     write into a fresh one (simultaneous activation);
   - one Bernoulli draw per executed probabilistic rule, consumed in ascending
-    node order within a transition, so a seed fully determines an execution.
+    node order within a transition, so a seed fully determines an execution;
+  - a move at u can change guards only on the closed neighborhood N[u], so a
+    run scans every guard once, for its initial configuration, and after each
+    transition re-evaluates N[movers] only (`Activity`).
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -56,9 +59,6 @@ class Configuration:
 
     s: tuple[bool, ...]
     x: tuple[int, ...] | None = None
-
-    def top_count(self) -> int:
-        return sum(1 for v in self.s if v)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -107,14 +107,13 @@ class FixedDraws:
         return self._queue.popleft()
 
 
-def enabled_rules(algo, g: Graph, cfg: Configuration, u: int) -> tuple[Rule, ...]:
-    """Rules whose guard holds on a non-faulty node u."""
-    return algo.enabled_rules(g, cfg, u)
-
-
 def activable_map(algo, g: Graph, cfg: Configuration,
                   byz: frozenset[int] = frozenset()) -> dict[int, tuple[Rule, ...]]:
-    """Enabled rules per activable node; faulty nodes are always activable."""
+    """Enabled rules per activable node; faulty nodes are always activable.
+
+    A full scan of every guard: runs call it for their initial configuration
+    only and then keep the map current with `update_activable`.
+    """
     out = {}
     for u in range(g.n):
         if u in byz:
@@ -188,43 +187,133 @@ def is_stable(algo, g: Graph, cfg: Configuration,
     return all(not algo.enabled_rules(g, cfg, u) for u in range(g.n))
 
 
+def update_activable(algo, g: Graph, cfg: Configuration,
+                     activable: dict[int, tuple[Rule, ...]], moved: Sequence[int],
+                     byz: frozenset[int] = frozenset()) -> tuple[list[int], list[int]]:
+    """Bring `activable` up to date with cfg, the result of a transition by the
+    nodes `moved`, editing it in place.
+
+    Every guard reads only the closed neighborhood, so only N[moved] can change
+    activability and only those guards are re-evaluated. Returns (left,
+    entered): the nodes that left the map and those that joined it. Faulty
+    nodes never do either. The map's insertion order is arbitrary; iterate it
+    sorted.
+    """
+    touched = set(moved)
+    for u in moved:
+        touched.update(g.adjacency[u])
+    left, entered = [], []
+    for u in touched:
+        if u in byz:
+            continue
+        rules = algo.enabled_rules(g, cfg, u)
+        if rules:
+            if u not in activable:
+                entered.append(u)
+            activable[u] = rules
+        elif activable.pop(u, None) is not None:
+            left.append(u)
+    return left, entered
+
+
 class RoundTracker:
     """Round accounting: a round ends once every node was activated at least
     once or was non-activable in some configuration of the round. Faulty nodes
-    are never non-activable, so only activation satisfies them."""
+    are never non-activable, so only activation satisfies them.
 
-    def __init__(self, n: int, byz: frozenset[int] = frozenset()):
-        self.n = n
-        self.byz = byz
+    Nodes that are not activable when a round opens are satisfied at once, so
+    only the unsatisfied nodes of the round are kept: the activable set at its
+    first configuration, shrunk by every mover and every node that leaves the
+    activable set. The round ends when none is left.
+    """
+
+    def __init__(self, activable: Iterable[int]):
         self.rounds_completed = 0
         self.transitions_in_round = 0
-        self._satisfied = [False] * n
+        self._unsatisfied = set(activable)
 
-    def advance(self, activable_before: Iterable[int], moved: Iterable[int],
+    def advance(self, moved: Iterable[int], left: Iterable[int],
                 activable_after: Iterable[int]) -> bool:
-        """Account one transition; True when it closes the current round."""
-        before = set(activable_before)
-        after = set(activable_after)
-        moved = set(moved)
+        """Account one transition; True when it closes the current round.
+
+        `left` holds the nodes that were activable before the transition and
+        are not after it; `activable_after` is read only to open the next
+        round.
+        """
         self.transitions_in_round += 1
-        for u in range(self.n):
-            if self._satisfied[u]:
-                continue
-            if u in moved:
-                self._satisfied[u] = True
-            elif u not in self.byz and (u not in before or u not in after):
-                self._satisfied[u] = True
-        if all(self._satisfied):
-            self.rounds_completed += 1
-            self.transitions_in_round = 0
-            self._satisfied = [False] * self.n
-            return True
-        return False
+        self._unsatisfied.difference_update(moved)
+        self._unsatisfied.difference_update(left)
+        if self._unsatisfied:
+            return False
+        self.rounds_completed += 1
+        self.transitions_in_round = 0
+        self._unsatisfied = set(activable_after)
+        return True
 
     @property
     def rounds_elapsed(self) -> int:
         """Completed rounds, counting a started partial round as one."""
         return self.rounds_completed + (1 if self.transitions_in_round else 0)
+
+
+class FairnessAges(abc.Sequence):
+    """ages[u]: consecutive transitions, up to now, that u has spent activable
+    without being activated; 0 while u is not activable.
+
+    Kept as "activable since" stamps: only a node that moves or newly becomes
+    activable is written, and its age is read as transitions - since[u].
+    """
+
+    def __init__(self, n: int, activable: dict[int, tuple[Rule, ...]]):
+        self.transitions = 0
+        self._since = [0] * n
+        self._activable = activable
+
+    def __len__(self) -> int:
+        return len(self._since)
+
+    def __getitem__(self, u: int) -> int:
+        if u not in self._activable:
+            return 0
+        return self.transitions - self._since[u]
+
+    def advance(self, restarted: Iterable[int]) -> None:
+        """Count one transition after which the `restarted` nodes (movers and
+        newly activable nodes) have age 0."""
+        self.transitions += 1
+        for u in restarted:
+            self._since[u] = self.transitions
+
+    def oldest(self) -> int:
+        """The largest age; only activable nodes can have a nonzero one."""
+        return max((self[u] for u in self._activable), default=0)
+
+
+class Activity:
+    """What a run tracks about activability, carried across transitions: the
+    activable map, the round tracker and the fairness ages.
+
+    `step` touches only N[movers], so one transition costs O(|N[movers]|)
+    however large the graph is. The initial map comes from a full
+    `activable_map` scan.
+    """
+
+    def __init__(self, algo, g: Graph, activable: dict[int, tuple[Rule, ...]],
+                 byz: frozenset[int] = frozenset()):
+        self._algo = algo
+        self._g = g
+        self._byz = byz
+        self.activable = activable
+        self.tracker = RoundTracker(activable)
+        self.ages = FairnessAges(g.n, activable)
+
+    def step(self, cfg: Configuration, moved: Sequence[int]) -> bool:
+        """Account the transition by `moved` that produced cfg; True when it
+        closes a round."""
+        left, entered = update_activable(
+            self._algo, self._g, cfg, self.activable, moved, self._byz)
+        self.ages.advance([*moved, *entered])
+        return self.tracker.advance(moved, left, self.activable)
 
 
 @dataclass(frozen=True)
@@ -279,7 +368,7 @@ def run_script(algo, g: Graph, cfg: Configuration,
     A move that is not enabled fails the script.
     """
     trace = Trace(initial=cfg)
-    tracker = RoundTracker(g.n)
+    activity = Activity(algo, g, activable_map(algo, g, cfg))
     for step in steps:
         moves = [Move(node, rule) for node, rule, _ in step]
         forced = []
@@ -295,12 +384,10 @@ def run_script(algo, g: Graph, cfg: Configuration,
                 forced.append(d)
         # draw feeder must follow the engine's ascending-node order
         feeder = FixedDraws(forced)
-        before_act = set(activable_map(algo, g, cfg))
         cfg_after, draws = apply_transition(algo, g, cfg, moves, feeder)
-        after_act = set(activable_map(algo, g, cfg_after))
         sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
         trace.steps.append(TraceStep(sorted_moves, draws, cfg_after))
-        if tracker.advance(before_act, (m.node for m in sorted_moves), after_act):
+        if activity.step(cfg_after, [m.node for m in sorted_moves]):
             trace.round_ends.append(len(trace.steps))
         cfg = cfg_after
     return trace

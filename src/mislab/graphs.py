@@ -220,9 +220,15 @@ def read_graph(fh: IO[str]) -> Graph:
     except ValueError as exc:
         raise ConfigError(f"bad graph header: {exc}") from exc
     edges = []
-    for _ in range(m):
+    for lineno in range(2, m + 2):
         parts = fh.readline().split()
         if len(parts) != 2:
-            raise ConfigError("each edge line must contain exactly 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ConfigError(
+                f"line {lineno}: each edge line must contain exactly 'u v'")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: edge endpoints must be integers, "
+                f"got {' '.join(parts)!r}") from None
     return make_graph(n, edges)

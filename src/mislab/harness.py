@@ -7,6 +7,7 @@ same spec plus the same master seed always reproduces byte-identical CSV.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -25,9 +26,9 @@ from .analysis import (
 )
 from .daemons import make_daemon
 from .engine import (
+    Activity,
     Configuration,
     Move,
-    RoundTracker,
     RngStream,
     Rule,
     Trace,
@@ -135,12 +136,23 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
+def _number(kind: type, key: str, value: str):
+    """int(value) or float(value), as a ConfigError naming the key on failure."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(
+            f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}") from None
+
+
 def _parse_strategy(token: str) -> tuple[int, str, int | None]:
     parts = token.split(":")
     if len(parts) == 2:
-        return int(parts[0]), parts[1], None
+        return _number(int, "strategies", parts[0]), parts[1], None
     if len(parts) == 3:
-        return int(parts[0]), parts[1], int(parts[2])
+        return (_number(int, "strategies", parts[0]), parts[1],
+                _number(int, "strategies", parts[2]))
     raise ConfigError(f"strategy entries are node:kind[:x_cap], got {token!r}")
 
 
@@ -156,17 +168,16 @@ def parse_run_spec(text: str) -> RunSpec:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in _INT_KEYS:
-            values[key] = int(value)
+            values[key] = _number(int, key, value)
         elif key in _FLOAT_KEYS:
-            values[key] = float(value)
+            values[key] = _number(float, key, value)
         elif key in _BOOL_KEYS:
             values[key] = _parse_bool(value)
         elif key in _STR_KEYS:
             values[key] = value
-        elif key == "byzantine":
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        elif key == "sizes":
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
+        elif key in ("byzantine", "sizes"):
+            values[key] = tuple(
+                _number(int, key, v) for v in value.split(",") if v.strip())
         elif key == "strategies":
             values[key] = tuple(
                 _parse_strategy(v.strip()) for v in value.split(",") if v.strip())
@@ -229,21 +240,26 @@ def spec_hash(spec: RunSpec) -> str:
 
 
 def build_graph(spec: RunSpec) -> Graph:
+    """The spec's graph. A generated one is built once and shared by every
+    trial of the spec (graphs are immutable); a graph file is read anew."""
     if spec.graph == "file":
         if not spec.graph_file:
             raise ConfigError("graph = file requires graph_file")
         with open(spec.graph_file, encoding="utf-8") as fh:
             return read_graph(fh)
-    params = {}
-    for key in ("n", "leaves", "rows", "cols", "p"):
-        value = getattr(spec, key)
-        if value is not None:
-            params[key] = value
+    params = tuple((key, getattr(spec, key))
+                   for key in ("n", "leaves", "rows", "cols", "p")
+                   if getattr(spec, key) is not None)
     try:
-        return generate_graph(spec.graph, seed=spec.graph_seed, **params)
+        return _generated_graph(spec.graph, spec.graph_seed, params)
     except KeyError as exc:
         raise ConfigError(
             f"graph kind {spec.graph!r} is missing parameter {exc}") from None
+
+
+@functools.lru_cache(maxsize=1)
+def _generated_graph(kind: str, seed: int, params: tuple) -> Graph:
+    return generate_graph(kind, seed=seed, **dict(params))
 
 
 def default_move_ceiling(n: int) -> int:
@@ -321,8 +337,6 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     zone2 = safe_zone(g, byz, 2) if byz_runs else None
     move_ceiling = spec.move_ceiling or default_move_ceiling(g.n)
     round_ceiling = spec.round_ceiling or default_round_ceiling(g)
-    tracker = RoundTracker(g.n, byz)
-    ages = [0] * g.n
     fair_bound = daemon.fair_bound
 
     if want_ledger is None:
@@ -332,7 +346,6 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
 
     moves_total = 0
     moves_by_rule: dict[str, int] = {}
-    transitions = 0
     first_hit: tuple[int, int] | None = None  # (moves, rounds) at first legitimacy
     hit_completed_rounds = 0
     converged = False
@@ -344,7 +357,8 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     prev_safe = (safe_alone_set(g, byz, cfg)
                  if spec.check_invariants and byz_runs else None)
 
-    activable = activable_map(algo, g, cfg, byz)
+    activity = Activity(algo, g, activable_map(algo, g, cfg, byz), byz)
+    activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     while True:
         if byz_runs:
             if is_legitimate(g, byz, cfg, zone1, zone2):
@@ -373,21 +387,11 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
 
         moves = daemon.select(g, cfg, activable, ages, rng)
         new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
-        new_activable = activable_map(algo, g, new_cfg, byz)
         sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
-        moved = {m.node for m in sorted_moves}
-        ended = tracker.advance(activable, moved, new_activable)
-        transitions += 1
+        ended = activity.step(new_cfg, [m.node for m in sorted_moves])
         moves_total += len(sorted_moves)
         for m in sorted_moves:
             moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
-        for u in range(g.n):
-            if u in moved:
-                ages[u] = 0
-            elif u in activable and u in new_activable:
-                ages[u] += 1
-            else:
-                ages[u] = 0
 
         if spec.check_invariants:
             _check_step_invariants(
@@ -404,7 +408,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
             if ended:
                 trace.round_ends.append(len(trace.steps))
 
-        cfg, activable = new_cfg, new_activable
+        cfg = new_cfg
 
     if byz_runs:
         criterion = "legitimate"
@@ -422,7 +426,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
         seed=seed,
         moves=moves_reported,
         moves_by_rule=moves_by_rule,
-        transitions=transitions,
+        transitions=ages.transitions,
         rounds=rounds_reported,
         converged=converged,
         criterion=criterion,
@@ -446,7 +450,7 @@ def _check_step_invariants(g, algo, byz, cfg, tracker, ages, fair_bound,
             raise InvariantViolation(
                 f"safe alone set shrank: lost {sorted(prev_safe - safe)}")
     if fair_bound is not None:
-        worst = max(ages) if ages else 0
+        worst = ages.oldest()
         if worst > fair_bound - 1:
             raise InvariantViolation(
                 f"fairness bound {fair_bound} violated: a node waited {worst} "
@@ -484,7 +488,6 @@ class Aggregate:
     count: int
     mean: float
     std: float
-    sem: float
     minimum: int
     maximum: int
     p50: int
@@ -498,7 +501,6 @@ def aggregate(values: list[int]) -> Aggregate:
         count=len(values),
         mean=mean,
         std=std,
-        sem=std / math.sqrt(len(values)),
         minimum=min(values),
         maximum=max(values),
         p50=_percentile(values, 0.50),

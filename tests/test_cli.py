@@ -101,6 +101,26 @@ def test_config_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_numeric_flag_is_config_error(capsys):
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "abc"]) == 2
+    assert "n: expected an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_non_numeric_graph_file_edge_is_config_error(tmp_path, capsys):
+    target = tmp_path / "g.txt"
+    target.write_text("3 2\n0 1\n0 x\n", encoding="utf-8")
+    assert main(["oracle", str(target)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_non_numeric_strategy_node_is_config_error(capsys):
+    assert main(["trial", "--algorithm", "byzantine", "--graph", "ring",
+                 "--n", "4", "--byzantine", "0",
+                 "--strategies", "a:oscillate"]) == 2
+    assert "strategies: expected an integer" in capsys.readouterr().err
+
+
 def test_missing_spec_is_config_error(capsys):
     assert main(["trial"]) == 2
 

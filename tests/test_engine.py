@@ -128,26 +128,28 @@ def test_synchronous_rounds_are_single_transitions():
 
 
 def test_round_tracker_disabling_action_counts():
-    tracker = RoundTracker(2)
+    # nodes 0 and 1 activable when the round opens
+    tracker = RoundTracker({0, 1})
     # node 1 activable before, unmoved, disabled after: round ends
-    assert tracker.advance({0, 1}, {0}, set())
+    assert tracker.advance(moved={0}, left={0, 1}, activable_after=set())
     assert tracker.rounds_completed == 1
 
 
 def test_round_waits_for_byzantine_activation():
     # hand-traced: an edge 0-1 with node 1 Byzantine; activating node 0 alone
     # cannot close the round because node 1 stays activable and unactivated
-    tracker = RoundTracker(2, byz=frozenset({1}))
-    assert not tracker.advance({0, 1}, {0}, {1})
+    # (a faulty node never leaves the activable set)
+    tracker = RoundTracker({0, 1})
+    assert not tracker.advance(moved={0}, left={0}, activable_after={1})
     assert tracker.rounds_elapsed == 1  # partial round in progress
-    assert tracker.advance({1}, {1}, {1})
+    assert tracker.advance(moved={1}, left=set(), activable_after={1})
     assert tracker.rounds_completed == 1
 
 
 def test_round_tracker_never_activable_node_is_satisfied():
-    tracker = RoundTracker(2)
     # node 1 is not activable in any configuration of the round
-    assert tracker.advance({0}, {0}, {0})
+    tracker = RoundTracker({0})
+    assert tracker.advance(moved={0}, left=set(), activable_after={0})
 
 
 def test_round_boundaries_decompose_the_trace():

@@ -1,0 +1,286 @@
+"""The incremental engine against a slow whole-graph reference.
+
+`reference_trial` is the trial loop as it was before activability was kept
+across transitions: a full `activable_map` rescan after every transition, a
+round tracker that walks all n nodes, and an n-long list of fairness ages
+rewritten every transition. `run_trial` must agree with it exactly: moves,
+draws, configurations, round ends and every TrialRecord field.
+"""
+
+from dataclasses import asdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mislab.algorithms import AnonymousMIS, get_algorithm
+from mislab.analysis import is_legitimate, locally_alone_set, safe_alone_set
+from mislab.byzantine import STRATEGY_KINDS
+from mislab.engine import (
+    INITIAL_PRESETS,
+    RngStream,
+    Trace,
+    TraceStep,
+    activable_map,
+    apply_transition,
+    derive_seed,
+    initial_configuration,
+)
+from mislab.errors import EngineError
+from mislab.graphs import generate_graph, safe_zone
+from mislab.harness import (
+    RunSpec,
+    TrialRecord,
+    _check_step_invariants,
+    _make_trial_daemon,
+    _strategy_map,
+    build_graph,
+    default_move_ceiling,
+    default_round_ceiling,
+    run_trial,
+)
+
+
+class WholeGraphRoundTracker:
+    """Round accounting by a scan of every node per transition."""
+
+    def __init__(self, n, byz):
+        self.n = n
+        self.byz = byz
+        self.rounds_completed = 0
+        self.transitions_in_round = 0
+        self._satisfied = [False] * n
+
+    def advance(self, before, moved, after) -> bool:
+        self.transitions_in_round += 1
+        for u in range(self.n):
+            if self._satisfied[u]:
+                continue
+            if u in moved:
+                self._satisfied[u] = True
+            elif u not in self.byz and (u not in before or u not in after):
+                self._satisfied[u] = True
+        if all(self._satisfied):
+            self.rounds_completed += 1
+            self.transitions_in_round = 0
+            self._satisfied = [False] * self.n
+            return True
+        return False
+
+    @property
+    def rounds_elapsed(self) -> int:
+        return self.rounds_completed + (1 if self.transitions_in_round else 0)
+
+
+class AgeList(list):
+    """Plain per-node ages; the invariant check reads the max over all nodes."""
+
+    def oldest(self) -> int:
+        return max(self, default=0)
+
+
+def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace]:
+    g = build_graph(spec)
+    algo = get_algorithm(spec.algorithm)
+    byz = frozenset(spec.byzantine)
+    byz_runs = spec.algorithm == "byzantine"
+    strategies = _strategy_map(spec)
+    seed = derive_seed(spec.master_seed, trial_index)
+    rng = RngStream(seed)
+    daemon = _make_trial_daemon(spec, g)
+    cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
+    zone1 = safe_zone(g, byz, 1) if byz_runs else None
+    zone2 = safe_zone(g, byz, 2) if byz_runs else None
+    move_ceiling = spec.move_ceiling or default_move_ceiling(g.n)
+    round_ceiling = spec.round_ceiling or default_round_ceiling(g)
+    tracker = WholeGraphRoundTracker(g.n, byz)
+    ages = AgeList([0] * g.n)
+    trace = Trace(initial=cfg, seed=seed)
+
+    moves_total = transitions = 0
+    moves_by_rule: dict[str, int] = {}
+    first_hit = None
+    hit_completed_rounds = 0
+    converged = ceiling_hit = False
+    prev_settled = (locally_alone_set(g, cfg)
+                    if spec.check_invariants and not byz else None)
+    prev_safe = (safe_alone_set(g, byz, cfg)
+                 if spec.check_invariants and byz_runs else None)
+    activable = activable_map(algo, g, cfg, byz)
+    while True:
+        if byz_runs:
+            if is_legitimate(g, byz, cfg, zone1, zone2):
+                if first_hit is None:
+                    first_hit = (moves_total, tracker.rounds_elapsed)
+                    hit_completed_rounds = tracker.rounds_completed
+                if tracker.rounds_completed - hit_completed_rounds >= spec.hold_rounds:
+                    converged = True
+                    break
+        elif not activable:
+            converged = True
+            break
+        if not activable:
+            converged = byz_runs and first_hit is not None
+            break
+        if moves_total >= move_ceiling or tracker.rounds_completed >= round_ceiling:
+            if byz_runs and first_hit is not None:
+                converged = True
+            else:
+                ceiling_hit = True
+            break
+
+        moves = daemon.select(g, cfg, activable, ages, rng)
+        new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
+        new_activable = activable_map(algo, g, new_cfg, byz)
+        sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
+        moved = {m.node for m in sorted_moves}
+        ended = tracker.advance(activable, moved, new_activable)
+        transitions += 1
+        moves_total += len(sorted_moves)
+        for m in sorted_moves:
+            moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
+        for u in range(g.n):
+            if u in moved:
+                ages[u] = 0
+            elif u in activable and u in new_activable:
+                ages[u] += 1
+            else:
+                ages[u] = 0
+        if spec.check_invariants:
+            _check_step_invariants(g, algo, byz, new_cfg, tracker, ages,
+                                   daemon.fair_bound, prev_settled, prev_safe)
+            if not byz:
+                prev_settled = locally_alone_set(g, new_cfg)
+            if byz_runs:
+                prev_safe = safe_alone_set(g, byz, new_cfg)
+        trace.steps.append(TraceStep(sorted_moves, draws, new_cfg))
+        if ended:
+            trace.round_ends.append(len(trace.steps))
+        cfg, activable = new_cfg, new_activable
+
+    if byz_runs:
+        criterion, set_size = "legitimate", len(safe_alone_set(g, byz, cfg))
+        moves_reported, rounds_reported = (
+            first_hit if (converged and first_hit is not None)
+            else (moves_total, tracker.rounds_elapsed))
+    else:
+        criterion, set_size = "stable", len(locally_alone_set(g, cfg))
+        moves_reported, rounds_reported = moves_total, tracker.rounds_elapsed
+    record = TrialRecord(
+        trial=trial_index, seed=seed, moves=moves_reported,
+        moves_by_rule=moves_by_rule, transitions=transitions,
+        rounds=rounds_reported, converged=converged, criterion=criterion,
+        set_size=set_size, ceiling_hit=ceiling_hit)
+    return record, trace
+
+
+def _result_or_error(fn):
+    """(result, None) or (None, error text) for an engine error or violation."""
+    try:
+        return fn(), None
+    except EngineError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def trial_specs(draw):
+    kind = draw(st.sampled_from(["ring", "grid", "erdos_renyi", "random_tree", "star"]))
+    if kind == "grid":
+        params = {"rows": draw(st.integers(1, 5)), "cols": draw(st.integers(1, 5))}
+    elif kind == "star":
+        params = {"leaves": draw(st.integers(1, 10))}
+    else:
+        params = {"n": draw(st.integers(1, 16))}
+    if kind == "erdos_renyi":
+        params["p"] = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    graph_seed = draw(st.integers(0, 1000))
+    n = generate_graph(kind, seed=graph_seed, **params).n
+    algorithm = draw(st.sampled_from(["anonymous", "byzantine"]))
+    byzantine, strategies = (), ()
+    if algorithm == "byzantine":
+        byzantine = tuple(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                        max_size=min(2, n))))
+        strategies = tuple(
+            (u, draw(st.sampled_from(STRATEGY_KINDS)),
+             draw(st.none() | st.integers(0, 20)))
+            for u in byzantine)
+    daemon = draw(st.sampled_from(["synchronous", "aged_fair", "random_subset",
+                                   "singleton", "conflict_greedy"]))
+    spec = RunSpec(
+        algorithm=algorithm, graph=kind, graph_seed=graph_seed, **params,
+        daemon=daemon,
+        fairness=draw(st.none() | st.integers(1, 6)),
+        density=draw(st.sampled_from([0.2, 0.5, 1.0])),
+        init=draw(st.sampled_from(INITIAL_PRESETS)),
+        master_seed=draw(st.integers(0, 2**32)),
+        move_ceiling=draw(st.just(0) | st.integers(1, 60)),
+        round_ceiling=draw(st.just(0) | st.integers(1, 12)),
+        byzantine=byzantine, strategies=strategies,
+        hold_rounds=draw(st.integers(0, 2)),
+        check_invariants=draw(st.booleans()),
+    )
+    return spec, draw(st.integers(0, 3))
+
+
+def _assert_matches_reference(spec: RunSpec, trial: int) -> None:
+    expected, expected_error = _result_or_error(lambda: reference_trial(spec, trial))
+    got, error = _result_or_error(lambda: run_trial(spec, trial, want_trace=True))
+    assert error == expected_error
+    if expected is None:
+        return
+    record, trace = expected
+    assert asdict(got.record) == asdict(record)
+    assert got.trace.initial == trace.initial
+    assert [s.moves for s in got.trace.steps] == [s.moves for s in trace.steps]
+    assert [s.draws for s in got.trace.steps] == [s.draws for s in trace.steps]
+    assert [s.config for s in got.trace.steps] == [s.config for s in trace.steps]
+    assert got.trace.round_ends == trace.round_ends
+    assert got.final == trace.final
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trial_specs())
+def test_incremental_engine_matches_whole_graph_reference(case):
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("daemon", ["synchronous", "aged_fair", "random_subset",
+                                    "singleton", "conflict_greedy"])
+@pytest.mark.parametrize("algorithm", ["anonymous", "byzantine"])
+def test_long_runs_match_whole_graph_reference(algorithm, daemon):
+    # many rounds: larger graphs, and Byzantine runs held for 15 rounds past
+    # legitimacy while the faulty nodes keep acting
+    byz = {"byzantine": (0, 45)} if algorithm == "byzantine" else {}
+    strategies = ({"strategies": ((0, "uniform_random", 40), (45, "oscillate", None))}
+                  if byz else {})
+    for spec in (
+        RunSpec(algorithm=algorithm, graph="grid", rows=8, cols=10, daemon=daemon,
+                fairness=5, master_seed=11, hold_rounds=15, **byz, **strategies),
+        RunSpec(algorithm=algorithm, graph="erdos_renyi", n=80, p=0.06,
+                graph_seed=3, daemon=daemon, init="adversarial_x",
+                master_seed=12, hold_rounds=15, **byz, **strategies),
+    ):
+        _assert_matches_reference(spec, 0)
+
+
+def test_guard_evaluations_per_move_do_not_grow_with_n(monkeypatch):
+    """After the initial full scan, a move costs N[mover] guard evaluations
+    plus one to validate it: 4 on a ring, however many nodes it has."""
+    calls = 0
+    original = AnonymousMIS.enabled_rules
+
+    def counting(self, g, cfg, u):
+        nonlocal calls
+        calls += 1
+        return original(self, g, cfg, u)
+
+    monkeypatch.setattr(AnonymousMIS, "enabled_rules", counting)
+    delta = 2
+    for n in (256, 2048):
+        calls = 0
+        spec = RunSpec(algorithm="anonymous", graph="ring", n=n,
+                       daemon="singleton", check_invariants=False, master_seed=5)
+        record = run_trial(spec, 0).record
+        assert record.converged
+        moves = sum(record.moves_by_rule.values())
+        assert (calls - n) / moves <= 2 * (delta + 1), (n, calls, moves)
