@@ -6,6 +6,7 @@ trial/sweep experiment harness."""
 from .algorithms import AnonymousMIS, ByzantineMIS, candidacy_probability, get_algorithm
 from .analysis import (
     ColorLedger,
+    SafeAloneTracker,
     all_maximal_independent_sets,
     is_candidate_set,
     is_independent,

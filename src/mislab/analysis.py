@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
-from .engine import Configuration, Move, Rule, Trace
+from .engine import Activity, Configuration, Move, Rule, Trace, activable_map
 from .errors import ConfigError, InvariantViolation
 from .graphs import Graph, safe_zone
 
@@ -65,6 +65,73 @@ def is_legitimate(g: Graph, byz: frozenset[int], cfg: Configuration,
         if u not in alone and not any(v in alone for v in g.adjacency[u]):
             return False
     return True
+
+
+class SafeAloneTracker:
+    """The safe alone set and the distance-2 coverage that `is_legitimate`
+    tests, kept current across transitions.
+
+    The zones are fixed for a run, so they are given once. A move at u can
+    change "locally alone" only on N[u], and a change at w can change
+    coverage only on N[w]; `update` therefore touches N[moved] and the
+    neighborhoods of the nodes whose status changed, never the whole graph.
+    Without faulty nodes both zones are V and `alone` is the settled set.
+    """
+
+    def __init__(self, g: Graph, cfg: Configuration,
+                 zone1: frozenset[int], zone2: frozenset[int]):
+        self._g = g
+        self._zone1 = zone1
+        self.alone: set[int] = set()
+        # for each zone-2 node, the number of alone nodes in its closed
+        # neighborhood; the ground set is dominated when none is 0
+        self._cover = dict.fromkeys(zone2, 0)
+        self.uncovered = len(self._cover)
+        s = cfg.s
+        for u in zone1:
+            if s[u] and not any(s[v] for v in g.adjacency[u]):
+                self._flip(u, 1)
+
+    @property
+    def legitimate(self) -> bool:
+        """is_legitimate for the configuration last seen."""
+        return self.uncovered == 0
+
+    def update(self, cfg: Configuration, moved: Sequence[int]) -> list[int]:
+        """Account the transition by `moved` that produced cfg; returns the
+        nodes that stopped being alone, sorted."""
+        adjacency = self._g.adjacency
+        touched = set(moved)
+        for u in moved:
+            touched.update(adjacency[u])
+        s = cfg.s
+        lost = []
+        for u in touched:
+            if u not in self._zone1:
+                continue
+            now = s[u] and not any(s[v] for v in adjacency[u])
+            if now and u not in self.alone:
+                self._flip(u, 1)
+            elif not now and u in self.alone:
+                self._flip(u, -1)
+                lost.append(u)
+        return sorted(lost)
+
+    def _flip(self, u: int, delta: int) -> None:
+        if delta > 0:
+            self.alone.add(u)
+        else:
+            self.alone.remove(u)
+        cover = self._cover
+        for w in (u, *self._g.adjacency[u]):
+            count = cover.get(w)
+            if count is None:
+                continue
+            cover[w] = count + delta
+            if count == 0:
+                self.uncovered -= 1
+            elif count + delta == 0:
+                self.uncovered += 1
 
 
 def is_candidate_set(g: Graph, cfg: Configuration, nodes: Iterable[int]) -> bool:
@@ -130,13 +197,18 @@ class ColorLedger:
     continuously up), which colors still have possible withdrawal moves,
     and, at each color's death, whether some member it never
     shared with another color ended up settled.
+
+    Possible withdrawal moves are read from `activable`, the activable map of
+    the run, which the caller keeps current (an `Activity` does) and brings
+    up to date before recording each transition.
     """
 
-    def __init__(self, g: Graph, algo, initial: Configuration):
+    def __init__(self, g: Graph, algo, initial: Configuration,
+                 activable: dict[int, tuple[Rule, ...]]):
         if algo.uses_x:
             raise ConfigError("color instrumentation applies to anonymous runs only")
         self.g = g
-        self.algo = algo
+        self._activable = activable
         self.index = 0
         self._top_since: list[int | None] = [
             0 if up else None for up in initial.s]
@@ -203,13 +275,13 @@ class ColorLedger:
         self._scan_possible_moves(cfg_after)
 
     def _scan_possible_moves(self, cfg: Configuration) -> None:
-        """Recompute, from scratch, which colors still have possible
-        withdrawal moves, then settle the accounts of colors that just lost
-        their last one."""
+        """Recompute which colors still have possible withdrawal moves, then
+        settle the accounts of colors that just lost their last one."""
         i = self.index
         live: set[int] = set()
-        for u in range(self.g.n):
-            if Rule.TRY_WITHDRAW in self.algo.enabled_rules(self.g, cfg, u):
+        activable = self._activable
+        for u in sorted(activable):
+            if Rule.TRY_WITHDRAW in activable[u]:
                 color = self._top_since[u]
                 record = self.records.get(color)
                 if record is None:
@@ -251,9 +323,11 @@ class ColorLedger:
 
 def ledger_from_trace(g: Graph, algo, trace: Trace) -> ColorLedger:
     """Run the full instrumentation over an already-recorded execution."""
-    ledger = ColorLedger(g, algo, trace.initial)
+    activity = Activity(algo, g, activable_map(algo, g, trace.initial))
+    ledger = ColorLedger(g, algo, trace.initial, activity.activable)
     cfg = trace.initial
     for step in trace.steps:
+        activity.step(step.config, [m.node for m in step.moves])
         ledger.record(cfg, step.moves, step.config)
         cfg = step.config
     return ledger

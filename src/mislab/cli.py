@@ -3,6 +3,9 @@
 Subcommands: trial, sweep, replay, oracle. Every run-spec key is mirrored by
 a flag; flags override values read from a spec file. Relative output paths
 resolve against $MISLAB_OUT when it is set.
+
+Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
+(reported with the spec hash, trial and seed, and a command that reruns it).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 from .analysis import all_maximal_independent_sets
 from .engine import dump_trace
-from .errors import ConfigError, ScriptError
+from .errors import ConfigError, InvariantViolation, ScriptError
 from .graphs import read_graph
 from .harness import (
     RunSpec,
@@ -192,6 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        if exc.rerun:
+            print(f"rerun: {exc.rerun}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

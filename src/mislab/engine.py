@@ -125,9 +125,11 @@ def activable_map(algo, g: Graph, cfg: Configuration,
     return out
 
 
-def validate_move_set(algo, g: Graph, cfg: Configuration, moves: Iterable[Move],
+def validate_move_set(g: Graph, moves: Iterable[Move],
+                      activable: dict[int, tuple[Rule, ...]],
                       byz_strategies: dict | None = None) -> tuple[Move, ...]:
-    """Check move-set invariants and return the moves sorted by node.
+    """Check move-set invariants against the activable map of the current
+    configuration and return the moves sorted by node.
 
     Violations are engine errors: daemons must only emit valid sets.
     """
@@ -146,20 +148,26 @@ def validate_move_set(algo, g: Graph, cfg: Configuration, moves: Iterable[Move],
                 raise EngineError(f"byz move on non-faulty node {node}")
         elif node in byz_strategies:
             raise EngineError(f"faulty node {node} may not execute algorithm rules")
-        elif rule not in algo.enabled_rules(g, cfg, node):
+        elif rule not in activable.get(node, ()):
             raise EngineError(f"rule {rule.value} not enabled on node {node}")
     return tuple(ordered)
 
 
 def apply_transition(algo, g: Graph, cfg: Configuration, moves: Iterable[Move],
                      rng, byz_strategies: dict | None = None,
+                     activable: dict[int, tuple[Rule, ...]] | None = None,
                      ) -> tuple[Configuration, tuple[int | None, ...]]:
     """Execute a valid move set simultaneously and return (next config, draws).
 
-    Draws align with the node-sorted move tuple; None for deterministic rules
-    and faulty-node actions.
+    Moves are checked against `activable`, the activable map of cfg (a run
+    passes the one its `Activity` keeps); without it, cfg is scanned. Draws
+    align with the node-sorted move tuple; None for deterministic rules and
+    faulty-node actions.
     """
-    ordered = validate_move_set(algo, g, cfg, moves, byz_strategies)
+    byz_strategies = byz_strategies or {}
+    if activable is None:
+        activable = activable_map(algo, g, cfg, frozenset(byz_strategies))
+    ordered = validate_move_set(g, moves, activable, byz_strategies)
     s = list(cfg.s)
     x = list(cfg.x) if cfg.x is not None else None
     draws: list[int | None] = []
@@ -373,7 +381,7 @@ def run_script(algo, g: Graph, cfg: Configuration,
         moves = [Move(node, rule) for node, rule, _ in step]
         forced = []
         for node, rule, d in sorted(step, key=lambda e: e[0]):
-            if rule not in algo.enabled_rules(g, cfg, node):
+            if rule not in activity.activable.get(node, ()):
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled at "
                     f"transition {len(trace.steps) + 1}")
@@ -384,7 +392,8 @@ def run_script(algo, g: Graph, cfg: Configuration,
                 forced.append(d)
         # draw feeder must follow the engine's ascending-node order
         feeder = FixedDraws(forced)
-        cfg_after, draws = apply_transition(algo, g, cfg, moves, feeder)
+        cfg_after, draws = apply_transition(algo, g, cfg, moves, feeder,
+                                            activable=activity.activable)
         sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
         trace.steps.append(TraceStep(sorted_moves, draws, cfg_after))
         if activity.step(cfg_after, [m.node for m in sorted_moves]):

@@ -14,4 +14,12 @@ class ScriptError(Exception):
 
 
 class InvariantViolation(EngineError):
-    """A property the model guarantees was observed to fail during a run."""
+    """A property the model guarantees was observed to fail during a run.
+
+    `rerun`, once set by the loop that ran the trial, is a command line that
+    reproduces the failure.
+    """
+
+    def __init__(self, message: str, rerun: str | None = None):
+        super().__init__(message)
+        self.rerun = rerun

@@ -13,13 +13,13 @@ import io
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import IO
+from typing import IO, Iterable
 
 from . import byzantine as byz_mod
 from .algorithms import get_algorithm
 from .analysis import (
     ColorLedger,
-    is_legitimate,
+    SafeAloneTracker,
     ledger_from_trace,
     locally_alone_set,
     safe_alone_set,
@@ -333,16 +333,21 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     daemon = _make_trial_daemon(spec, g)
     cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
 
-    zone1 = safe_zone(g, byz, 1) if byz_runs else None
-    zone2 = safe_zone(g, byz, 2) if byz_runs else None
     move_ceiling = spec.move_ceiling or default_move_ceiling(g.n)
     round_ceiling = spec.round_ceiling or default_round_ceiling(g)
     fair_bound = daemon.fair_bound
 
+    activity = Activity(algo, g, activable_map(algo, g, cfg, byz), byz)
+    activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     if want_ledger is None:
         want_ledger = spec.instrument
-    ledger = ColorLedger(g, algo, cfg) if want_ledger else None
+    ledger = ColorLedger(g, algo, cfg, activable) if want_ledger else None
     trace = Trace(initial=cfg, seed=seed) if want_trace else None
+    # legitimacy and the monotone set: without faulty nodes that set is the
+    # settled set of the whole graph, with them the safe alone set
+    safe = (SafeAloneTracker(g, cfg, safe_zone(g, byz, 1), safe_zone(g, byz, 2))
+            if byz_runs or spec.check_invariants else None)
+    monotone = "safe alone set" if byz else "settled set"
 
     moves_total = 0
     moves_by_rule: dict[str, int] = {}
@@ -350,18 +355,10 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     hit_completed_rounds = 0
     converged = False
     ceiling_hit = False
-    # the whole-graph settled set is monotone only without Byzantine nodes;
-    # with them, the safe alone set is the monotone object
-    prev_settled = (locally_alone_set(g, cfg)
-                    if spec.check_invariants and not byz else None)
-    prev_safe = (safe_alone_set(g, byz, cfg)
-                 if spec.check_invariants and byz_runs else None)
 
-    activity = Activity(algo, g, activable_map(algo, g, cfg, byz), byz)
-    activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     while True:
         if byz_runs:
-            if is_legitimate(g, byz, cfg, zone1, zone2):
+            if safe.legitimate:
                 if first_hit is None:
                     first_hit = (moves_total, tracker.rounds_elapsed)
                     hit_completed_rounds = tracker.rounds_completed
@@ -386,21 +383,32 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
             break
 
         moves = daemon.select(g, cfg, activable, ages, rng)
-        new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
+        new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies,
+                                          activable=activable)
         sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
-        ended = activity.step(new_cfg, [m.node for m in sorted_moves])
+        moved = [m.node for m in sorted_moves]
+        ended = activity.step(new_cfg, moved)
+        lost = safe.update(new_cfg, moved) if safe is not None else None
         moves_total += len(sorted_moves)
         for m in sorted_moves:
             moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
 
         if spec.check_invariants:
-            _check_step_invariants(
-                g, algo, byz, new_cfg, tracker, ages, fair_bound,
-                prev_settled, prev_safe)
-            if not byz:
-                prev_settled = locally_alone_set(g, new_cfg)
-            if byz_runs:
-                prev_safe = safe_alone_set(g, byz, new_cfg)
+            if lost:
+                raise InvariantViolation(f"{monotone} shrank: lost {lost}")
+            if fair_bound is not None:
+                worst = ages.oldest()
+                if worst > fair_bound - 1:
+                    raise InvariantViolation(
+                        f"fairness bound {fair_bound} violated: a node waited "
+                        f"{worst} transitions while activable")
+            if algo.uses_x and tracker.rounds_completed >= 1:
+                # x changes only at movers: scan every node when the first
+                # round closes, and only the movers after that
+                _check_degrees(
+                    g, byz, new_cfg,
+                    range(g.n) if ended and tracker.rounds_completed == 1
+                    else moved)
         if ledger is not None:
             ledger.record(cfg, sorted_moves, new_cfg)
         if trace is not None:
@@ -437,34 +445,47 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                         ledger=ledger)
 
 
-def _check_step_invariants(g, algo, byz, cfg, tracker, ages, fair_bound,
-                           prev_settled, prev_safe) -> None:
-    if prev_settled is not None:
-        settled = locally_alone_set(g, cfg)
-        if not prev_settled <= settled:
+def _check_degrees(g: Graph, byz: frozenset[int], cfg: Configuration,
+                   nodes: Iterable[int]) -> None:
+    """Once the first round is over, every non-faulty node's x is its degree."""
+    for u in nodes:
+        if u not in byz and cfg.x[u] != g.degree(u):
             raise InvariantViolation(
-                f"settled set shrank: lost {sorted(prev_settled - settled)}")
-    if prev_safe is not None:
-        safe = safe_alone_set(g, byz, cfg)
-        if not prev_safe <= safe:
-            raise InvariantViolation(
-                f"safe alone set shrank: lost {sorted(prev_safe - safe)}")
-    if fair_bound is not None:
-        worst = ages.oldest()
-        if worst > fair_bound - 1:
-            raise InvariantViolation(
-                f"fairness bound {fair_bound} violated: a node waited {worst} "
-                "transitions while activable")
-    if algo.uses_x and tracker.rounds_completed >= 1:
-        for u in range(g.n):
-            if u not in byz and cfg.x[u] != g.degree(u):
-                raise InvariantViolation(
-                    f"node {u} has x={cfg.x[u]} != deg={g.degree(u)} after the "
-                    "first round")
+                f"node {u} has x={cfg.x[u]} != deg={g.degree(u)} after the "
+                "first round")
 
 
 def run_trials(spec: RunSpec, want_trace: bool = False) -> list[TrialOutcome]:
-    return [run_trial(spec, t, want_trace=want_trace) for t in range(spec.trials)]
+    """Run every trial of spec; an invariant violation is re-raised naming
+    the spec hash, trial and seed, with a command line that reruns it."""
+    outcomes = []
+    for t in range(spec.trials):
+        try:
+            outcomes.append(run_trial(spec, t, want_trace=want_trace))
+        except InvariantViolation as exc:
+            raise InvariantViolation(
+                f"spec {spec_hash(spec)} trial {t} seed "
+                f"{derive_seed(spec.master_seed, t)}: {exc}",
+                rerun=rerun_command(spec, t)) from exc
+    return outcomes
+
+
+def rerun_command(spec: RunSpec, trial_index: int) -> str:
+    """A `mislab trial` command line that ends with the given trial of spec.
+
+    A trial's stream depends only on master_seed and its index, so running
+    trials 0..trial_index reproduces it as the last one.
+    """
+    import shlex  # only a failing run needs it; keeps it out of start-up
+
+    args = ["mislab", "trial"]
+    for line in canonical_text(spec).splitlines():
+        key, _, value = line.partition(" = ")
+        if key not in ("master_seed", "trials") and value not in ("", "None"):
+            args += [f"--{key.replace('_', '-')}", shlex.quote(value)]
+    args += ["--master-seed", str(spec.master_seed),
+             "--trials", str(trial_index + 1)]
+    return " ".join(args)
 
 
 def write_trial_csv(spec: RunSpec, records: list[TrialRecord], fh: IO[str]) -> None:

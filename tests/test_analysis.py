@@ -174,7 +174,7 @@ def test_candidate_sets_of_figure_configuration():
 def test_ledger_rejects_counter_algorithms():
     byz = get_algorithm("byzantine")
     with pytest.raises(ConfigError):
-        ColorLedger(make_graph(1, []), byz, Configuration((False,), (0,)))
+        ColorLedger(make_graph(1, []), byz, Configuration((False,), (0,)), {})
 
 
 def test_initial_up_nodes_form_color_zero():

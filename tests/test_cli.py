@@ -1,9 +1,13 @@
 import io
+import shlex
 
 import pytest
 
+from mislab.algorithms import AnonymousMIS
 from mislab.cli import main
+from mislab.engine import Rule, derive_seed
 from mislab.graphs import erdos_renyi, ring, write_graph
+from mislab.harness import parse_run_spec, spec_hash
 
 ANON_SPEC = """
 algorithm = anonymous
@@ -133,3 +137,31 @@ def test_ledger_output(tmp_path):
     lines = ledger_out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "color,size,born,died,withdrawal_moves,success"
     assert len(lines) > 1
+
+
+def test_invariant_violation_names_the_trial_and_exits_3(monkeypatch, capsys):
+    # a planted guard bug: candidacy next to a settled node shrinks the
+    # settled set, which run_trial reports as an invariant violation
+    original = AnonymousMIS.enabled_rules
+    monkeypatch.setattr(
+        AnonymousMIS, "enabled_rules",
+        lambda self, g, cfg, u: ((Rule.CANDIDACY,) if not cfg.s[u]
+                                 else original(self, g, cfg, u)))
+    flags = ["--algorithm", "anonymous", "--graph", "ring", "--n", "12",
+             "--daemon", "random_subset", "--trials", "5", "--master-seed", "7"]
+    assert main(["trial", *flags]) == 3
+    message, rerun = capsys.readouterr().err.splitlines()
+    spec = parse_run_spec("\n".join(
+        f"{k[2:].replace('-', '_')} = {v}" for k, v in zip(flags[::2], flags[1::2])))
+    prefix = f"invariant violation: spec {spec_hash(spec)} trial "
+    assert message.startswith(prefix)
+    trial = int(message[len(prefix):].split()[0])
+    context = f"trial {trial} seed {derive_seed(7, trial)}: settled set shrank: lost ["
+    assert context in message
+
+    argv = shlex.split(rerun.removeprefix("rerun: "))
+    assert argv[:2] == ["mislab", "trial"]
+    assert argv[-4:] == ["--master-seed", "7", "--trials", str(trial + 1)]
+    assert main(argv[1:]) == 3
+    again = capsys.readouterr().err.splitlines()[0]
+    assert again.endswith(message[message.index(f"trial {trial} "):])

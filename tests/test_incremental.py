@@ -1,24 +1,36 @@
 """The incremental engine against a slow whole-graph reference.
 
-`reference_trial` is the trial loop as it was before activability was kept
-across transitions: a full `activable_map` rescan after every transition, a
-round tracker that walks all n nodes, and an n-long list of fairness ages
-rewritten every transition. `run_trial` must agree with it exactly: moves,
-draws, configurations, round ends and every TrialRecord field.
+`reference_trial` is the trial loop as it was before activability and the
+safe alone set were kept across transitions: a full `activable_map` rescan
+after every transition, a round tracker that walks all n nodes, an n-long
+list of fairness ages rewritten every transition, `is_legitimate` on every
+configuration, and invariant checks (`_check_step_invariants`) that
+recompute the settled and safe alone sets from scratch. `run_trial` must
+agree with it exactly: moves, draws, configurations, round ends, every
+TrialRecord field and every error message.
 """
 
-from dataclasses import asdict
+from collections import Counter
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mislab.algorithms import AnonymousMIS, get_algorithm
-from mislab.analysis import is_legitimate, locally_alone_set, safe_alone_set
+from mislab import analysis, harness
+from mislab.algorithms import AnonymousMIS, ByzantineMIS, get_algorithm
+from mislab.analysis import (
+    SafeAloneTracker,
+    is_legitimate,
+    locally_alone_set,
+    safe_alone_set,
+)
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.engine import (
     INITIAL_PRESETS,
+    Configuration,
     RngStream,
+    Rule,
     Trace,
     TraceStep,
     activable_map,
@@ -26,12 +38,11 @@ from mislab.engine import (
     derive_seed,
     initial_configuration,
 )
-from mislab.errors import EngineError
+from mislab.errors import EngineError, InvariantViolation
 from mislab.graphs import generate_graph, safe_zone
 from mislab.harness import (
     RunSpec,
     TrialRecord,
-    _check_step_invariants,
     _make_trial_daemon,
     _strategy_map,
     build_graph,
@@ -77,6 +88,32 @@ class AgeList(list):
 
     def oldest(self) -> int:
         return max(self, default=0)
+
+
+def _check_step_invariants(g, algo, byz, cfg, tracker, ages, fair_bound,
+                           prev_settled, prev_safe) -> None:
+    if prev_settled is not None:
+        settled = locally_alone_set(g, cfg)
+        if not prev_settled <= settled:
+            raise InvariantViolation(
+                f"settled set shrank: lost {sorted(prev_settled - settled)}")
+    if prev_safe is not None:
+        safe = safe_alone_set(g, byz, cfg)
+        if not prev_safe <= safe:
+            raise InvariantViolation(
+                f"safe alone set shrank: lost {sorted(prev_safe - safe)}")
+    if fair_bound is not None:
+        worst = ages.oldest()
+        if worst > fair_bound - 1:
+            raise InvariantViolation(
+                f"fairness bound {fair_bound} violated: a node waited {worst} "
+                "transitions while activable")
+    if algo.uses_x and tracker.rounds_completed >= 1:
+        for u in range(g.n):
+            if u not in byz and cfg.x[u] != g.degree(u):
+                raise InvariantViolation(
+                    f"node {u} has x={cfg.x[u]} != deg={g.degree(u)} after the "
+                    "first round")
 
 
 def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace]:
@@ -284,3 +321,134 @@ def test_guard_evaluations_per_move_do_not_grow_with_n(monkeypatch):
         assert record.converged
         moves = sum(record.moves_by_rule.values())
         assert (calls - n) / moves <= 2 * (delta + 1), (n, calls, moves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=trial_specs())
+def test_safe_alone_tracker_matches_whole_graph_predicates(case):
+    spec, trial = case
+    outcome = run_trial(replace(spec, check_invariants=False), trial,
+                        want_trace=True)
+    g, byz = outcome.graph, frozenset(spec.byzantine)
+    cfg = outcome.trace.initial
+    tracker = SafeAloneTracker(g, cfg, safe_zone(g, byz, 1), safe_zone(g, byz, 2))
+    expected = safe_alone_set(g, byz, cfg)
+    assert tracker.alone == expected
+    assert tracker.legitimate == is_legitimate(g, byz, cfg)
+    for step in outcome.trace.steps:
+        lost = tracker.update(step.config, [m.node for m in step.moves])
+        cfg, previous = step.config, expected
+        expected = safe_alone_set(g, byz, cfg)
+        assert lost == sorted(previous - expected)
+        assert tracker.alone == expected
+        if not byz:
+            assert tracker.alone == locally_alone_set(g, cfg)
+        assert tracker.legitimate == is_legitimate(g, byz, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_safe_alone_tracker_follows_arbitrary_flips(data):
+    """Any sequence of configurations, not only executions: alone nodes may
+    be lost and coverage may drop, and the tracker still agrees with the
+    whole-graph predicates."""
+    n = data.draw(st.integers(1, 14))
+    g = generate_graph("erdos_renyi", seed=data.draw(st.integers(0, 1000)), n=n,
+                       p=data.draw(st.sampled_from([0.15, 0.3, 0.6])))
+    byz = frozenset(data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                       max_size=2)))
+    cfg = Configuration(tuple(data.draw(st.lists(st.booleans(), min_size=n,
+                                                 max_size=n))))
+    tracker = SafeAloneTracker(g, cfg, safe_zone(g, byz, 1), safe_zone(g, byz, 2))
+    expected = safe_alone_set(g, byz, cfg)
+    assert tracker.alone == expected
+    assert tracker.legitimate == is_legitimate(g, byz, cfg)
+    flip_sets = st.lists(st.integers(0, n - 1), unique=True, min_size=1)
+    for flips in data.draw(st.lists(flip_sets, max_size=12)):
+        cfg = Configuration(tuple(
+            not up if u in flips else up for u, up in enumerate(cfg.s)))
+        lost = tracker.update(cfg, flips)
+        previous, expected = expected, safe_alone_set(g, byz, cfg)
+        assert lost == sorted(previous - expected)
+        assert tracker.alone == expected
+        assert tracker.legitimate == is_legitimate(g, byz, cfg)
+
+
+def _plant_eager_candidacy(monkeypatch):
+    """A guard bug: candidacy is enabled on every down node whose x is right,
+    even next to a settled node, so settled nodes can lose their status."""
+    anonymous, byzantine = AnonymousMIS.enabled_rules, ByzantineMIS.enabled_rules
+
+    def anonymous_eager(self, g, cfg, u):
+        return (Rule.CANDIDACY,) if not cfg.s[u] else anonymous(self, g, cfg, u)
+
+    def byzantine_eager(self, g, cfg, u):
+        if not cfg.s[u] and cfg.x[u] == g.degree(u):
+            return (Rule.TRY_CANDIDACY,)
+        return byzantine(self, g, cfg, u)
+
+    monkeypatch.setattr(AnonymousMIS, "enabled_rules", anonymous_eager)
+    monkeypatch.setattr(ByzantineMIS, "enabled_rules", byzantine_eager)
+
+
+@pytest.mark.parametrize("algorithm, faulty, shrunk", [
+    ("anonymous", (), "settled set"),
+    ("byzantine", (), "settled set"),
+    ("byzantine", (0, 27), "safe alone set"),
+])
+def test_planted_shrink_raises_the_reference_message(monkeypatch, algorithm,
+                                                     faulty, shrunk):
+    _plant_eager_candidacy(monkeypatch)
+    spec = RunSpec(algorithm=algorithm, graph="grid", rows=6, cols=8,
+                   daemon="random_subset", init="all_bot", master_seed=4,
+                   byzantine=faulty, hold_rounds=50)
+    _, expected_error = _result_or_error(lambda: reference_trial(spec, 0))
+    _, error = _result_or_error(lambda: run_trial(spec, 0))
+    assert error == expected_error
+    assert error.startswith(f"InvariantViolation: {shrunk} shrank: lost [")
+
+
+def test_planted_stale_degree_raises_the_reference_message(monkeypatch):
+    # node 5 is never activable, so its wrong x outlives the first round
+    # although it never moves: only a scan of every node finds it
+    original = ByzantineMIS.enabled_rules
+    monkeypatch.setattr(
+        ByzantineMIS, "enabled_rules",
+        lambda self, g, cfg, u: () if u == 5 else original(self, g, cfg, u))
+    spec = RunSpec(algorithm="byzantine", graph="grid", rows=4, cols=5,
+                   daemon="aged_fair", init="adversarial_x", master_seed=2,
+                   byzantine=(0,), hold_rounds=50)
+    _, expected_error = _result_or_error(lambda: reference_trial(spec, 0))
+    _, error = _result_or_error(lambda: run_trial(spec, 0))
+    assert error == expected_error
+    assert error == "InvariantViolation: node 5 has x=20 != deg=3 after the first round"
+
+
+@pytest.mark.parametrize("side", [16, 64])
+@pytest.mark.parametrize("algorithm", ["anonymous", "byzantine"])
+def test_zones_and_alone_sets_are_computed_once_per_trial(monkeypatch,
+                                                          algorithm, side):
+    """The invariant and legitimacy checks cost O(|N2[movers]|) per
+    transition: no whole-graph scan runs per transition, at any size."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (harness, analysis):
+        for name in ("safe_zone", "locally_alone_set"):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+    faulty = ({"byzantine": (0, side * side // 2 + side // 2)}
+              if algorithm == "byzantine" else {})
+    spec = RunSpec(algorithm=algorithm, graph="grid", rows=side, cols=side,
+                   daemon="singleton", check_invariants=True, master_seed=3,
+                   move_ceiling=300, **faulty)
+    record = run_trial(spec, 0).record
+    assert record.transitions >= 100
+    # two zones at the start and one safe alone set at the end
+    assert calls["safe_zone"] <= 3, calls
+    assert calls["locally_alone_set"] <= 1, calls
