@@ -16,7 +16,7 @@ randomness sits:
 from __future__ import annotations
 
 from .engine import Configuration, Rule
-from .errors import ConfigError, EngineError
+from .errors import EngineError, known_kind
 from .graphs import Graph
 
 
@@ -39,7 +39,6 @@ class ByzantineMIS:
 
     name = "byzantine"
     uses_x = True
-    rules = (Rule.REFRESH, Rule.TRY_CANDIDACY, Rule.WITHDRAW)
 
     def enabled_rules(self, g: Graph, cfg: Configuration, u: int) -> tuple[Rule, ...]:
         if cfg.x[u] != g.degree(u):
@@ -75,7 +74,6 @@ class AnonymousMIS:
 
     name = "anonymous"
     uses_x = False
-    rules = (Rule.CANDIDACY, Rule.TRY_WITHDRAW)
 
     def enabled_rules(self, g: Graph, cfg: Configuration, u: int) -> tuple[Rule, ...]:
         s = cfg.s
@@ -109,9 +107,4 @@ ALGORITHMS = {
 
 
 def get_algorithm(name: str):
-    try:
-        return ALGORITHMS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown algorithm {name!r}; expected one of {sorted(ALGORITHMS)}"
-        ) from None
+    return ALGORITHMS[known_kind(name, ALGORITHMS, "algorithm")]

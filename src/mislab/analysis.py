@@ -8,7 +8,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .engine import Activity, Configuration, Move, Rule, Trace, activable_map
+from .engine import Activity, Configuration, FixedDraws, Move, Rule, Trace
 from .errors import ConfigError, InvariantViolation
 from .graphs import Graph, safe_zone
 
@@ -313,21 +313,24 @@ class ColorLedger:
                          r.success))
         return rows
 
-    def write_report(self, fh: IO[str]) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("color", "size", "born", "died", "withdrawal_moves", "success"))
-        for row in self.report_rows():
-            writer.writerow(row)
+
+def write_ledger_csv(ledgers: Iterable[ColorLedger], fh: IO[str]) -> None:
+    """One header, then every ledger's rows in order."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(
+        ("color", "size", "born", "died", "withdrawal_moves", "success"))
+    for ledger in ledgers:
+        writer.writerows(ledger.report_rows())
 
 
 def ledger_from_trace(g: Graph, algo, trace: Trace) -> ColorLedger:
-    """Run the full instrumentation over an already-recorded execution."""
-    activity = Activity(algo, g, activable_map(algo, g, trace.initial))
+    """Run the full instrumentation over a recorded execution by executing
+    its moves and draws again."""
+    activity = Activity(algo, g, trace.initial)
     ledger = ColorLedger(g, algo, trace.initial, activity.activable)
-    cfg = trace.initial
     for step in trace.steps:
-        activity.step(step.config, [m.node for m in step.moves])
-        ledger.record(cfg, step.moves, step.config)
-        cfg = step.config
+        before = activity.cfg
+        moves, _, after, _ = activity.transition(
+            step.moves, FixedDraws(d for d in step.draws if d is not None))
+        ledger.record(before, moves, after)
     return ledger

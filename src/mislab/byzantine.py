@@ -8,66 +8,55 @@ local state, so they stay within the model's information access.
 from __future__ import annotations
 
 from .engine import Configuration
-from .errors import ConfigError
+from .errors import known_kind
 from .graphs import Graph
 
 #: x values are capped machine integers; the candidacy formula only ever puts
 #: them in a probability denominator, so any cap is safe.
 DEFAULT_X_CAP = 2**32 - 1
 
-STRATEGY_KINDS = ("silent", "always_top", "oscillate", "degree_liar", "uniform_random")
-
 
 def _x_of(cfg: Configuration, u: int) -> int | None:
     return cfg.x[u] if cfg.x is not None else None
 
 
-class Silent:
-    """Keeps its state unchanged; disruption by pure scheduling pressure."""
+class Strategy:
+    """Base behavior; x_cap bounds the x values a strategy may advertise."""
 
-    kind = "silent"
+    def __init__(self, x_cap: int = DEFAULT_X_CAP):
+        self.x_cap = x_cap
+
+
+class Silent(Strategy):
+    """Keeps its state unchanged; disruption by pure scheduling pressure."""
 
     def act(self, g: Graph, cfg: Configuration, u: int, rng):
         return cfg.s[u], _x_of(cfg, u)
 
 
-class AlwaysTop:
+class AlwaysTop(Strategy):
     """Claims set membership forever, pinning neighbors out of candidacy."""
-
-    kind = "always_top"
 
     def act(self, g: Graph, cfg: Configuration, u: int, rng):
         return True, _x_of(cfg, u)
 
 
-class Oscillate:
+class Oscillate(Strategy):
     """Toggles its s-flag on every activation."""
-
-    kind = "oscillate"
 
     def act(self, g: Graph, cfg: Configuration, u: int, rng):
         return (not cfg.s[u]), _x_of(cfg, u)
 
 
-class DegreeLiar:
+class DegreeLiar(Strategy):
     """Advertises a huge degree to depress neighbors' candidacy probability."""
-
-    kind = "degree_liar"
-
-    def __init__(self, x_cap: int = DEFAULT_X_CAP):
-        self.x_cap = x_cap
 
     def act(self, g: Graph, cfg: Configuration, u: int, rng):
         return False, self.x_cap
 
 
-class UniformRandom:
+class UniformRandom(Strategy):
     """Fresh uniform s and x on every activation."""
-
-    kind = "uniform_random"
-
-    def __init__(self, x_cap: int = DEFAULT_X_CAP):
-        self.x_cap = x_cap
 
     def act(self, g: Graph, cfg: Configuration, u: int, rng):
         s = rng.random() < 0.5
@@ -75,17 +64,16 @@ class UniformRandom:
         return s, x
 
 
-def make_strategy(kind: str, x_cap: int = DEFAULT_X_CAP):
+STRATEGIES = {
+    "silent": Silent,
+    "always_top": AlwaysTop,
+    "oscillate": Oscillate,
+    "degree_liar": DegreeLiar,
+    "uniform_random": UniformRandom,
+}
+STRATEGY_KINDS = tuple(STRATEGIES)
+
+
+def make_strategy(kind: str, x_cap: int = DEFAULT_X_CAP) -> Strategy:
     """Fresh per-trial strategy instance."""
-    if kind == "silent":
-        return Silent()
-    if kind == "always_top":
-        return AlwaysTop()
-    if kind == "oscillate":
-        return Oscillate()
-    if kind == "degree_liar":
-        return DegreeLiar(x_cap)
-    if kind == "uniform_random":
-        return UniformRandom(x_cap)
-    raise ConfigError(
-        f"unknown Byzantine strategy {kind!r}; expected one of {STRATEGY_KINDS}")
+    return STRATEGIES[known_kind(kind, STRATEGIES, "Byzantine strategy")](x_cap)

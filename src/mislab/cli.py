@@ -14,9 +14,10 @@ import argparse
 import io
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .analysis import all_maximal_independent_sets
+from .analysis import all_maximal_independent_sets, write_ledger_csv
 from .engine import dump_trace
 from .errors import ConfigError, InvariantViolation, ScriptError
 from .graphs import read_graph
@@ -29,88 +30,51 @@ from .harness import (
     spec_hash,
     sweep_csv_text,
     trial_csv_text,
-    validate_run_spec,
 )
 
 OUTPUT_DIR_ENV = "MISLAB_OUT"
-
-_SPEC_FLAGS = (
-    ("algorithm", str), ("graph", str), ("n", int), ("leaves", int),
-    ("rows", int), ("cols", int), ("p", float), ("graph_seed", int),
-    ("graph_file", str), ("daemon", str), ("fairness", int), ("density", float),
-    ("script_file", str), ("init", str), ("trials", int), ("master_seed", int),
-    ("move_ceiling", int), ("round_ceiling", int), ("byzantine", str),
-    ("strategies", str), ("x_cap", int), ("hold_rounds", int),
-    ("instrument", str), ("check_invariants", str), ("sizes", str),
-    ("out", str), ("trace_out", str), ("ledger_out", str),
-)
-
-
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("spec", nargs="?", help="run spec file (key = value lines)")
-    for name, _ in _SPEC_FLAGS:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name)
-
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     lines = []
     if args.spec:
         lines.append(Path(args.spec).read_text(encoding="utf-8"))
-    for name, _ in _SPEC_FLAGS:
-        value = getattr(args, name, None)
+    for f in fields(RunSpec):
+        value = getattr(args, f.name)
         if value is not None:
-            lines.append(f"{name} = {value}")
-    if not lines:
-        raise ConfigError("provide a spec file or enough flags to define a run")
+            lines.append(f"{f.name} = {value}")
     return parse_run_spec("\n".join(lines))
 
 
-def _resolve(path: str) -> Path:
+def _write(path: str | None, text: str) -> None:
+    """Write text to path and say so, or to stdout without a path. A
+    relative path resolves against $MISLAB_OUT when it is set."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    target = Path(path)
     base = os.environ.get(OUTPUT_DIR_ENV)
-    p = Path(path)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _write(path: str, text: str) -> Path:
-    target = _resolve(path)
+    if base and not target.is_absolute():
+        target = Path(base) / target
+    target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(text, encoding="utf-8")
-    return target
+    print(f"wrote {target}")
 
 
 def cmd_trial(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    validate_run_spec(spec)
     want_trace = spec.trace_out is not None
     outcomes = run_trials(spec, want_trace=want_trace)
     records = [o.record for o in outcomes]
-    csv_text = trial_csv_text(spec, records)
-    if spec.out:
-        target = _write(spec.out, csv_text)
-        print(f"wrote {target}")
-    else:
-        sys.stdout.write(csv_text)
+    _write(spec.out, trial_csv_text(spec, records))
     if spec.trace_out:
         buf = io.StringIO()
         for outcome in outcomes:
             dump_trace(outcome.trace, buf)
-        target = _write(spec.trace_out, buf.getvalue())
-        print(f"wrote {target}")
+        _write(spec.trace_out, buf.getvalue())
     if spec.ledger_out:
         buf = io.StringIO()
-        wrote_header = False
-        for outcome in outcomes:
-            if outcome.ledger is not None:
-                if not wrote_header:
-                    outcome.ledger.write_report(buf)
-                    wrote_header = True
-                else:
-                    for row in outcome.ledger.report_rows():
-                        buf.write(",".join(str(v) for v in row) + "\n")
-        target = _write(spec.ledger_out, buf.getvalue())
-        print(f"wrote {target}")
+        write_ledger_csv((outcome.ledger for outcome in outcomes), buf)
+        _write(spec.ledger_out, buf.getvalue())
     converged = sum(1 for r in records if r.converged)
     print(f"spec {spec_hash(spec)}: {converged}/{len(records)} trials converged")
     return 0
@@ -118,15 +82,8 @@ def cmd_trial(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    if not spec.sizes:
-        raise ConfigError("sweep needs 'sizes' (in the spec file or --sizes)")
     rows = run_sweep(spec)
-    csv_text = sweep_csv_text(spec, rows)
-    if spec.out:
-        target = _write(spec.out, csv_text)
-        print(f"wrote {target}")
-    else:
-        sys.stdout.write(csv_text)
+    _write(spec.out, sweep_csv_text(spec, rows))
     for row in rows:
         print(f"n={row.size}: mean moves {row.moves.mean:.1f} "
               f"(bound {row.moves_bound}), mean rounds {row.rounds.mean:.1f}, "
@@ -139,8 +96,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.trace_out:
         buf = io.StringIO()
         dump_trace(report.trace, buf)
-        target = _write(args.trace_out, buf.getvalue())
-        print(f"wrote {target}")
+        _write(args.trace_out, buf.getvalue())
     if report.ok:
         print("replay ok: 8 transitions, stable end, settled set {1, 3}")
         return 0
@@ -166,13 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "maximal-independent-set algorithms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_trial = sub.add_parser("trial", help="run seeded trials from a run spec")
-    _add_spec_flags(p_trial)
-    p_trial.set_defaults(func=cmd_trial)
-
-    p_sweep = sub.add_parser("sweep", help="run a size sweep and emit aggregates")
-    _add_spec_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, func, text in (
+            ("trial", cmd_trial, "run seeded trials from a run spec"),
+            ("sweep", cmd_sweep, "run a size sweep and emit aggregates")):
+        p_run = sub.add_parser(name, help=text)
+        p_run.set_defaults(func=func)
+        p_run.add_argument("spec", nargs="?", help="run spec file (key = value lines)")
+        for f in fields(RunSpec):
+            p_run.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
 
     p_replay = sub.add_parser(
         "replay", help="check the built-in scripted reference execution")

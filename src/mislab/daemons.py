@@ -11,11 +11,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .engine import Configuration, Move, Rule
-from .errors import ConfigError, EngineError, ScriptError
+from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
-
-DAEMON_KINDS = ("synchronous", "aged_fair", "random_subset",
-                "singleton", "conflict_greedy", "scripted")
 
 
 def _moves_for(nodes, activable) -> set[Move]:
@@ -25,7 +22,6 @@ def _moves_for(nodes, activable) -> set[Move]:
 class Daemon:
     """Base policy. fair_bound is F for fair kinds, None for adversarial ones."""
 
-    kind = "base"
     fair_bound: int | None = None
 
     def select(self, g: Graph, cfg: Configuration,
@@ -37,7 +33,6 @@ class Daemon:
 class SynchronousDaemon(Daemon):
     """Every activable node fires, every transition."""
 
-    kind = "synchronous"
     fair_bound = 1
 
     def select(self, g, cfg, activable, ages, rng):
@@ -46,8 +41,6 @@ class SynchronousDaemon(Daemon):
 
 class AgedFairDaemon(Daemon):
     """Random subsets, but any node whose age reaches F-1 is forcibly included."""
-
-    kind = "aged_fair"
 
     def __init__(self, fairness: int):
         if fairness < 1:
@@ -67,8 +60,6 @@ class AgedFairDaemon(Daemon):
 class RandomSubsetDaemon(Daemon):
     """Each activable node independently with the given density; redrawn if empty."""
 
-    kind = "random_subset"
-
     def __init__(self, density: float = 0.5):
         if not (0.0 < density <= 1.0):
             raise ConfigError(f"density must be in (0,1], got {density}")
@@ -86,8 +77,6 @@ class RandomSubsetDaemon(Daemon):
 class SingletonDaemon(Daemon):
     """One node per transition, round-robin over indices, skipping inactive ones."""
 
-    kind = "singleton"
-
     def __init__(self):
         self._cursor = 0
 
@@ -103,8 +92,6 @@ class SingletonDaemon(Daemon):
 class ConflictGreedyDaemon(Daemon):
     """Prefers adjacent activable nodes with equal s-values, to force candidacy
     collisions and simultaneous withdrawals, then pads randomly."""
-
-    kind = "conflict_greedy"
 
     def select(self, g, cfg, activable, ages, rng):
         s = cfg.s
@@ -123,9 +110,9 @@ class ConflictGreedyDaemon(Daemon):
 class ScriptedDaemon(Daemon):
     """Replays an explicit list of move sets; fails if a move is not enabled."""
 
-    kind = "scripted"
-
-    def __init__(self, script: Sequence[Sequence[tuple[int, Rule]]]):
+    def __init__(self, script: Sequence[Sequence[tuple[int, Rule]]] | None):
+        if script is None:
+            raise ConfigError("scripted daemon needs a script")
         self._script = [list(step) for step in script]
         self._next = 0
 
@@ -146,21 +133,21 @@ class ScriptedDaemon(Daemon):
         return moves
 
 
+#: kind -> factory (n, fairness, density, script) of a fresh daemon
+DAEMONS = {
+    "synchronous": lambda n, fairness, density, script: SynchronousDaemon(),
+    "aged_fair": lambda n, fairness, density, script: AgedFairDaemon(
+        fairness if fairness is not None else n),
+    "random_subset": lambda n, fairness, density, script: RandomSubsetDaemon(density),
+    "singleton": lambda n, fairness, density, script: SingletonDaemon(),
+    "conflict_greedy": lambda n, fairness, density, script: ConflictGreedyDaemon(),
+    "scripted": lambda n, fairness, density, script: ScriptedDaemon(script),
+}
+DAEMON_KINDS = tuple(DAEMONS)
+
+
 def make_daemon(kind: str, n: int, *, fairness: int | None = None,
                 density: float = 0.5, script=None) -> Daemon:
     """Fresh policy instance for one trial. fairness defaults to n."""
-    if kind == "synchronous":
-        return SynchronousDaemon()
-    if kind == "aged_fair":
-        return AgedFairDaemon(fairness if fairness is not None else n)
-    if kind == "random_subset":
-        return RandomSubsetDaemon(density)
-    if kind == "singleton":
-        return SingletonDaemon()
-    if kind == "conflict_greedy":
-        return ConflictGreedyDaemon()
-    if kind == "scripted":
-        if script is None:
-            raise ConfigError("scripted daemon needs a script")
-        return ScriptedDaemon(script)
-    raise ConfigError(f"unknown daemon kind {kind!r}; expected one of {DAEMON_KINDS}")
+    return DAEMONS[known_kind(kind, DAEMONS, "daemon kind")](
+        n, fairness, density, script)

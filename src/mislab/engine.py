@@ -18,7 +18,7 @@ from collections import abc, deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, EngineError, ScriptError
+from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -35,13 +35,10 @@ class Rule(enum.Enum):
     BYZ = "byz"
 
 
-_RULE_BY_VALUE = {r.value: r for r in Rule}
-
-
 def rule_from_name(name: str) -> Rule:
     try:
-        return _RULE_BY_VALUE[name]
-    except KeyError:
+        return Rule(name)
+    except ValueError:
         raise ConfigError(f"unknown rule name {name!r}") from None
 
 
@@ -127,7 +124,7 @@ def activable_map(algo, g: Graph, cfg: Configuration,
 
 def validate_move_set(g: Graph, moves: Iterable[Move],
                       activable: dict[int, tuple[Rule, ...]],
-                      byz_strategies: dict | None = None) -> tuple[Move, ...]:
+                      byz_strategies: dict) -> tuple[Move, ...]:
     """Check move-set invariants against the activable map of the current
     configuration and return the moves sorted by node.
 
@@ -139,7 +136,6 @@ def validate_move_set(g: Graph, moves: Iterable[Move],
     nodes = [m.node for m in ordered]
     if len(set(nodes)) != len(nodes):
         raise EngineError(f"move set targets a node twice: {ordered}")
-    byz_strategies = byz_strategies or {}
     for node, rule in ordered:
         if not (0 <= node < g.n):
             raise EngineError(f"move on node {node} outside graph of size {g.n}")
@@ -298,30 +294,42 @@ class FairnessAges(abc.Sequence):
 
 
 class Activity:
-    """What a run tracks about activability, carried across transitions: the
-    activable map, the round tracker and the fairness ages.
-
-    `step` touches only N[movers], so one transition costs O(|N[movers]|)
-    however large the graph is. The initial map comes from a full
-    `activable_map` scan.
+    """The transition stepper every run drives. It owns the configuration,
+    the activable map, the round tracker and the fairness ages. After one
+    full `activable_map` scan of the initial configuration, `transition`
+    re-evaluates guards on N[movers] only, so one transition costs
+    O(|N[movers]|) however large the graph is. `strategies` maps each faulty
+    node to its behavior.
     """
 
-    def __init__(self, algo, g: Graph, activable: dict[int, tuple[Rule, ...]],
-                 byz: frozenset[int] = frozenset()):
+    def __init__(self, algo, g: Graph, cfg: Configuration,
+                 strategies: dict | None = None):
         self._algo = algo
         self._g = g
-        self._byz = byz
-        self.activable = activable
-        self.tracker = RoundTracker(activable)
-        self.ages = FairnessAges(g.n, activable)
+        self._strategies = strategies or {}
+        self._byz = frozenset(self._strategies)
+        self.cfg = cfg
+        self.activable = activable_map(algo, g, cfg, self._byz)
+        self.tracker = RoundTracker(self.activable)
+        self.ages = FairnessAges(g.n, self.activable)
 
-    def step(self, cfg: Configuration, moved: Sequence[int]) -> bool:
-        """Account the transition by `moved` that produced cfg; True when it
-        closes a round."""
+    def transition(self, moves: Iterable[Move], rng) -> tuple[
+            tuple[Move, ...], tuple[int | None, ...], Configuration, bool]:
+        """Execute a move set on the current configuration and account it.
+
+        Returns the moves sorted by node, their draws, the new configuration
+        and whether the transition closed a round.
+        """
+        ordered = tuple(sorted(moves, key=lambda m: m.node))
+        cfg, draws = apply_transition(self._algo, self._g, self.cfg, ordered, rng,
+                                      self._strategies, activable=self.activable)
+        moved = [m.node for m in ordered]
         left, entered = update_activable(
             self._algo, self._g, cfg, self.activable, moved, self._byz)
         self.ages.advance([*moved, *entered])
-        return self.tracker.advance(moved, left, self.activable)
+        ended = self.tracker.advance(moved, left, self.activable)
+        self.cfg = cfg
+        return ordered, draws, cfg, ended
 
 
 @dataclass(frozen=True)
@@ -343,6 +351,13 @@ class Trace:
     @property
     def final(self) -> Configuration:
         return self.steps[-1].config if self.steps else self.initial
+
+    def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
+               config: Configuration, round_ended: bool) -> None:
+        """Append one transition, as `Activity.transition` returns it."""
+        self.steps.append(TraceStep(moves, draws, config))
+        if round_ended:
+            self.round_ends.append(len(self.steps))
 
     def total_moves(self) -> int:
         return sum(len(step.moves) for step in self.steps)
@@ -376,33 +391,42 @@ def run_script(algo, g: Graph, cfg: Configuration,
     A move that is not enabled fails the script.
     """
     trace = Trace(initial=cfg)
-    activity = Activity(algo, g, activable_map(algo, g, cfg))
+    activity = Activity(algo, g, cfg)
     for step in steps:
-        moves = [Move(node, rule) for node, rule, _ in step]
         forced = []
         for node, rule, d in sorted(step, key=lambda e: e[0]):
             if rule not in activity.activable.get(node, ()):
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled at "
                     f"transition {len(trace.steps) + 1}")
-            if algo.rule_probability(g, cfg, node, rule) is not None:
+            if algo.rule_probability(g, activity.cfg, node, rule) is not None:
                 if d not in (0, 1):
                     raise ScriptError(
                         f"move ({node},{rule.value}) needs a scripted 0/1 draw")
                 forced.append(d)
         # draw feeder must follow the engine's ascending-node order
-        feeder = FixedDraws(forced)
-        cfg_after, draws = apply_transition(algo, g, cfg, moves, feeder,
-                                            activable=activity.activable)
-        sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
-        trace.steps.append(TraceStep(sorted_moves, draws, cfg_after))
-        if activity.step(cfg_after, [m.node for m in sorted_moves]):
-            trace.round_ends.append(len(trace.steps))
-        cfg = cfg_after
+        trace.record(*activity.transition(
+            [Move(node, rule) for node, rule, _ in step], FixedDraws(forced)))
     return trace
 
 
-INITIAL_PRESETS = ("random", "all_bot", "all_top", "adversarial_x")
+def _coins(g: Graph, rng) -> tuple[bool, ...]:
+    return tuple(rng.random() < 0.5 for _ in range(g.n))
+
+
+def _degrees(g: Graph, rng) -> tuple[int, ...]:
+    return tuple(g.degree(u) for u in range(g.n))
+
+
+#: preset -> (s, x), each a function of (graph, rng); x is drawn after s,
+#: and only for algorithms that keep it
+_PRESETS = {
+    "random": (_coins, lambda g, rng: tuple(rng.randint(0, g.n) for _ in range(g.n))),
+    "all_bot": (lambda g, rng: (False,) * g.n, _degrees),
+    "all_top": (lambda g, rng: (True,) * g.n, _degrees),
+    "adversarial_x": (_coins, lambda g, rng: (g.n,) * g.n),
+}
+INITIAL_PRESETS = tuple(_PRESETS)
 
 
 def initial_configuration(g: Graph, uses_x: bool, preset: str, rng) -> Configuration:
@@ -412,19 +436,6 @@ def initial_configuration(g: Graph, uses_x: bool, preset: str, rng) -> Configura
     x uniform over [0, n]. The fixed presets give reproducible corner starts;
     all_bot/all_top use degree-correct x, adversarial_x plants x = n everywhere.
     """
-    n = g.n
-    if preset == "random":
-        s = tuple(rng.random() < 0.5 for _ in range(n))
-        x = tuple(rng.randint(0, n) for _ in range(n)) if uses_x else None
-        return Configuration(s, x)
-    if preset == "all_bot":
-        return Configuration((False,) * n,
-                             tuple(g.degree(u) for u in range(n)) if uses_x else None)
-    if preset == "all_top":
-        return Configuration((True,) * n,
-                             tuple(g.degree(u) for u in range(n)) if uses_x else None)
-    if preset == "adversarial_x":
-        s = tuple(rng.random() < 0.5 for _ in range(n))
-        return Configuration(s, (n,) * n if uses_x else None)
-    raise ConfigError(f"unknown initial preset {preset!r}; "
-                      f"expected one of {INITIAL_PRESETS}")
+    make_s, make_x = _PRESETS[known_kind(preset, _PRESETS, "initial preset")]
+    s = make_s(g, rng)
+    return Configuration(s, make_x(g, rng) if uses_x else None)

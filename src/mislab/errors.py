@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the known-kind check."""
 
 
 class ConfigError(Exception):
@@ -23,3 +23,11 @@ class InvariantViolation(EngineError):
     def __init__(self, message: str, rerun: str | None = None):
         super().__init__(message)
         self.rerun = rerun
+
+
+def known_kind(kind: str, kinds, what: str) -> str:
+    """kind, if it is one of kinds (a registry or its keys); otherwise a
+    ConfigError that lists them."""
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} {kind!r}; expected one of {tuple(kinds)}")
+    return kind

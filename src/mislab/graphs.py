@@ -8,20 +8,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import ConfigError
+from .errors import ConfigError, known_kind
 
 #: Distance value used for nodes that no source can reach.
 UNREACHABLE = math.inf
-
-GRAPH_KINDS = (
-    "ring",
-    "path",
-    "star",
-    "complete",
-    "grid",
-    "erdos_renyi",
-    "random_tree",
-)
 
 
 @dataclass(frozen=True)
@@ -38,9 +28,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -132,25 +119,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
     return make_graph(n, [(i, rng.randrange(i)) for i in range(1, n)])
 
 
-def generate_graph(kind: str, seed: int = 0, **params) -> Graph:
-    """Dispatch to a generator by kind. Identical (kind, params, seed) gives identical edges."""
-    if kind == "ring":
-        return ring(params["n"])
-    if kind == "path":
-        return path(params["n"])
-    if kind == "star":
-        return star(params["leaves"])
-    if kind == "complete":
-        return complete(params["n"])
-    if kind == "grid":
-        return grid(params["rows"], params["cols"])
-    if kind == "erdos_renyi":
-        return erdos_renyi(params["n"], params["p"], seed)
-    if kind == "random_tree":
-        return random_tree(params["n"], seed)
-    raise ConfigError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
-
-
 def near_square_grid(n: int) -> tuple[int, int]:
     """Largest divisor pair (rows, cols) with rows <= cols, used by size sweeps."""
     _require_positive("n", n)
@@ -161,16 +129,34 @@ def near_square_grid(n: int) -> tuple[int, int]:
     return rows, n // rows
 
 
+#: Generator graph kinds: kind -> (the run-spec parameters it reads, a
+#: builder taking the graph seed and those parameters in order, the
+#: parameters that realize a sweep size).
+GENERATORS = {
+    "ring": (("n",), lambda seed, n: ring(n), lambda size: {"n": size}),
+    "path": (("n",), lambda seed, n: path(n), lambda size: {"n": size}),
+    "star": (("leaves",), lambda seed, leaves: star(leaves),
+             lambda size: {"leaves": size - 1}),
+    "complete": (("n",), lambda seed, n: complete(n), lambda size: {"n": size}),
+    "grid": (("rows", "cols"), lambda seed, rows, cols: grid(rows, cols),
+             lambda size: dict(zip(("rows", "cols"), near_square_grid(size)))),
+    "erdos_renyi": (("n", "p"), lambda seed, n, p: erdos_renyi(n, p, seed),
+                    lambda size: {"n": size}),
+    "random_tree": (("n",), lambda seed, n: random_tree(n, seed),
+                    lambda size: {"n": size}),
+}
+GRAPH_KINDS = tuple(GENERATORS)
+
+
+def generate_graph(kind: str, seed: int = 0, **params) -> Graph:
+    """Dispatch to a generator by kind. Identical (kind, params, seed) gives identical edges."""
+    names, build, _ = GENERATORS[known_kind(kind, GENERATORS, "graph kind")]
+    return build(seed, *(params.get(name) for name in names))
+
+
 def sized_params(kind: str, size: int) -> dict:
     """Kind-specific parameters that realize a sweep size of `size` nodes."""
-    if kind in ("ring", "path", "complete", "erdos_renyi", "random_tree"):
-        return {"n": size}
-    if kind == "star":
-        return {"leaves": size - 1}
-    if kind == "grid":
-        rows, cols = near_square_grid(size)
-        return {"rows": rows, "cols": cols}
-    raise ConfigError(f"graph kind {kind!r} cannot be sized in a sweep")
+    return GENERATORS[known_kind(kind, GENERATORS, "graph kind")][2](size)
 
 
 def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:

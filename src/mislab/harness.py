@@ -12,8 +12,8 @@ import hashlib
 import io
 import math
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import byzantine as byz_mod
 from .algorithms import get_algorithm
@@ -24,24 +24,31 @@ from .analysis import (
     locally_alone_set,
     safe_alone_set,
 )
-from .daemons import make_daemon
+from .daemons import DAEMON_KINDS, make_daemon
 from .engine import (
+    INITIAL_PRESETS,
     Activity,
     Configuration,
-    Move,
     RngStream,
     Rule,
     Trace,
-    TraceStep,
-    activable_map,
-    apply_transition,
     derive_seed,
     initial_configuration,
+    is_stable,
     rule_from_name,
     run_script,
 )
-from .errors import ConfigError, InvariantViolation
-from .graphs import Graph, generate_graph, make_graph, read_graph, safe_zone, sized_params
+from .errors import ConfigError, InvariantViolation, known_kind
+from .graphs import (
+    GENERATORS,
+    GRAPH_KINDS,
+    Graph,
+    generate_graph,
+    make_graph,
+    read_graph,
+    safe_zone,
+    sized_params,
+)
 
 TRIAL_COLUMNS = ("spec_hash", "trial", "seed", "moves", "rounds", "converged",
                  "criterion", "set_size", "ceiling_hit")
@@ -57,7 +64,8 @@ SWEEP_COLUMNS = ("spec_hash", "n", "delta", "trials", "converged", "ceiling_hits
 @dataclass(frozen=True)
 class RunSpec:
     """Everything that determines an experiment. Seeds included: two specs
-    that compare equal produce identical results."""
+    that compare equal produce identical results. The spec-file keys, their
+    parsing and the CLI flags all come from these fields."""
 
     algorithm: str
     graph: str
@@ -84,9 +92,9 @@ class RunSpec:
     instrument: bool = False
     check_invariants: bool = True
     sizes: tuple[int, ...] = ()
-    out: str | None = None
-    trace_out: str | None = None
-    ledger_out: str | None = None
+    out: str | None = field(default=None, metadata={"output": True})
+    trace_out: str | None = field(default=None, metadata={"output": True})
+    ledger_out: str | None = field(default=None, metadata={"output": True})
 
 
 @dataclass
@@ -119,21 +127,12 @@ class TrialOutcome:
     ledger: ColorLedger | None = None
 
 
-_INT_KEYS = ("n", "leaves", "rows", "cols", "graph_seed", "fairness", "trials",
-             "master_seed", "move_ceiling", "round_ceiling", "x_cap", "hold_rounds")
-_FLOAT_KEYS = ("p", "density")
-_BOOL_KEYS = ("instrument", "check_invariants")
-_STR_KEYS = ("algorithm", "graph", "graph_file", "daemon", "script_file", "init",
-             "out", "trace_out", "ledger_out")
-_LIST_KEYS = ("byzantine", "strategies", "sizes")
-
-
-def _parse_bool(value: str) -> bool:
+def _parse_bool(key: str, value: str) -> bool:
     if value.lower() in ("true", "yes", "1"):
         return True
     if value.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
 def _number(kind: type, key: str, value: str):
@@ -146,14 +145,35 @@ def _number(kind: type, key: str, value: str):
             f"got {value!r}") from None
 
 
-def _parse_strategy(token: str) -> tuple[int, str, int | None]:
+def _parse_strategy(key: str, token: str) -> tuple[int, str, int | None]:
     parts = token.split(":")
-    if len(parts) == 2:
-        return _number(int, "strategies", parts[0]), parts[1], None
-    if len(parts) == 3:
-        return (_number(int, "strategies", parts[0]), parts[1],
-                _number(int, "strategies", parts[2]))
-    raise ConfigError(f"strategy entries are node:kind[:x_cap], got {token!r}")
+    if len(parts) not in (2, 3):
+        raise ConfigError(f"strategy entries are node:kind[:x_cap], got {token!r}")
+    cap = _number(int, key, parts[2]) if len(parts) == 3 else None
+    return _number(int, key, parts[0]), parts[1], cap
+
+
+def _value_parser(annotation):
+    """Parser (key, text) -> value for a RunSpec field so annotated. Optional
+    fields read "None" as unset, as canonical_text writes it."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        inner = _value_parser(args[0])
+        return lambda key, value: None if value == "None" else inner(key, value)
+    if typing.get_origin(annotation) is tuple:
+        item = (_parse_strategy if typing.get_origin(args[0]) is tuple
+                else _value_parser(args[0]))
+        return lambda key, value: tuple(
+            item(key, v.strip()) for v in value.split(",") if v.strip())
+    if annotation is bool:
+        return _parse_bool
+    if annotation is str:
+        return lambda key, value: value
+    return functools.partial(_number, annotation)
+
+
+_PARSERS = {key: _value_parser(annotation)
+            for key, annotation in typing.get_type_hints(RunSpec).items()}
 
 
 def parse_run_spec(text: str) -> RunSpec:
@@ -167,33 +187,39 @@ def parse_run_spec(text: str) -> RunSpec:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            values[key] = _number(int, key, value)
-        elif key in _FLOAT_KEYS:
-            values[key] = _number(float, key, value)
-        elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(value)
-        elif key in _STR_KEYS:
-            values[key] = value
-        elif key in ("byzantine", "sizes"):
-            values[key] = tuple(
-                _number(int, key, v) for v in value.split(",") if v.strip())
-        elif key == "strategies":
-            values[key] = tuple(
-                _parse_strategy(v.strip()) for v in value.split(",") if v.strip())
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown run spec key {key!r}")
-    if "algorithm" not in values:
-        raise ConfigError("run spec must set 'algorithm'")
-    if "graph" not in values:
-        raise ConfigError("run spec must set 'graph'")
+        values[key] = _PARSERS[key](key, value)
+    for f in fields(RunSpec):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"run spec must set {f.name!r}")
     spec = RunSpec(**values)
     validate_run_spec(spec)
     return spec
 
 
 def validate_run_spec(spec: RunSpec) -> None:
+    """Reject a spec that could not run, as far as that shows without
+    building its graph; parse_run_spec calls it before any trial starts."""
     get_algorithm(spec.algorithm)
+    if known_kind(spec.graph, (*GRAPH_KINDS, "file"), "graph kind") == "file":
+        if not spec.graph_file:
+            raise ConfigError("graph = file requires graph_file")
+    else:
+        # a sweep sets the size parameters of each size itself
+        sized = sized_params(spec.graph, 1) if spec.sizes else {}
+        for name in GENERATORS[spec.graph][0]:
+            if name not in sized and getattr(spec, name) is None:
+                raise ConfigError(
+                    f"graph kind {spec.graph!r} is missing parameter {name!r}")
+    known_kind(spec.daemon, DAEMON_KINDS, "daemon kind")
+    if (spec.daemon == "scripted") != bool(spec.script_file):
+        raise ConfigError("daemon = scripted and script_file go together")
+    known_kind(spec.init, INITIAL_PRESETS, "initial preset")
+    if not 0.0 < spec.density <= 1.0:
+        raise ConfigError(f"density must be in (0,1], got {spec.density}")
+    if spec.fairness is not None and spec.fairness < 1:
+        raise ConfigError(f"fairness bound must be >= 1, got {spec.fairness}")
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
     if spec.algorithm == "anonymous" and spec.byzantine:
@@ -207,32 +233,32 @@ def validate_run_spec(spec: RunSpec) -> None:
         raise ConfigError("ceilings must be nonnegative (0 means default)")
     if spec.hold_rounds < 0:
         raise ConfigError("hold_rounds must be nonnegative")
+    if spec.x_cap < 0 or any(cap is not None and cap < 0
+                             for _, _, cap in spec.strategies):
+        raise ConfigError("x caps must be nonnegative")
     strategy_nodes = [node for node, _, _ in spec.strategies]
     if len(set(strategy_nodes)) != len(strategy_nodes):
         raise ConfigError("duplicate node in strategies")
     for node, kind, _ in spec.strategies:
         if node not in spec.byzantine:
             raise ConfigError(f"strategy assigned to non-Byzantine node {node}")
-        if kind not in byz_mod.STRATEGY_KINDS:
-            raise ConfigError(f"unknown Byzantine strategy {kind!r}")
+        known_kind(kind, byz_mod.STRATEGY_KINDS, "Byzantine strategy")
+
+
+def _spec_text(value, sep: str = ",") -> str:
+    """A field value as run-spec text: list items comma-separated, the parts
+    of a tuple item colon-separated, an unset part left out."""
+    if isinstance(value, tuple):
+        return sep.join(_spec_text(v, ":") for v in value if v is not None)
+    return str(value)
 
 
 def canonical_text(spec: RunSpec) -> str:
     """Stable serialization of the semantic fields (output paths excluded)."""
-    skip = {"out", "trace_out", "ledger_out"}
-    lines = []
-    for key in sorted(RunSpec.__dataclass_fields__):
-        if key in skip:
-            continue
-        value = getattr(spec, key)
-        if key == "strategies":
-            value = ",".join(
-                f"{n}:{k}" + (f":{c}" if c is not None else "")
-                for n, k, c in value)
-        elif isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{f.name} = {_spec_text(getattr(spec, f.name))}\n"
+        for f in sorted(fields(RunSpec), key=lambda f: f.name)
+        if not f.metadata.get("output"))
 
 
 def spec_hash(spec: RunSpec) -> str:
@@ -243,18 +269,10 @@ def build_graph(spec: RunSpec) -> Graph:
     """The spec's graph. A generated one is built once and shared by every
     trial of the spec (graphs are immutable); a graph file is read anew."""
     if spec.graph == "file":
-        if not spec.graph_file:
-            raise ConfigError("graph = file requires graph_file")
         with open(spec.graph_file, encoding="utf-8") as fh:
             return read_graph(fh)
-    params = tuple((key, getattr(spec, key))
-                   for key in ("n", "leaves", "rows", "cols", "p")
-                   if getattr(spec, key) is not None)
-    try:
-        return _generated_graph(spec.graph, spec.graph_seed, params)
-    except KeyError as exc:
-        raise ConfigError(
-            f"graph kind {spec.graph!r} is missing parameter {exc}") from None
+    return _generated_graph(spec.graph, spec.graph_seed, tuple(
+        (name, getattr(spec, name)) for name in GENERATORS[spec.graph][0]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -282,14 +300,15 @@ def legitimacy_round_bound(g: Graph) -> int:
 def _load_script(path: str) -> list[list[tuple[int, Rule]]]:
     script = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             step = []
             for token in line.split(","):
                 node_text, _, rule_text = token.strip().partition(":")
-                step.append((int(node_text), rule_from_name(rule_text)))
+                step.append((_number(int, f"{path} line {lineno}", node_text),
+                             rule_from_name(rule_text)))
             script.append(step)
     return script
 
@@ -310,8 +329,8 @@ def _strategy_map(spec: RunSpec) -> dict:
     }
 
 
-def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
-              want_ledger: bool | None = None) -> TrialOutcome:
+def run_trial(spec: RunSpec, trial_index: int,
+              want_trace: bool = False) -> TrialOutcome:
     """Run one seeded trial to convergence or a ceiling.
 
     Anonymous runs stop at the first stable configuration; Byzantine-tolerant
@@ -327,7 +346,6 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
         if not (0 <= node < g.n):
             raise ConfigError(f"Byzantine node {node} outside graph of size {g.n}")
     byz_runs = spec.algorithm == "byzantine"
-    strategies = _strategy_map(spec)
     seed = derive_seed(spec.master_seed, trial_index)
     rng = RngStream(seed)
     daemon = _make_trial_daemon(spec, g)
@@ -337,11 +355,9 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     round_ceiling = spec.round_ceiling or default_round_ceiling(g)
     fair_bound = daemon.fair_bound
 
-    activity = Activity(algo, g, activable_map(algo, g, cfg, byz), byz)
+    activity = Activity(algo, g, cfg, _strategy_map(spec))
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
-    if want_ledger is None:
-        want_ledger = spec.instrument
-    ledger = ColorLedger(g, algo, cfg, activable) if want_ledger else None
+    ledger = ColorLedger(g, algo, cfg, activable) if spec.instrument else None
     trace = Trace(initial=cfg, seed=seed) if want_trace else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
@@ -382,15 +398,12 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                 ceiling_hit = True
             break
 
-        moves = daemon.select(g, cfg, activable, ages, rng)
-        new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies,
-                                          activable=activable)
-        sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
-        moved = [m.node for m in sorted_moves]
-        ended = activity.step(new_cfg, moved)
-        lost = safe.update(new_cfg, moved) if safe is not None else None
-        moves_total += len(sorted_moves)
-        for m in sorted_moves:
+        moves, draws, new_cfg, ended = activity.transition(
+            daemon.select(g, cfg, activable, ages, rng), rng)
+        lost = (safe.update(new_cfg, [m.node for m in moves])
+                if safe is not None else None)
+        moves_total += len(moves)
+        for m in moves:
             moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
 
         if spec.check_invariants:
@@ -403,18 +416,19 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                         f"fairness bound {fair_bound} violated: a node waited "
                         f"{worst} transitions while activable")
             if algo.uses_x and tracker.rounds_completed >= 1:
-                # x changes only at movers: scan every node when the first
-                # round closes, and only the movers after that
-                _check_degrees(
-                    g, byz, new_cfg,
-                    range(g.n) if ended and tracker.rounds_completed == 1
-                    else moved)
+                # once the first round is over, every non-faulty x is the
+                # degree; x changes only at movers, so scan every node when
+                # that round closes, and only the movers after that
+                for u in (range(g.n) if ended and tracker.rounds_completed == 1
+                          else (m.node for m in moves)):
+                    if u not in byz and new_cfg.x[u] != g.degree(u):
+                        raise InvariantViolation(
+                            f"node {u} has x={new_cfg.x[u]} != deg={g.degree(u)} "
+                            "after the first round")
         if ledger is not None:
-            ledger.record(cfg, sorted_moves, new_cfg)
+            ledger.record(cfg, moves, new_cfg)
         if trace is not None:
-            trace.steps.append(TraceStep(sorted_moves, draws, new_cfg))
-            if ended:
-                trace.round_ends.append(len(trace.steps))
+            trace.record(moves, draws, new_cfg, ended)
 
         cfg = new_cfg
 
@@ -443,16 +457,6 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     )
     return TrialOutcome(record=record, final=cfg, graph=g, trace=trace,
                         ledger=ledger)
-
-
-def _check_degrees(g: Graph, byz: frozenset[int], cfg: Configuration,
-                   nodes: Iterable[int]) -> None:
-    """Once the first round is over, every non-faulty node's x is its degree."""
-    for u in nodes:
-        if u not in byz and cfg.x[u] != g.degree(u):
-            raise InvariantViolation(
-                f"node {u} has x={cfg.x[u]} != deg={g.degree(u)} after the "
-                "first round")
 
 
 def run_trials(spec: RunSpec, want_trace: bool = False) -> list[TrialOutcome]:
@@ -488,14 +492,16 @@ def rerun_command(spec: RunSpec, trial_index: int) -> str:
     return " ".join(args)
 
 
-def write_trial_csv(spec: RunSpec, records: list[TrialRecord], fh: IO[str]) -> None:
+def trial_csv_text(spec: RunSpec, records: list[TrialRecord]) -> str:
     digest = spec_hash(spec)
-    writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRIAL_COLUMNS)
     for r in sorted(records, key=lambda r: r.trial):
         writer.writerow((digest, r.trial, r.seed, r.moves, r.rounds,
                          str(r.converged).lower(), r.criterion, r.set_size,
                          str(r.ceiling_hit).lower()))
+    return buf.getvalue()
 
 
 def _percentile(values: list[int], q: float) -> int:
@@ -506,7 +512,6 @@ def _percentile(values: list[int], q: float) -> int:
 
 @dataclass
 class Aggregate:
-    count: int
     mean: float
     std: float
     minimum: int
@@ -519,7 +524,6 @@ def aggregate(values: list[int]) -> Aggregate:
     mean = statistics.fmean(values)
     std = statistics.stdev(values) if len(values) > 1 else 0.0
     return Aggregate(
-        count=len(values),
         mean=mean,
         std=std,
         minimum=min(values),
@@ -540,7 +544,6 @@ class SweepRow:
     rounds: Aggregate
     moves_bound: int
     rounds_bound: float
-    records: list[TrialRecord] = field(repr=False, default_factory=list)
 
 
 def run_sweep(spec: RunSpec) -> list[SweepRow]:
@@ -555,15 +558,13 @@ def run_sweep(spec: RunSpec) -> list[SweepRow]:
         raise ConfigError("sweep requires a nonempty 'sizes' list")
     if spec.graph == "file":
         raise ConfigError("sweeps need a generator graph kind, not a file")
+    if spec.trace_out or spec.ledger_out:
+        raise ConfigError("a sweep writes no trace or color ledger; "
+                          "drop trace_out and ledger_out")
     rows = []
     for size in spec.sizes:
-        params = sized_params(spec.graph, size)
-        sized = replace(
-            spec,
-            n=params.get("n"), leaves=params.get("leaves"),
-            rows=params.get("rows"), cols=params.get("cols"),
-            check_invariants=False, instrument=False,
-        )
+        sized = replace(spec, **sized_params(spec.graph, size),
+                        check_invariants=False, instrument=False)
         outcomes = run_trials(sized)
         records = [o.record for o in outcomes]
         g = outcomes[0].graph
@@ -577,14 +578,14 @@ def run_sweep(spec: RunSpec) -> list[SweepRow]:
             rounds=aggregate([r.rounds for r in records]),
             moves_bound=3 * size * size,
             rounds_bound=math.e * (g.max_degree + 1) * size,
-            records=records,
         ))
     return rows
 
 
-def write_sweep_csv(spec: RunSpec, rows: list[SweepRow], fh: IO[str]) -> None:
+def sweep_csv_text(spec: RunSpec, rows: list[SweepRow]) -> str:
     digest = spec_hash(spec)
-    writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
         writer.writerow((
@@ -596,17 +597,6 @@ def write_sweep_csv(spec: RunSpec, rows: list[SweepRow], fh: IO[str]) -> None:
             row.rounds.minimum, row.rounds.maximum, row.rounds.p50, row.rounds.p95,
             row.moves_bound, f"{row.rounds_bound:.4f}",
         ))
-
-
-def trial_csv_text(spec: RunSpec, records: list[TrialRecord]) -> str:
-    buf = io.StringIO()
-    write_trial_csv(spec, records, buf)
-    return buf.getvalue()
-
-
-def sweep_csv_text(spec: RunSpec, rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    write_sweep_csv(spec, rows, buf)
     return buf.getvalue()
 
 
@@ -659,8 +649,6 @@ def reference_replay() -> ReplayReport:
     """Replay the scripted four-node execution and verify every recorded fact:
     the configuration after each transition, terminal stability, the settled
     set {1, 3}, and the ledger's fresh sets, move colors, and color fates."""
-    from .engine import is_stable
-
     g = make_graph(4, REFERENCE_EDGES)
     algo = get_algorithm("anonymous")
     cfg0 = Configuration((False,) * 4)

@@ -1,0 +1,191 @@
+"""The run-spec schema and its validation: specs round-trip through their
+canonical text and through the CLI flags, and every spec that could not run
+is refused with exit code 2 before a trial starts."""
+
+import csv
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mislab import harness
+from mislab.algorithms import ALGORITHMS
+from mislab.byzantine import STRATEGY_KINDS
+from mislab.cli import _spec_from_args, build_parser, main
+from mislab.daemons import DAEMON_KINDS
+from mislab.engine import INITIAL_PRESETS
+from mislab.graphs import GENERATORS, GRAPH_KINDS
+from mislab.harness import RunSpec, canonical_text, parse_run_spec
+
+#: the CLI surface: one flag per run-spec key
+SPEC_FLAGS = (
+    "--algorithm", "--graph", "--n", "--leaves", "--rows", "--cols", "--p",
+    "--graph-seed", "--graph-file", "--daemon", "--fairness", "--density",
+    "--script-file", "--init", "--trials", "--master-seed", "--move-ceiling",
+    "--round-ceiling", "--byzantine", "--strategies", "--x-cap",
+    "--hold-rounds", "--instrument", "--check-invariants", "--sizes", "--out",
+    "--trace-out", "--ledger-out",
+)
+
+_NAMES = st.text(alphabet="abcxyz_./0123456789", min_size=1, max_size=8).filter(
+    lambda t: t != "None")
+_COUNTS = st.integers(1, 10**6)
+
+
+@st.composite
+def run_specs(draw):
+    """Any spec that validates, output paths unset."""
+    algorithm = draw(st.sampled_from(sorted(ALGORITHMS)))
+    graph = draw(st.sampled_from((*GRAPH_KINDS, "file")))
+    sizes = tuple(draw(st.lists(_COUNTS, max_size=3)))
+    params = {name: draw(st.none() | _COUNTS) for name in ("n", "leaves", "rows", "cols")}
+    params["p"] = draw(st.none() | st.floats(0.0, 1.0))
+    if graph != "file":
+        for name in GENERATORS[graph][0]:
+            if params[name] is None:
+                params[name] = draw(st.floats(0.0, 1.0)) if name == "p" else 3
+    daemon = draw(st.sampled_from(DAEMON_KINDS))
+    byzantine, strategies = (), ()
+    if algorithm == "byzantine":
+        byzantine = tuple(draw(st.lists(st.integers(0, 50), unique=True, max_size=3)))
+        strategies = tuple(
+            (node, draw(st.sampled_from(STRATEGY_KINDS)),
+             draw(st.none() | st.integers(0, 2**40)))
+            for node in draw(st.lists(st.sampled_from(byzantine), unique=True))
+        ) if byzantine else ()
+    return RunSpec(
+        algorithm=algorithm, graph=graph, **params,
+        graph_seed=draw(st.integers(-2**70, 2**70)),
+        graph_file=draw(_NAMES) if graph == "file" else draw(st.none() | _NAMES),
+        daemon=daemon,
+        fairness=draw(st.none() | _COUNTS),
+        density=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        script_file=draw(_NAMES) if daemon == "scripted" else None,
+        init=draw(st.sampled_from(INITIAL_PRESETS)),
+        trials=draw(_COUNTS),
+        master_seed=draw(st.integers(0, 2**64)),
+        move_ceiling=draw(st.integers(0, 10**9)),
+        round_ceiling=draw(st.integers(0, 10**9)),
+        byzantine=byzantine, strategies=strategies,
+        x_cap=draw(st.integers(0, 2**64)),
+        hold_rounds=draw(st.integers(0, 100)),
+        instrument=algorithm == "anonymous" and draw(st.booleans()),
+        check_invariants=draw(st.booleans()),
+        sizes=sizes,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=run_specs())
+def test_spec_round_trips_through_canonical_text_and_flags(spec):
+    text = canonical_text(spec)
+    assert parse_run_spec(text) == spec
+    argv = ["trial"]
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        argv += [f"--{key.replace('_', '-')}", value]
+    assert _spec_from_args(build_parser().parse_args(argv)) == spec
+
+
+@pytest.mark.parametrize("command", ["trial", "sweep"])
+def test_every_field_is_a_cli_flag(command):
+    parser = build_parser()
+    assert tuple(f"--{f.name.replace('_', '-')}" for f in fields(RunSpec)) == SPEC_FLAGS
+    for f in fields(RunSpec):
+        args = parser.parse_args([command, f"--{f.name.replace('_', '-')}", "v"])
+        assert getattr(args, f.name) == "v"
+
+
+BASE = ["--algorithm", "anonymous", "--graph", "ring", "--n", "6"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("trial", ["--algorithm", "anonymous", "--graph", "moebius", "--n", "6"]),
+    ("trial", ["--algorithm", "anonymous", "--graph", "file"]),
+    ("trial", ["--algorithm", "anonymous", "--graph", "ring"]),
+    ("trial", ["--algorithm", "byzantine", "--graph", "erdos_renyi", "--n", "6"]),
+    ("trial", [*BASE, "--daemon", "oracle"]),
+    ("trial", [*BASE, "--daemon", "scripted"]),
+    ("trial", [*BASE, "--script-file", "steps.txt"]),
+    ("trial", [*BASE, "--init", "sideways"]),
+    ("trial", [*BASE, "--density", "0"]),
+    ("trial", [*BASE, "--density", "1.5"]),
+    ("trial", [*BASE, "--daemon", "aged_fair", "--fairness", "0"]),
+    ("trial", [*BASE, "--n", "None"]),
+    ("trial", ["--algorithm", "byzantine", "--graph", "ring", "--n", "6",
+               "--x-cap", "-1"]),
+    ("trial", ["--algorithm", "byzantine", "--graph", "ring", "--n", "6",
+               "--byzantine", "0", "--strategies", "0:uniform_random:-1"]),
+    ("trial", ["--algorithm", "byzantine", "--graph", "ring", "--n", "6",
+               "--byzantine", "0", "--strategies", "0:chaotic"]),
+    ("trial", [*BASE, "--instrument", "maybe"]),
+    ("sweep", [*BASE, "--sizes", "4,8", "--trace-out", "t.txt"]),
+    ("sweep", [*BASE, "--sizes", "4,8", "--instrument", "true",
+               "--ledger-out", "c.csv"]),
+    ("sweep", ["--algorithm", "anonymous", "--graph", "erdos_renyi",
+               "--sizes", "4,8"]),
+])
+def test_bad_specs_exit_2_before_any_trial(command, flags, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    trials = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: trials.append(args))
+    assert main([command, *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_sets_its_size_parameters_itself(capsys):
+    assert main(["sweep", "--algorithm", "anonymous", "--graph", "ring",
+                 "--sizes", "4,8"]) == 0
+    assert main(["sweep", "--algorithm", "anonymous", "--graph", "erdos_renyi",
+                 "--p", "0.5", "--sizes", "4,8"]) == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--x-cap", "-1"], "x caps must be nonnegative"),
+    (["--byzantine", "0", "--strategies", "0:uniform_random:-1"],
+     "x caps must be nonnegative"),
+    (["--byzantine", "0", "--strategies", "0:degree_liar:-5"],
+     "x caps must be nonnegative"),
+])
+def test_negative_caps_are_config_errors(flags, message, capsys):
+    assert main(["trial", "--algorithm", "byzantine", "--graph", "ring",
+                 "--n", "6", "--daemon", "random_subset", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("script, where", [
+    ("x:candidacy\n", "line 1"),
+    ("0:candidacy\n# comment\n\n1:withdrawal?, y:withdrawal?\n", "line 4"),
+])
+def test_bad_script_node_names_the_file_line(script, where, tmp_path, capsys):
+    path = tmp_path / "steps.txt"
+    path.write_text(script, encoding="utf-8")
+    assert main(["trial", *BASE, "--daemon", "scripted", "--init", "all_bot",
+                 "--script-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} {where}: expected an integer, got ")
+    assert "Traceback" not in err
+
+
+def test_ledger_rows_of_every_trial_are_written_alike(tmp_path, capsys):
+    """Colors a ceiling leaves unresolved have an empty died and success in
+    every trial, not only in the first."""
+    ledger_out = tmp_path / "colors.csv"
+    assert main(["trial", *BASE, "--daemon", "random_subset", "--instrument",
+                 "true", "--move-ceiling", "2", "--trials", "4",
+                 "--ledger-out", str(ledger_out)]) == 0
+    with open(ledger_out, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["color", "size", "born", "died", "withdrawal_moves", "success"]
+    assert rows and all(len(row) == 6 for row in rows)
+    assert {row[0] for row in rows} >= {"0"}
+    unresolved = [row for row in rows if row[3] == ""]
+    assert unresolved and all(row[5] == "" for row in unresolved)
+    assert "None" not in ledger_out.read_text(encoding="utf-8")
+    # one header: colors restart at 0 for each trial
+    assert sum(row[0] == "0" for row in rows) == 4
