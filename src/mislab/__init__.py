@@ -27,6 +27,7 @@ from .engine import (
     RoundTracker,
     Rule,
     Trace,
+    TraceWriter,
     activable_map,
     apply_transition,
     derive_seed,

@@ -6,12 +6,14 @@ resolve against $MISLAB_OUT when it is set.
 
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
 (reported with the spec hash, trial and seed, and a command that reruns it).
+An output file appears only once it is complete: a run that exits nonzero
+leaves none behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import os
 import sys
 from dataclasses import fields
@@ -45,36 +47,52 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     return parse_run_spec("\n".join(lines))
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to path and say so, or to stdout without a path. A
-    relative path resolves against $MISLAB_OUT when it is set."""
+@contextlib.contextmanager
+def _output(path: str | None):
+    """A text stream for an output: stdout without a path, else a temporary
+    file beside path that replaces it, and is reported, only once the block
+    completes; on any exception it is removed, with the directories made for
+    it. A relative path resolves against $MISLAB_OUT when it is set."""
     if not path:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     target = Path(path)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not target.is_absolute():
         target = Path(base) / target
+    made = [d for d in target.parents if not d.exists()]  # deepest first
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
+    partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):  # not empty: another output
+                d.rmdir()
+        raise
     print(f"wrote {target}")
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout without a path, through `_output`."""
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def cmd_trial(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    want_trace = spec.trace_out is not None
-    outcomes = run_trials(spec, want_trace=want_trace)
-    records = [o.record for o in outcomes]
-    _write(spec.out, trial_csv_text(spec, records))
-    if spec.trace_out:
-        buf = io.StringIO()
-        for outcome in outcomes:
-            dump_trace(outcome.trace, buf)
-        _write(spec.trace_out, buf.getvalue())
+    # the trace streams to its file as the trials run
+    with (_output(spec.trace_out) if spec.trace_out
+          else contextlib.nullcontext()) as trace_fh:
+        outcomes = run_trials(spec, trace_to=trace_fh)
+        records = [o.record for o in outcomes]
+        _write(spec.out, trial_csv_text(spec, records))
     if spec.ledger_out:
-        buf = io.StringIO()
-        write_ledger_csv((outcome.ledger for outcome in outcomes), buf)
-        _write(spec.ledger_out, buf.getvalue())
+        with _output(spec.ledger_out) as fh:
+            write_ledger_csv((outcome.ledger for outcome in outcomes), fh)
     converged = sum(1 for r in records if r.converged)
     print(f"spec {spec_hash(spec)}: {converged}/{len(records)} trials converged")
     return 0
@@ -94,9 +112,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     report = reference_replay()
     if args.trace_out:
-        buf = io.StringIO()
-        dump_trace(report.trace, buf)
-        _write(args.trace_out, buf.getvalue())
+        with _output(args.trace_out) as fh:
+            dump_trace(report.trace, fh)
     if report.ok:
         print("replay ok: 8 transitions, stable end, settled set {1, 3}")
         return 0

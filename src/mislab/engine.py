@@ -363,24 +363,52 @@ class Trace:
         return sum(len(step.moves) for step in self.steps)
 
 
-def _config_fields(cfg: Configuration) -> str:
-    s_text = "".join("1" if v else "0" for v in cfg.s)
-    if cfg.x is None:
-        return s_text
-    return s_text + " " + ",".join(str(v) for v in cfg.x)
+_ONE, _ZERO = b"10"
+
+
+class TraceWriter:
+    """The trace encoder: one line per transition with its index, its
+    node:rule:draw entries and the s-vector as 0/1, plus the comma-separated
+    x-vector when the algorithm keeps one. Line 0 carries the initial
+    configuration with a '-' move field.
+
+    A transition writes state only at its movers, so the encoded s and x are
+    kept between lines and only the movers' entries are re-encoded: a line
+    costs O(|movers|) plus one join of the kept text. `record` takes what
+    `Activity.transition` returns, like `Trace.record`.
+    """
+
+    def __init__(self, fh: IO[str], initial: Configuration):
+        self._fh = fh
+        self._index = 0
+        self._s = bytearray(_ONE if v else _ZERO for v in initial.s)
+        self._x = None if initial.x is None else list(map(str, initial.x))
+        fh.write(f"0 - {self._fields()}\n")
+
+    def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
+               config: Configuration, round_ended: bool) -> None:
+        self._index += 1
+        s, x, s_text, x_text = config.s, config.x, self._s, self._x
+        one, zero = _ONE, _ZERO
+        entries = []
+        for (node, rule), d in zip(moves, draws):
+            s_text[node] = one if s[node] else zero
+            if x_text is not None:
+                x_text[node] = str(x[node])
+            # _value_ is Rule.value without the enum descriptor's cost
+            entries.append(f"{node}:{rule._value_}:{'-' if d is None else d}")
+        self._fh.write(f"{self._index} {','.join(entries)} {self._fields()}\n")
+
+    def _fields(self) -> str:
+        s_text = self._s.decode("ascii")
+        return s_text if self._x is None else f"{s_text} {','.join(self._x)}"
 
 
 def dump_trace(trace: Trace, fh: IO[str]) -> None:
-    """One line per transition: index, node:rule:draw entries, s-vector as
-    0/1 (plus comma-separated x-vector when present). Line 0 carries the
-    initial configuration with a '-' move field."""
-    fh.write(f"0 - {_config_fields(trace.initial)}\n")
-    for i, step in enumerate(trace.steps, start=1):
-        entries = ",".join(
-            f"{m.node}:{m.rule.value}:{'-' if d is None else d}"
-            for m, d in zip(step.moves, step.draws)
-        )
-        fh.write(f"{i} {entries} {_config_fields(step.config)}\n")
+    """Encode an in-memory trace with `TraceWriter`."""
+    writer = TraceWriter(fh, trace.initial)
+    for step in trace.steps:
+        writer.record(step.moves, step.draws, step.config, False)
 
 
 def run_script(algo, g: Graph, cfg: Configuration,

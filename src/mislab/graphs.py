@@ -72,8 +72,10 @@ def path(n: int) -> Graph:
 
 
 def star(leaves: int) -> Graph:
-    """Star with center 0 and `leaves` outer nodes 1..leaves."""
-    _require_positive("leaves", leaves)
+    """Star with center 0 and `leaves` outer nodes 1..leaves; without leaves,
+    the center alone."""
+    if not isinstance(leaves, int) or leaves < 0:
+        raise ConfigError(f"leaves must be a nonnegative integer, got {leaves!r}")
     return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -155,8 +157,10 @@ def generate_graph(kind: str, seed: int = 0, **params) -> Graph:
 
 
 def sized_params(kind: str, size: int) -> dict:
-    """Kind-specific parameters that realize a sweep size of `size` nodes."""
-    return GENERATORS[known_kind(kind, GENERATORS, "graph kind")][2](size)
+    """Kind-specific parameters that realize a sweep size of `size` nodes.
+    Every kind realizes every positive size, and no other."""
+    realize = GENERATORS[known_kind(kind, GENERATORS, "graph kind")][2]
+    return realize(_require_positive("sweep size", size))
 
 
 def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:

@@ -22,7 +22,6 @@ from .analysis import (
     SafeAloneTracker,
     ledger_from_trace,
     locally_alone_set,
-    safe_alone_set,
 )
 from .daemons import DAEMON_KINDS, make_daemon
 from .engine import (
@@ -32,6 +31,7 @@ from .engine import (
     RngStream,
     Rule,
     Trace,
+    TraceWriter,
     derive_seed,
     initial_configuration,
     is_stable,
@@ -207,7 +207,9 @@ def validate_run_spec(spec: RunSpec) -> None:
             raise ConfigError("graph = file requires graph_file")
     else:
         # a sweep sets the size parameters of each size itself
-        sized = sized_params(spec.graph, 1) if spec.sizes else {}
+        sized = {}
+        for size in spec.sizes:
+            sized = sized_params(spec.graph, size)
         for name in GENERATORS[spec.graph][0]:
             if name not in sized and getattr(spec, name) is None:
                 raise ConfigError(
@@ -280,6 +282,13 @@ def _generated_graph(kind: str, seed: int, params: tuple) -> Graph:
     return generate_graph(kind, seed=seed, **dict(params))
 
 
+@functools.lru_cache(maxsize=1)
+def _safe_zones(g: Graph, byz: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+    """The distance-1 and distance-2 safe zones, computed once for every
+    trial of a spec."""
+    return safe_zone(g, byz, 1), safe_zone(g, byz, 2)
+
+
 def default_move_ceiling(n: int) -> int:
     return 100 * 3 * n * n
 
@@ -329,14 +338,17 @@ def _strategy_map(spec: RunSpec) -> dict:
     }
 
 
-def run_trial(spec: RunSpec, trial_index: int,
-              want_trace: bool = False) -> TrialOutcome:
+def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
+              trace_to: typing.IO[str] | None = None) -> TrialOutcome:
     """Run one seeded trial to convergence or a ceiling.
 
     Anonymous runs stop at the first stable configuration; Byzantine-tolerant
     runs stop at the first legitimate one (optionally confirmed for
     hold_rounds further rounds, where the first hit remains the reported
     convergence time, since legitimacy persists once reached).
+
+    want_trace keeps the execution in memory as the outcome's Trace;
+    trace_to streams it, encoded as each transition happens, to that file.
     """
     validate_run_spec(spec)
     g = build_graph(spec)
@@ -359,9 +371,10 @@ def run_trial(spec: RunSpec, trial_index: int,
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     ledger = ColorLedger(g, algo, cfg, activable) if spec.instrument else None
     trace = Trace(initial=cfg, seed=seed) if want_trace else None
+    writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
-    safe = (SafeAloneTracker(g, cfg, safe_zone(g, byz, 1), safe_zone(g, byz, 2))
+    safe = (SafeAloneTracker(g, cfg, *_safe_zones(g, byz))
             if byz_runs or spec.check_invariants else None)
     monotone = "safe alone set" if byz else "settled set"
 
@@ -429,12 +442,14 @@ def run_trial(spec: RunSpec, trial_index: int,
             ledger.record(cfg, moves, new_cfg)
         if trace is not None:
             trace.record(moves, draws, new_cfg, ended)
+        if writer is not None:
+            writer.record(moves, draws, new_cfg, ended)
 
         cfg = new_cfg
 
     if byz_runs:
         criterion = "legitimate"
-        set_size = len(safe_alone_set(g, byz, cfg))
+        set_size = len(safe.alone)
         moves_reported, rounds_reported = (
             first_hit if (converged and first_hit is not None)
             else (moves_total, tracker.rounds_elapsed))
@@ -459,13 +474,16 @@ def run_trial(spec: RunSpec, trial_index: int,
                         ledger=ledger)
 
 
-def run_trials(spec: RunSpec, want_trace: bool = False) -> list[TrialOutcome]:
-    """Run every trial of spec; an invariant violation is re-raised naming
+def run_trials(spec: RunSpec, want_trace: bool = False,
+               trace_to: typing.IO[str] | None = None) -> list[TrialOutcome]:
+    """Run every trial of spec, streaming their traces one after another to
+    trace_to when it is given; an invariant violation is re-raised naming
     the spec hash, trial and seed, with a command line that reruns it."""
     outcomes = []
     for t in range(spec.trials):
         try:
-            outcomes.append(run_trial(spec, t, want_trace=want_trace))
+            outcomes.append(run_trial(spec, t, want_trace=want_trace,
+                                      trace_to=trace_to))
         except InvariantViolation as exc:
             raise InvariantViolation(
                 f"spec {spec_hash(spec)} trial {t} seed "

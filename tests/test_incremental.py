@@ -452,3 +452,32 @@ def test_zones_and_alone_sets_are_computed_once_per_trial(monkeypatch,
     # two zones at the start and one safe alone set at the end
     assert calls["safe_zone"] <= 3, calls
     assert calls["locally_alone_set"] <= 1, calls
+
+
+def test_safe_zones_are_computed_once_per_spec(monkeypatch):
+    """Every trial of a spec shares its graph, so the two zones are computed
+    for the first trial only; the safe alone set's size comes from the
+    tracker, with no whole-graph scan at the end of a trial."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    harness._safe_zones.cache_clear()
+    monkeypatch.setattr(harness, "safe_zone",
+                        counting("safe_zone", harness.safe_zone))
+    monkeypatch.setattr(analysis, "locally_alone_set",
+                        counting("locally_alone_set", analysis.locally_alone_set))
+    spec = RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
+                   daemon="aged_fair", byzantine=(0, 20), master_seed=5,
+                   trials=12)
+    outcomes = harness.run_trials(spec)
+    assert len(outcomes) == 12
+    assert calls["safe_zone"] <= 2, calls
+    assert calls["locally_alone_set"] == 0, calls
+    for outcome in outcomes:
+        assert outcome.record.set_size == len(
+            safe_alone_set(outcome.graph, frozenset(spec.byzantine), outcome.final))

@@ -189,3 +189,29 @@ def test_ledger_rows_of_every_trial_are_written_alike(tmp_path, capsys):
     assert "None" not in ledger_out.read_text(encoding="utf-8")
     # one header: colors restart at 0 for each trial
     assert sum(row[0] == "0" for row in rows) == 4
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@pytest.mark.parametrize("sizes", ["4,0", "0", "3,-2"])
+def test_sweep_sizes_outside_every_kind_exit_2_before_any_trial(
+        kind, sizes, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    trials = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: trials.append(args))
+    assert main(["sweep", "--algorithm", "anonymous", "--graph", kind,
+                 "--p", "0.5", "--sizes", sizes, "--trials", "2",
+                 "--out", "sweep.csv"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: sweep size must be a positive integer, got ")
+    assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_one_node_star_is_its_center(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--algorithm", "anonymous", "--graph", "star",
+                 "--sizes", "4,1", "--trials", "2", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+    assert [(row[1], row[2], row[4]) for row in rows[1:]] == [
+        ("4", "3", "2"), ("1", "0", "2")]
