@@ -29,13 +29,11 @@ from .engine import (
     Trace,
     TraceWriter,
     activable_map,
-    apply_transition,
     derive_seed,
     dump_trace,
     initial_configuration,
     is_stable,
     run_script,
-    update_activable,
 )
 from .errors import ConfigError, EngineError, InvariantViolation, ScriptError
 from .graphs import (

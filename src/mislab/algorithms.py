@@ -11,6 +11,12 @@ randomness sits:
     honest nodes two hops away are untouched.
   - AnonymousMIS is single-variable: candidacy is deterministic and
     *withdrawal* flips a fair coin.
+
+Every guard of both rule sets depends only on s[u], on x[u] against deg u,
+and on whether some neighbor is up. `enabled_rules` is therefore the counted
+guard over the stepper's lists (s, x, deg, up, u), where up[u] is the number
+of u's neighbors with s = 1: O(1) per evaluation. Commands and probabilities
+read any state with `.s` and `.x`.
 """
 
 from __future__ import annotations
@@ -40,17 +46,12 @@ class ByzantineMIS:
     name = "byzantine"
     uses_x = True
 
-    def enabled_rules(self, g: Graph, cfg: Configuration, u: int) -> tuple[Rule, ...]:
-        if cfg.x[u] != g.degree(u):
+    def enabled_rules(self, s, x, deg, up, u: int) -> tuple[Rule, ...]:
+        if x[u] != deg[u]:
             return (Rule.REFRESH,)
-        s = cfg.s
         if not s[u]:
-            if any(s[v] for v in g.adjacency[u]):
-                return ()
-            return (Rule.TRY_CANDIDACY,)
-        if any(s[v] for v in g.adjacency[u]):
-            return (Rule.WITHDRAW,)
-        return ()
+            return () if up[u] else (Rule.TRY_CANDIDACY,)
+        return (Rule.WITHDRAW,) if up[u] else ()
 
     def rule_probability(self, g: Graph, cfg: Configuration, u: int,
                          rule: Rule) -> float | None:
@@ -75,15 +76,10 @@ class AnonymousMIS:
     name = "anonymous"
     uses_x = False
 
-    def enabled_rules(self, g: Graph, cfg: Configuration, u: int) -> tuple[Rule, ...]:
-        s = cfg.s
+    def enabled_rules(self, s, x, deg, up, u: int) -> tuple[Rule, ...]:
         if s[u]:
-            if any(s[v] for v in g.adjacency[u]):
-                return (Rule.TRY_WITHDRAW,)
-            return ()
-        if any(s[v] for v in g.adjacency[u]):
-            return ()
-        return (Rule.CANDIDACY,)
+            return (Rule.TRY_WITHDRAW,) if up[u] else ()
+        return () if up[u] else (Rule.CANDIDACY,)
 
     def rule_probability(self, g: Graph, cfg: Configuration, u: int,
                          rule: Rule) -> float | None:

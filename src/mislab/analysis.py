@@ -71,14 +71,16 @@ class SafeAloneTracker:
     """The safe alone set and the distance-2 coverage that `is_legitimate`
     tests, kept current across transitions.
 
-    The zones are fixed for a run, so they are given once. A move at u can
-    change "locally alone" only on N[u], and a change at w can change
-    coverage only on N[w]; `update` therefore touches N[moved] and the
-    neighborhoods of the nodes whose status changed, never the whole graph.
-    Without faulty nodes both zones are V and `alone` is the settled set.
+    The zones are fixed for a run, so they are given once. The state is read
+    from the stepper's counted lists (`engine.Activity`): u is locally alone
+    when s[u] and up[u] = 0. A move at u can change that only on N[u], and a
+    change at w can change coverage only on N[w]; `update` therefore touches
+    N[moved] and the neighborhoods of the nodes whose status changed, never
+    the whole graph. Without faulty nodes both zones are V and `alone` is
+    the settled set.
     """
 
-    def __init__(self, g: Graph, cfg: Configuration,
+    def __init__(self, g: Graph, state,
                  zone1: frozenset[int], zone2: frozenset[int]):
         self._g = g
         self._zone1 = zone1
@@ -87,9 +89,9 @@ class SafeAloneTracker:
         # neighborhood; the ground set is dominated when none is 0
         self._cover = dict.fromkeys(zone2, 0)
         self.uncovered = len(self._cover)
-        s = cfg.s
+        s, up = state.s, state.up
         for u in zone1:
-            if s[u] and not any(s[v] for v in g.adjacency[u]):
+            if s[u] and not up[u]:
                 self._flip(u, 1)
 
     @property
@@ -97,19 +99,20 @@ class SafeAloneTracker:
         """is_legitimate for the configuration last seen."""
         return self.uncovered == 0
 
-    def update(self, cfg: Configuration, moved: Sequence[int]) -> list[int]:
-        """Account the transition by `moved` that produced cfg; returns the
-        nodes that stopped being alone, sorted."""
+    def update(self, state, moved: Sequence[int]) -> list[int]:
+        """Account the transition by `moved` that produced `state` (with
+        `.s` and `.up`, as `__init__` reads); returns the nodes that stopped
+        being alone, sorted."""
         adjacency = self._g.adjacency
         touched = set(moved)
         for u in moved:
             touched.update(adjacency[u])
-        s = cfg.s
+        s, up = state.s, state.up
         lost = []
         for u in touched:
             if u not in self._zone1:
                 continue
-            now = s[u] and not any(s[v] for v in adjacency[u])
+            now = s[u] and not up[u]
             if now and u not in self.alone:
                 self._flip(u, 1)
             elif not now and u in self.alone:
@@ -328,9 +331,11 @@ def ledger_from_trace(g: Graph, algo, trace: Trace) -> ColorLedger:
     its moves and draws again."""
     activity = Activity(algo, g, trace.initial)
     ledger = ColorLedger(g, algo, trace.initial, activity.activable)
+    before = trace.initial
     for step in trace.steps:
-        before = activity.cfg
-        moves, _, after, _ = activity.transition(
+        moves, _, _ = activity.transition(
             step.moves, FixedDraws(d for d in step.draws if d is not None))
+        after = activity.snapshot()
         ledger.record(before, moves, after)
+        before = after
     return ledger

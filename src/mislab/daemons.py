@@ -8,15 +8,16 @@ activable for more than F consecutive transitions without being activated.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .engine import Configuration, Move, Rule
 from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
 
 
-def _moves_for(nodes, activable) -> set[Move]:
-    return {Move(u, activable[u][0]) for u in nodes}
+def _moves_for(nodes, activable) -> list[Move]:
+    """The first enabled rule of each node, in the order given."""
+    return [Move(u, activable[u][0]) for u in nodes]
 
 
 class Daemon:
@@ -26,7 +27,11 @@ class Daemon:
 
     def select(self, g: Graph, cfg: Configuration,
                activable: dict[int, tuple[Rule, ...]],
-               ages: Sequence[int], rng) -> set[Move]:
+               ages: Sequence[int], rng) -> Collection[Move]:
+        """The moves of the next transition, at most one per node. `cfg` is
+        the current state (anything with `.s`). Every policy but `scripted`
+        returns a list in ascending node order; the stepper sorts by node
+        in any case."""
         raise NotImplementedError
 
 
@@ -36,7 +41,7 @@ class SynchronousDaemon(Daemon):
     fair_bound = 1
 
     def select(self, g, cfg, activable, ages, rng):
-        return _moves_for(activable, activable)
+        return _moves_for(sorted(activable), activable)
 
 
 class AgedFairDaemon(Daemon):
@@ -104,7 +109,7 @@ class ConflictGreedyDaemon(Daemon):
                 chosen.append(u)
         if not chosen:
             chosen = [rng.choice(sorted(activable))]
-        return _moves_for(chosen, activable)
+        return _moves_for(sorted(chosen), activable)
 
 
 class ScriptedDaemon(Daemon):

@@ -1,18 +1,22 @@
 """Execution core: configurations, transitions, round accounting, seeded randomness.
 
 Semantics fixed here, shared by every run:
-  - guards are evaluated against the pre-transition configuration; commands
-    write into a fresh one (simultaneous activation);
+  - guards are evaluated against the pre-transition configuration, and every
+    mover's next state is computed before any is written (simultaneous
+    activation);
   - one Bernoulli draw per executed probabilistic rule, consumed in ascending
     node order within a transition, so a seed fully determines an execution;
-  - a move at u can change guards only on the closed neighborhood N[u], so a
-    run scans every guard once, for its initial configuration, and after each
-    transition re-evaluates N[movers] only (`Activity`).
+  - every guard reads only s[u], x[u] against deg u, and the number of u's
+    neighbors with s = 1, so a move at u can change guards only on the closed
+    neighborhood N[u]: a run scans every guard once, for its initial
+    configuration, and after each transition re-evaluates N[movers] only
+    (`Activity`).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from collections import abc, deque
 from dataclasses import dataclass, field
@@ -104,39 +108,61 @@ class FixedDraws:
         return self._queue.popleft()
 
 
-def activable_map(algo, g: Graph, cfg: Configuration,
-                  byz: frozenset[int] = frozenset()) -> dict[int, tuple[Rule, ...]]:
-    """Enabled rules per activable node; faulty nodes are always activable.
+#: sort key of a move: its node
+_node = operator.itemgetter(0)
 
-    A full scan of every guard: runs call it for their initial configuration
-    only and then keep the map current with `update_activable`.
-    """
+
+def _counted(g: Graph, cfg: Configuration) -> tuple[
+        list, list[int] | None, list[int], list[int]]:
+    """cfg as the lists every guard reads: (s, x, deg, up), where up[u] is
+    the number of u's neighbors with s = 1."""
+    s = list(map(bool, cfg.s))
+    adjacency = g.adjacency
+    return (s, None if cfg.x is None else list(cfg.x),
+            [len(nbrs) for nbrs in adjacency],
+            [sum(map(s.__getitem__, nbrs)) for nbrs in adjacency])
+
+
+def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, tuple[Rule, ...]]:
+    guard = algo.enabled_rules
     out = {}
-    for u in range(g.n):
+    for u in range(len(s)):
         if u in byz:
             out[u] = (Rule.BYZ,)
         else:
-            rules = algo.enabled_rules(g, cfg, u)
+            rules = guard(s, x, deg, up, u)
             if rules:
                 out[u] = rules
     return out
 
 
-def validate_move_set(g: Graph, moves: Iterable[Move],
+def activable_map(algo, g: Graph, cfg: Configuration,
+                  byz: frozenset[int] = frozenset()) -> dict[int, tuple[Rule, ...]]:
+    """Enabled rules per activable node; faulty nodes are always activable.
+
+    A full scan of every guard: a run scans its initial configuration once
+    and then keeps the map current itself (`Activity`).
+    """
+    return _scan(algo, *_counted(g, cfg), byz)
+
+
+def validate_move_set(g: Graph, moves: Sequence[Move],
                       activable: dict[int, tuple[Rule, ...]],
-                      byz_strategies: dict) -> tuple[Move, ...]:
-    """Check move-set invariants against the activable map of the current
-    configuration and return the moves sorted by node.
+                      byz_strategies: dict) -> None:
+    """Check the invariants of a node-sorted move set against the activable
+    map of the current configuration.
 
     Violations are engine errors: daemons must only emit valid sets.
     """
-    ordered = sorted(moves, key=lambda m: (m.node, m.rule.value))
-    if not ordered:
+    if not moves:
         raise EngineError("move set must be nonempty")
-    nodes = [m.node for m in ordered]
-    if len(set(nodes)) != len(nodes):
-        raise EngineError(f"move set targets a node twice: {ordered}")
-    for node, rule in ordered:
+    for prev, move in zip(moves, moves[1:]):
+        if prev.node >= move.node:
+            if prev.node > move.node:
+                raise EngineError("move set is not sorted by node")
+            ordered = sorted(moves, key=lambda m: (m.node, m.rule.value))
+            raise EngineError(f"move set targets a node twice: {ordered}")
+    for node, rule in moves:
         if not (0 <= node < g.n):
             raise EngineError(f"move on node {node} outside graph of size {g.n}")
         if rule is Rule.BYZ:
@@ -146,40 +172,6 @@ def validate_move_set(g: Graph, moves: Iterable[Move],
             raise EngineError(f"faulty node {node} may not execute algorithm rules")
         elif rule not in activable.get(node, ()):
             raise EngineError(f"rule {rule.value} not enabled on node {node}")
-    return tuple(ordered)
-
-
-def apply_transition(algo, g: Graph, cfg: Configuration, moves: Iterable[Move],
-                     rng, byz_strategies: dict | None = None,
-                     activable: dict[int, tuple[Rule, ...]] | None = None,
-                     ) -> tuple[Configuration, tuple[int | None, ...]]:
-    """Execute a valid move set simultaneously and return (next config, draws).
-
-    Moves are checked against `activable`, the activable map of cfg (a run
-    passes the one its `Activity` keeps); without it, cfg is scanned. Draws
-    align with the node-sorted move tuple; None for deterministic rules and
-    faulty-node actions.
-    """
-    byz_strategies = byz_strategies or {}
-    if activable is None:
-        activable = activable_map(algo, g, cfg, frozenset(byz_strategies))
-    ordered = validate_move_set(g, moves, activable, byz_strategies)
-    s = list(cfg.s)
-    x = list(cfg.x) if cfg.x is not None else None
-    draws: list[int | None] = []
-    for node, rule in ordered:
-        if rule is Rule.BYZ:
-            new_s, new_x = byz_strategies[node].act(g, cfg, node, rng)
-            draws.append(None)
-        else:
-            p = algo.rule_probability(g, cfg, node, rule)
-            draw = rng.bernoulli(p) if p is not None else None
-            draws.append(draw)
-            new_s, new_x = algo.apply(g, cfg, node, rule, draw)
-        s[node] = new_s
-        if x is not None and new_x is not None:
-            x[node] = new_x
-    return Configuration(tuple(s), tuple(x) if x is not None else None), tuple(draws)
 
 
 def is_stable(algo, g: Graph, cfg: Configuration,
@@ -188,36 +180,7 @@ def is_stable(algo, g: Graph, cfg: Configuration,
     if byz:
         raise ConfigError("stability is undefined while Byzantine nodes exist: "
                           "they are always activable")
-    return all(not algo.enabled_rules(g, cfg, u) for u in range(g.n))
-
-
-def update_activable(algo, g: Graph, cfg: Configuration,
-                     activable: dict[int, tuple[Rule, ...]], moved: Sequence[int],
-                     byz: frozenset[int] = frozenset()) -> tuple[list[int], list[int]]:
-    """Bring `activable` up to date with cfg, the result of a transition by the
-    nodes `moved`, editing it in place.
-
-    Every guard reads only the closed neighborhood, so only N[moved] can change
-    activability and only those guards are re-evaluated. Returns (left,
-    entered): the nodes that left the map and those that joined it. Faulty
-    nodes never do either. The map's insertion order is arbitrary; iterate it
-    sorted.
-    """
-    touched = set(moved)
-    for u in moved:
-        touched.update(g.adjacency[u])
-    left, entered = [], []
-    for u in touched:
-        if u in byz:
-            continue
-        rules = algo.enabled_rules(g, cfg, u)
-        if rules:
-            if u not in activable:
-                entered.append(u)
-            activable[u] = rules
-        elif activable.pop(u, None) is not None:
-            left.append(u)
-    return left, entered
+    return not activable_map(algo, g, cfg)
 
 
 class RoundTracker:
@@ -294,12 +257,19 @@ class FairnessAges(abc.Sequence):
 
 
 class Activity:
-    """The transition stepper every run drives. It owns the configuration,
-    the activable map, the round tracker and the fairness ages. After one
-    full `activable_map` scan of the initial configuration, `transition`
-    re-evaluates guards on N[movers] only, so one transition costs
-    O(|N[movers]|) however large the graph is. `strategies` maps each faulty
-    node to its behavior.
+    """The transition stepper every run drives. It owns the run's state as
+    plain lists: `s`, `x` (None when the algorithm keeps none), `deg`, and
+    `up`, where up[u] is the number of u's neighbors with s = 1. It also
+    owns the activable map, the round tracker and the fairness ages.
+    Commands, strategies and daemons read the state through the stepper's
+    own `.s` and `.x`; a `Configuration` is built only on request
+    (`snapshot`). `strategies` maps each faulty node to its behavior.
+
+    Every guard reads only s[u], x[u], deg[u] and up[u]. After one scan of
+    every guard for the initial configuration, `transition` adjusts `up`
+    over N(u) for each mover u whose s flips, and re-evaluates guards on
+    N[movers] only. A transition therefore costs the sum of deg u over the
+    flipped movers plus O(|N[movers]|), however large the graph is.
     """
 
     def __init__(self, algo, g: Graph, cfg: Configuration,
@@ -308,28 +278,71 @@ class Activity:
         self._g = g
         self._strategies = strategies or {}
         self._byz = frozenset(self._strategies)
-        self.cfg = cfg
-        self.activable = activable_map(algo, g, cfg, self._byz)
+        self.s, self.x, self.deg, self.up = _counted(g, cfg)
+        self.activable = _scan(algo, self.s, self.x, self.deg, self.up, self._byz)
         self.tracker = RoundTracker(self.activable)
         self.ages = FairnessAges(g.n, self.activable)
 
-    def transition(self, moves: Iterable[Move], rng) -> tuple[
-            tuple[Move, ...], tuple[int | None, ...], Configuration, bool]:
-        """Execute a move set on the current configuration and account it.
+    def snapshot(self) -> Configuration:
+        """The current state as an immutable configuration: O(n)."""
+        return Configuration(tuple(self.s),
+                             None if self.x is None else tuple(self.x))
 
-        Returns the moves sorted by node, their draws, the new configuration
-        and whether the transition closed a round.
+    def transition(self, moves: Iterable[Move], rng) -> tuple[
+            tuple[Move, ...], tuple[int | None, ...], bool]:
+        """Execute a move set on the current state and account it.
+
+        Returns the moves sorted by node, their draws and whether the
+        transition closed a round; the new state is the stepper's own.
         """
-        ordered = tuple(sorted(moves, key=lambda m: m.node))
-        cfg, draws = apply_transition(self._algo, self._g, self.cfg, ordered, rng,
-                                      self._strategies, activable=self.activable)
-        moved = [m.node for m in ordered]
-        left, entered = update_activable(
-            self._algo, self._g, cfg, self.activable, moved, self._byz)
+        g, algo, strategies = self._g, self._algo, self._strategies
+        ordered = tuple(sorted(moves, key=_node))
+        validate_move_set(g, ordered, self.activable, strategies)
+        # every next state is computed against the current one before any
+        # is written: simultaneous activation
+        draws: list[int | None] = []
+        nexts = []
+        for node, rule in ordered:
+            if rule is Rule.BYZ:
+                nexts.append(strategies[node].act(g, self, node, rng))
+                draws.append(None)
+            else:
+                p = algo.rule_probability(g, self, node, rule)
+                draw = rng.bernoulli(p) if p is not None else None
+                draws.append(draw)
+                nexts.append(algo.apply(g, self, node, rule, draw))
+
+        s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
+        moved = []
+        touched = set()
+        for (node, _), (new_s, new_x) in zip(ordered, nexts):
+            moved.append(node)
+            touched.add(node)
+            touched.update(adjacency[node])
+            if new_s != s[node]:
+                s[node] = new_s
+                step = 1 if new_s else -1
+                for v in adjacency[node]:
+                    up[v] += step
+            if x is not None and new_x is not None:
+                x[node] = new_x
+
+        # only N[movers] can change activability
+        guard, byz, activable = algo.enabled_rules, self._byz, self.activable
+        left, entered = [], []
+        for u in touched:
+            if u in byz:
+                continue
+            rules = guard(s, x, deg, up, u)
+            if rules:
+                if u not in activable:
+                    entered.append(u)
+                activable[u] = rules
+            elif activable.pop(u, None) is not None:
+                left.append(u)
         self.ages.advance([*moved, *entered])
-        ended = self.tracker.advance(moved, left, self.activable)
-        self.cfg = cfg
-        return ordered, draws, cfg, ended
+        ended = self.tracker.advance(moved, left, activable)
+        return ordered, tuple(draws), ended
 
 
 @dataclass(frozen=True)
@@ -354,7 +367,7 @@ class Trace:
 
     def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
                config: Configuration, round_ended: bool) -> None:
-        """Append one transition, as `Activity.transition` returns it."""
+        """Append one transition and the configuration it produced."""
         self.steps.append(TraceStep(moves, draws, config))
         if round_ended:
             self.round_ends.append(len(self.steps))
@@ -374,8 +387,9 @@ class TraceWriter:
 
     A transition writes state only at its movers, so the encoded s and x are
     kept between lines and only the movers' entries are re-encoded: a line
-    costs O(|movers|) plus one join of the kept text. `record` takes what
-    `Activity.transition` returns, like `Trace.record`.
+    costs O(|movers|) plus one join of the kept text. `record` reads those
+    entries from `state`, anything with `.s` and `.x`: a run's live
+    `Activity`, or a `Configuration`.
     """
 
     def __init__(self, fh: IO[str], initial: Configuration):
@@ -386,9 +400,9 @@ class TraceWriter:
         fh.write(f"0 - {self._fields()}\n")
 
     def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
-               config: Configuration, round_ended: bool) -> None:
+               state, round_ended: bool) -> None:
         self._index += 1
-        s, x, s_text, x_text = config.s, config.x, self._s, self._x
+        s, x, s_text, x_text = state.s, state.x, self._s, self._x
         one, zero = _ONE, _ZERO
         entries = []
         for (node, rule), d in zip(moves, draws):
@@ -427,14 +441,15 @@ def run_script(algo, g: Graph, cfg: Configuration,
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled at "
                     f"transition {len(trace.steps) + 1}")
-            if algo.rule_probability(g, activity.cfg, node, rule) is not None:
+            if algo.rule_probability(g, activity, node, rule) is not None:
                 if d not in (0, 1):
                     raise ScriptError(
                         f"move ({node},{rule.value}) needs a scripted 0/1 draw")
                 forced.append(d)
         # draw feeder must follow the engine's ascending-node order
-        trace.record(*activity.transition(
-            [Move(node, rule) for node, rule, _ in step], FixedDraws(forced)))
+        moves, draws, ended = activity.transition(
+            [Move(node, rule) for node, rule, _ in step], FixedDraws(forced))
+        trace.record(moves, draws, activity.snapshot(), ended)
     return trace
 
 

@@ -369,12 +369,13 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
 
     activity = Activity(algo, g, cfg, _strategy_map(spec))
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
+    x, deg = activity.x, activity.deg
     ledger = ColorLedger(g, algo, cfg, activable) if spec.instrument else None
     trace = Trace(initial=cfg, seed=seed) if want_trace else None
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
-    safe = (SafeAloneTracker(g, cfg, *_safe_zones(g, byz))
+    safe = (SafeAloneTracker(g, activity, *_safe_zones(g, byz))
             if byz_runs or spec.check_invariants else None)
     monotone = "safe alone set" if byz else "settled set"
 
@@ -411,13 +412,14 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                 ceiling_hit = True
             break
 
-        moves, draws, new_cfg, ended = activity.transition(
-            daemon.select(g, cfg, activable, ages, rng), rng)
-        lost = (safe.update(new_cfg, [m.node for m in moves])
+        moves, draws, ended = activity.transition(
+            daemon.select(g, activity, activable, ages, rng), rng)
+        lost = (safe.update(activity, [m.node for m in moves])
                 if safe is not None else None)
         moves_total += len(moves)
-        for m in moves:
-            moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
+        for _, rule in moves:
+            name = rule._value_  # Rule.value without the enum descriptor's cost
+            moves_by_rule[name] = moves_by_rule.get(name, 0) + 1
 
         if spec.check_invariants:
             if lost:
@@ -434,18 +436,23 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                 # that round closes, and only the movers after that
                 for u in (range(g.n) if ended and tracker.rounds_completed == 1
                           else (m.node for m in moves)):
-                    if u not in byz and new_cfg.x[u] != g.degree(u):
+                    if u not in byz and x[u] != deg[u]:
                         raise InvariantViolation(
-                            f"node {u} has x={new_cfg.x[u]} != deg={g.degree(u)} "
+                            f"node {u} has x={x[u]} != deg={deg[u]} "
                             "after the first round")
-        if ledger is not None:
-            ledger.record(cfg, moves, new_cfg)
-        if trace is not None:
-            trace.record(moves, draws, new_cfg, ended)
+        if ledger is not None or trace is not None:
+            # the ledger and the in-memory trace read whole configurations;
+            # cfg is the last one built
+            after = activity.snapshot()
+            if ledger is not None:
+                ledger.record(cfg, moves, after)
+            if trace is not None:
+                trace.record(moves, draws, after, ended)
+            cfg = after
         if writer is not None:
-            writer.record(moves, draws, new_cfg, ended)
+            writer.record(moves, draws, activity, ended)
 
-        cfg = new_cfg
+    cfg = activity.snapshot()
 
     if byz_runs:
         criterion = "legitimate"

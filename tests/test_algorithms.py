@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mislab.algorithms import candidacy_probability, get_algorithm
 from mislab.engine import Configuration, Rule
 from mislab.graphs import erdos_renyi, make_graph, path, ring
+from reference import enabled
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -14,20 +15,20 @@ BYZ = get_algorithm("byzantine")
 def test_refresh_guard_and_command():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     cfg = Configuration((False,) * 4, (0, 1, 1, 1))
-    assert BYZ.enabled_rules(g, cfg, 0) == (Rule.REFRESH,)
+    assert enabled(BYZ, g, cfg, 0) == (Rule.REFRESH,)
     assert BYZ.apply(g, cfg, 0, Rule.REFRESH, None) == (False, 3)
 
 
 def test_refresh_guard_false_when_degree_matches():
     g = path(2)
     cfg = Configuration((False, False), (1, 1))
-    assert Rule.REFRESH not in BYZ.enabled_rules(g, cfg, 0)
+    assert Rule.REFRESH not in enabled(BYZ, g, cfg, 0)
 
 
 def test_refresh_guard_false_on_isolated_zero():
     g = make_graph(1, [])
     cfg = Configuration((False,), (0,))
-    assert BYZ.enabled_rules(g, cfg, 0) == (Rule.TRY_CANDIDACY,)
+    assert enabled(BYZ, g, cfg, 0) == (Rule.TRY_CANDIDACY,)
 
 
 def test_candidacy_probability_uses_neighborhood_max():
@@ -52,11 +53,11 @@ def test_candidacy_probability_with_lying_neighbor():
 def test_try_candidacy_guard():
     g = path(3)
     good = Configuration((False, False, False), (1, 2, 1))
-    assert BYZ.enabled_rules(g, good, 1) == (Rule.TRY_CANDIDACY,)
+    assert enabled(BYZ, g, good, 1) == (Rule.TRY_CANDIDACY,)
     top_neighbor = Configuration((True, False, False), (1, 2, 1))
-    assert BYZ.enabled_rules(g, top_neighbor, 1) == ()
+    assert enabled(BYZ, g, top_neighbor, 1) == ()
     wrong_x = Configuration((False, False, False), (1, 5, 1))
-    assert Rule.TRY_CANDIDACY not in BYZ.enabled_rules(g, wrong_x, 1)
+    assert Rule.TRY_CANDIDACY not in enabled(BYZ, g, wrong_x, 1)
 
 
 def test_try_candidacy_command_depends_on_draw():
@@ -69,12 +70,12 @@ def test_try_candidacy_command_depends_on_draw():
 def test_withdrawal_guard():
     g = path(2)
     both_top = Configuration((True, True), (1, 1))
-    assert BYZ.enabled_rules(g, both_top, 0) == (Rule.WITHDRAW,)
-    assert BYZ.enabled_rules(g, both_top, 1) == (Rule.WITHDRAW,)
+    assert enabled(BYZ, g, both_top, 0) == (Rule.WITHDRAW,)
+    assert enabled(BYZ, g, both_top, 1) == (Rule.WITHDRAW,)
     alone = Configuration((True, False), (1, 1))
-    assert BYZ.enabled_rules(g, alone, 0) == ()
+    assert enabled(BYZ, g, alone, 0) == ()
     wrong_x = Configuration((True, True), (0, 1))
-    assert BYZ.enabled_rules(g, wrong_x, 0) == (Rule.REFRESH,)
+    assert enabled(BYZ, g, wrong_x, 0) == (Rule.REFRESH,)
 
 
 def test_withdrawal_command():
@@ -85,20 +86,20 @@ def test_withdrawal_command():
 
 def test_anonymous_candidacy_guard():
     g = ring(4)
-    assert ANON.enabled_rules(g, Configuration((False,) * 4), 0) == (Rule.CANDIDACY,)
+    assert enabled(ANON, g, Configuration((False,) * 4), 0) == (Rule.CANDIDACY,)
     with_top_neighbor = Configuration((False, True, False, False))
-    assert ANON.enabled_rules(g, with_top_neighbor, 0) == ()
+    assert enabled(ANON, g, with_top_neighbor, 0) == ()
     already_top = Configuration((True, False, False, False))
-    assert ANON.enabled_rules(g, already_top, 0) == ()
+    assert enabled(ANON, g, already_top, 0) == ()
 
 
 def test_anonymous_withdrawal_guard():
     g = ring(4)
     all_top = Configuration((True,) * 4)
     for u in range(4):
-        assert ANON.enabled_rules(g, all_top, u) == (Rule.TRY_WITHDRAW,)
+        assert enabled(ANON, g, all_top, u) == (Rule.TRY_WITHDRAW,)
     alone = Configuration((True, False, True, False))
-    assert ANON.enabled_rules(g, alone, 0) == ()
+    assert enabled(ANON, g, alone, 0) == ()
 
 
 def test_anonymous_commands():
@@ -120,8 +121,8 @@ def test_rule_exclusivity(seed, data):
     byz_cfg = Configuration(s, x)
     anon_cfg = Configuration(s)
     for u in range(7):
-        assert len(BYZ.enabled_rules(g, byz_cfg, u)) <= 1
-        assert len(ANON.enabled_rules(g, anon_cfg, u)) <= 1
+        assert len(enabled(BYZ, g, byz_cfg, u)) <= 1
+        assert len(enabled(ANON, g, anon_cfg, u)) <= 1
 
 
 @given(k=st.integers(min_value=0, max_value=10**6))

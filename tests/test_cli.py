@@ -145,8 +145,8 @@ def test_invariant_violation_names_the_trial_and_exits_3(monkeypatch, capsys):
     original = AnonymousMIS.enabled_rules
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
-        lambda self, g, cfg, u: ((Rule.CANDIDACY,) if not cfg.s[u]
-                                 else original(self, g, cfg, u)))
+        lambda self, s, x, deg, up, u: ((Rule.CANDIDACY,) if not s[u]
+                                        else original(self, s, x, deg, up, u)))
     flags = ["--algorithm", "anonymous", "--graph", "ring", "--n", "12",
              "--daemon", "random_subset", "--trials", "5", "--master-seed", "7"]
     assert main(["trial", *flags]) == 3

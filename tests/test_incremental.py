@@ -8,8 +8,14 @@ configuration, and invariant checks (`_check_step_invariants`) that
 recompute the settled and safe alone sets from scratch. `run_trial` must
 agree with it exactly: moves, draws, configurations, round ends, every
 TrialRecord field and every error message.
+
+The stepper's counted state (s, x, deg and up, the number of up neighbors)
+is checked after every transition against a recount and against the
+paper's N(u)-scanning guards.
 """
 
+import os
+import tempfile
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -28,13 +34,13 @@ from mislab.analysis import (
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.engine import (
     INITIAL_PRESETS,
+    Activity,
     Configuration,
     RngStream,
     Rule,
     Trace,
     TraceStep,
     activable_map,
-    apply_transition,
     derive_seed,
     initial_configuration,
 )
@@ -50,6 +56,7 @@ from mislab.harness import (
     default_round_ceiling,
     run_trial,
 )
+from reference import apply_transition, counted_state, paper_rules
 
 
 class WholeGraphRoundTracker:
@@ -306,10 +313,10 @@ def test_guard_evaluations_per_move_do_not_grow_with_n(monkeypatch):
     calls = 0
     original = AnonymousMIS.enabled_rules
 
-    def counting(self, g, cfg, u):
+    def counting(self, s, x, deg, up, u):
         nonlocal calls
         calls += 1
-        return original(self, g, cfg, u)
+        return original(self, s, x, deg, up, u)
 
     monkeypatch.setattr(AnonymousMIS, "enabled_rules", counting)
     delta = 2
@@ -331,12 +338,14 @@ def test_safe_alone_tracker_matches_whole_graph_predicates(case):
                         want_trace=True)
     g, byz = outcome.graph, frozenset(spec.byzantine)
     cfg = outcome.trace.initial
-    tracker = SafeAloneTracker(g, cfg, safe_zone(g, byz, 1), safe_zone(g, byz, 2))
+    tracker = SafeAloneTracker(g, counted_state(g, cfg), safe_zone(g, byz, 1),
+                               safe_zone(g, byz, 2))
     expected = safe_alone_set(g, byz, cfg)
     assert tracker.alone == expected
     assert tracker.legitimate == is_legitimate(g, byz, cfg)
     for step in outcome.trace.steps:
-        lost = tracker.update(step.config, [m.node for m in step.moves])
+        lost = tracker.update(counted_state(g, step.config),
+                              [m.node for m in step.moves])
         cfg, previous = step.config, expected
         expected = safe_alone_set(g, byz, cfg)
         assert lost == sorted(previous - expected)
@@ -359,7 +368,8 @@ def test_safe_alone_tracker_follows_arbitrary_flips(data):
                                        max_size=2)))
     cfg = Configuration(tuple(data.draw(st.lists(st.booleans(), min_size=n,
                                                  max_size=n))))
-    tracker = SafeAloneTracker(g, cfg, safe_zone(g, byz, 1), safe_zone(g, byz, 2))
+    tracker = SafeAloneTracker(g, counted_state(g, cfg), safe_zone(g, byz, 1),
+                               safe_zone(g, byz, 2))
     expected = safe_alone_set(g, byz, cfg)
     assert tracker.alone == expected
     assert tracker.legitimate == is_legitimate(g, byz, cfg)
@@ -367,7 +377,7 @@ def test_safe_alone_tracker_follows_arbitrary_flips(data):
     for flips in data.draw(st.lists(flip_sets, max_size=12)):
         cfg = Configuration(tuple(
             not up if u in flips else up for u, up in enumerate(cfg.s)))
-        lost = tracker.update(cfg, flips)
+        lost = tracker.update(counted_state(g, cfg), flips)
         previous, expected = expected, safe_alone_set(g, byz, cfg)
         assert lost == sorted(previous - expected)
         assert tracker.alone == expected
@@ -379,13 +389,13 @@ def _plant_eager_candidacy(monkeypatch):
     even next to a settled node, so settled nodes can lose their status."""
     anonymous, byzantine = AnonymousMIS.enabled_rules, ByzantineMIS.enabled_rules
 
-    def anonymous_eager(self, g, cfg, u):
-        return (Rule.CANDIDACY,) if not cfg.s[u] else anonymous(self, g, cfg, u)
+    def anonymous_eager(self, s, x, deg, up, u):
+        return (Rule.CANDIDACY,) if not s[u] else anonymous(self, s, x, deg, up, u)
 
-    def byzantine_eager(self, g, cfg, u):
-        if not cfg.s[u] and cfg.x[u] == g.degree(u):
+    def byzantine_eager(self, s, x, deg, up, u):
+        if not s[u] and x[u] == deg[u]:
             return (Rule.TRY_CANDIDACY,)
-        return byzantine(self, g, cfg, u)
+        return byzantine(self, s, x, deg, up, u)
 
     monkeypatch.setattr(AnonymousMIS, "enabled_rules", anonymous_eager)
     monkeypatch.setattr(ByzantineMIS, "enabled_rules", byzantine_eager)
@@ -414,7 +424,8 @@ def test_planted_stale_degree_raises_the_reference_message(monkeypatch):
     original = ByzantineMIS.enabled_rules
     monkeypatch.setattr(
         ByzantineMIS, "enabled_rules",
-        lambda self, g, cfg, u: () if u == 5 else original(self, g, cfg, u))
+        lambda self, s, x, deg, up, u: (
+            () if u == 5 else original(self, s, x, deg, up, u)))
     spec = RunSpec(algorithm="byzantine", graph="grid", rows=4, cols=5,
                    daemon="aged_fair", init="adversarial_x", master_seed=2,
                    byzantine=(0,), hold_rounds=50)
@@ -481,3 +492,86 @@ def test_safe_zones_are_computed_once_per_spec(monkeypatch):
     for outcome in outcomes:
         assert outcome.record.set_size == len(
             safe_alone_set(outcome.graph, frozenset(spec.byzantine), outcome.final))
+
+
+def _scripted_from_synchronous(spec: RunSpec, trial: int, directory: str) -> RunSpec:
+    """spec under a scripted daemon that replays the moves a synchronous
+    daemon makes in the same trial. A synchronous selection draws nothing,
+    so the scripted trial repeats that execution."""
+    source = run_trial(replace(spec, daemon="synchronous"), trial, want_trace=True)
+    path = os.path.join(directory, "script.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        for step in source.trace.steps:
+            fh.write(",".join(f"{m.node}:{m.rule.value}" for m in step.moves) + "\n")
+    return replace(spec, daemon="scripted", script_file=path)
+
+
+def _assert_counted_state(activity, algo, g, byz) -> None:
+    cfg = activity.snapshot()
+    recount = counted_state(g, cfg)
+    assert activity.deg == recount.deg
+    assert activity.up == recount.up
+    expected = {}
+    for u in range(g.n):
+        if u in byz:
+            expected[u] = (Rule.BYZ,)
+            continue
+        rules = algo.enabled_rules(activity.s, activity.x, activity.deg,
+                                   activity.up, u)
+        assert rules == paper_rules(algo, g, cfg, u), (u, cfg)
+        if rules:
+            expected[u] = rules
+    assert activity.activable == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=trial_specs(), scripted=st.booleans())
+def test_counted_state_matches_paper_guards_after_every_transition(case, scripted):
+    """Both algorithms, every strategy, preset and daemon kind: after every
+    transition, up[u] equals a recount of u's up neighbors and the counted
+    guards equal the paper-form guards on every node."""
+    spec, trial = case
+    g, algo = build_graph(spec), get_algorithm(spec.algorithm)
+    byz = frozenset(spec.byzantine)
+    transition = Activity.transition
+    checked = 0
+
+    def checking(self, moves, rng):
+        nonlocal checked
+        if checked == 0:
+            _assert_counted_state(self, algo, g, byz)
+        result = transition(self, moves, rng)
+        _assert_counted_state(self, algo, g, byz)
+        checked += 1
+        return result
+
+    with tempfile.TemporaryDirectory() as directory, \
+            pytest.MonkeyPatch.context() as patch:
+        if scripted:
+            spec = _scripted_from_synchronous(spec, trial, directory)
+        patch.setattr(Activity, "transition", checking)
+        record = run_trial(spec, trial).record
+    assert checked == record.transitions
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("algorithm", ["anonymous", "byzantine"])
+def test_trial_builds_a_constant_number_of_configurations(monkeypatch,
+                                                          algorithm, n):
+    """Without a trace or a ledger, a trial builds its initial and final
+    configurations only, however many nodes and moves it has."""
+    built = 0
+    init = Configuration.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Configuration, "__init__", counting)
+    spec = RunSpec(algorithm=algorithm, graph="ring", n=n, daemon="singleton",
+                   init="all_top", master_seed=5)
+    record = run_trial(spec, 0).record
+    assert record.converged
+    assert sum(record.moves_by_rule.values()) >= n
+    assert built <= 2, built

@@ -162,8 +162,8 @@ def _plant_eager_candidacy(monkeypatch):
     original = AnonymousMIS.enabled_rules
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
-        lambda self, g, cfg, u: ((Rule.CANDIDACY,) if not cfg.s[u]
-                                 else original(self, g, cfg, u)))
+        lambda self, s, x, deg, up, u: ((Rule.CANDIDACY,) if not s[u]
+                                        else original(self, s, x, deg, up, u)))
 
 
 def test_invariant_violation_leaves_no_trace_file(monkeypatch, tmp_path, capsys):
