@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .engine import Activity, Configuration, FixedDraws, Move, Rule, Trace
 from .errors import ConfigError, InvariantViolation
@@ -99,14 +99,11 @@ class SafeAloneTracker:
         """is_legitimate for the configuration last seen."""
         return self.uncovered == 0
 
-    def update(self, state, moved: Sequence[int]) -> list[int]:
-        """Account the transition by `moved` that produced `state` (with
-        `.s` and `.up`, as `__init__` reads); returns the nodes that stopped
-        being alone, sorted."""
-        adjacency = self._g.adjacency
-        touched = set(moved)
-        for u in moved:
-            touched.update(adjacency[u])
+    def update(self, state, touched: Iterable[int]) -> list[int]:
+        """Account a transition that produced `state` (with `.s` and `.up`,
+        as `__init__` reads); `touched` is the closed neighborhood of its
+        movers, N[moved], as `Activity.touched` keeps it. Returns the nodes
+        that stopped being alone, sorted."""
         s, up = state.s, state.up
         lost = []
         for u in touched:
@@ -191,6 +188,10 @@ class ColorRecord:
         return len(self.members)
 
 
+# reading an Enum member off its class costs ten times a global read
+_CANDIDACY, _WITHDRAW = Rule.CANDIDACY, Rule.TRY_WITHDRAW
+
+
 class ColorLedger:
     """Instrumentation for anonymous runs.
 
@@ -201,55 +202,62 @@ class ColorLedger:
     and, at each color's death, whether some member it never
     shared with another color ended up settled.
 
-    Possible withdrawal moves are read from `activable`, the activable map of
-    the run, which the caller keeps current (an `Activity` does) and brings
-    up to date before recording each transition.
+    It reads the live stepper (`engine.Activity`): `s`, `up` and the
+    activable map. A transition writes state only at its movers, so the
+    fresh-up set is the movers now up with no "up since" stamp, stamps
+    change only at movers, and a member is settled when s[u] and up[u] = 0.
+    A transition costs O(|movers| x live colors), one pass over the
+    activable map, and the members of each color that dies.
     """
 
-    def __init__(self, g: Graph, algo, initial: Configuration,
-                 activable: dict[int, tuple[Rule, ...]]):
+    def __init__(self, g: Graph, algo, activity: Activity):
         if algo.uses_x:
             raise ConfigError("color instrumentation applies to anonymous runs only")
         self.g = g
-        self._activable = activable
+        self._activity = activity
         self.index = 0
-        self._top_since: list[int | None] = [
-            0 if up else None for up in initial.s]
-        self.fresh_sets: dict[int, frozenset[int]] = {}
+        s = activity.s
+        self._top_since = [0 if up else None for up in s]
         self.records: dict[int, ColorRecord] = {}
+        #: the records of colors that have not died, by color
+        self._live: dict[int, ColorRecord] = {}
         self.move_colors: list[tuple[int, ...]] = []
-        a0 = frozenset(u for u in range(g.n) if initial.s[u])
+        a0 = frozenset(u for u in range(g.n) if s[u])
         if a0:
-            self.fresh_sets[0] = a0
-            self.records[0] = ColorRecord(0, a0)
-        self._scan_possible_moves(initial)
+            self.records[0] = self._live[0] = ColorRecord(0, a0)
+        self._scan_possible_moves()
 
-    def record(self, cfg_before: Configuration, moves: tuple[Move, ...],
-               cfg_after: Configuration) -> None:
-        """Account one executed transition. Moves must be node-sorted."""
+    @property
+    def fresh_sets(self) -> dict[int, frozenset[int]]:
+        """Each color's members: the nodes that came up at its index."""
+        return {color: r.members for color, r in self.records.items()}
+
+    def record(self, moves: tuple[Move, ...]) -> None:
+        """Account one executed transition, read after the stepper applied
+        it. Moves must be node-sorted."""
         self.index += 1
         i = self.index
-        fresh = frozenset(
-            u for u in range(self.g.n) if not cfg_before.s[u] and cfg_after.s[u])
-        candidates = frozenset(m.node for m in moves if m.rule is Rule.CANDIDACY)
+        s, top_since = self._activity.s, self._top_since
+        fresh = frozenset(u for u, _ in moves if s[u] and top_since[u] is None)
+        candidates = frozenset(u for u, rule in moves if rule is _CANDIDACY)
         if fresh != candidates:
             raise InvariantViolation(
                 f"transition {i}: fresh-up set {sorted(fresh)} does not match "
                 f"candidacy movers {sorted(candidates)}")
         if fresh:
-            if not is_candidate_set(self.g, cfg_after, fresh):
+            if not is_candidate_set(self.g, self._activity, fresh):
                 raise InvariantViolation(
                     f"transition {i}: fresh-up set {sorted(fresh)} is not a "
                     "candidate set")
-            self.fresh_sets[i] = fresh
-            self.records[i] = ColorRecord(i, fresh)
+            self.records[i] = self._live[i] = ColorRecord(i, fresh)
 
         colors = []
+        live = self._live.values()
         for node, rule in moves:
-            if rule is Rule.CANDIDACY:
+            if rule is _CANDIDACY:
                 color = i
-            elif rule is Rule.TRY_WITHDRAW:
-                color = self._top_since[node]
+            elif rule is _WITHDRAW:
+                color = top_since[node]
                 if color is None:
                     raise InvariantViolation(
                         f"transition {i}: withdrawal on node {node} that was "
@@ -264,49 +272,47 @@ class ColorLedger:
                 raise InvariantViolation(
                     f"transition {i}: rule {rule.value} has no color")
             colors.append(color)
-            for other in self.records.values():
-                if (other.died is None and other.color != color
-                        and node in other.members):
+            for other in live:
+                if other.color != color and node in other.members:
                     other.tainted.add(node)
         self.move_colors.append(tuple(colors))
 
-        for u in range(self.g.n):
-            if cfg_after.s[u] and not cfg_before.s[u]:
-                self._top_since[u] = i
-            elif not cfg_after.s[u]:
-                self._top_since[u] = None
-        self._scan_possible_moves(cfg_after)
+        for u, _ in moves:
+            if not s[u]:
+                top_since[u] = None
+            elif top_since[u] is None:
+                top_since[u] = i
+        self._scan_possible_moves()
 
-    def _scan_possible_moves(self, cfg: Configuration) -> None:
+    def _scan_possible_moves(self) -> None:
         """Recompute which colors still have possible withdrawal moves, then
         settle the accounts of colors that just lost their last one."""
-        i = self.index
-        live: set[int] = set()
-        activable = self._activable
-        for u in sorted(activable):
-            if Rule.TRY_WITHDRAW in activable[u]:
-                color = self._top_since[u]
-                record = self.records.get(color)
-                if record is None:
-                    raise InvariantViolation(
-                        f"index {i}: possible withdrawal on node {u} has no "
-                        f"color record for {color}")
-                if record.died is not None:
-                    raise InvariantViolation(
-                        f"index {i}: color {color} died at {record.died} but "
-                        f"node {u} can still move with it")
-                live.add(color)
-        settled = None
-        for record in self.records.values():
-            if record.died is None and record.color not in live:
-                record.died = i
-                if settled is None:
-                    settled = locally_alone_set(self.g, cfg)
-                record.success = any(
-                    u in settled for u in record.members - record.tainted)
+        activable, top_since, live = (
+            self._activity.activable, self._top_since, self._live)
+        possible = {top_since[u] for u, rules in activable.items()
+                    if _WITHDRAW in rules}
+        if not possible.issubset(live):
+            # name the lowest node whose possible withdrawal has no live color
+            u = min(u for u, rules in activable.items()
+                    if _WITHDRAW in rules and top_since[u] not in live)
+            i, color = self.index, top_since[u]
+            record = self.records.get(color)
+            if record is None:
+                raise InvariantViolation(
+                    f"index {i}: possible withdrawal on node {u} has no "
+                    f"color record for {color}")
+            raise InvariantViolation(
+                f"index {i}: color {color} died at {record.died} but "
+                f"node {u} can still move with it")
+        s, up = self._activity.s, self._activity.up
+        for color in [c for c in live if c not in possible]:
+            record = live.pop(color)
+            record.died = self.index
+            record.success = any(
+                s[u] and not up[u] for u in record.members - record.tainted)
 
     def all_dead(self) -> bool:
-        return all(r.died is not None for r in self.records.values())
+        return not self._live
 
     def report_rows(self) -> list[tuple]:
         rows = []
@@ -330,12 +336,9 @@ def ledger_from_trace(g: Graph, algo, trace: Trace) -> ColorLedger:
     """Run the full instrumentation over a recorded execution by executing
     its moves and draws again."""
     activity = Activity(algo, g, trace.initial)
-    ledger = ColorLedger(g, algo, trace.initial, activity.activable)
-    before = trace.initial
+    ledger = ColorLedger(g, algo, activity)
     for step in trace.steps:
         moves, _, _ = activity.transition(
             step.moves, FixedDraws(d for d in step.draws if d is not None))
-        after = activity.snapshot()
-        ledger.record(before, moves, after)
-        before = after
+        ledger.record(moves)
     return ledger

@@ -280,6 +280,8 @@ class Activity:
         self._byz = frozenset(self._strategies)
         self.s, self.x, self.deg, self.up = _counted(g, cfg)
         self.activable = _scan(algo, self.s, self.x, self.deg, self.up, self._byz)
+        #: N[movers] of the last transition, whose guards it re-evaluated
+        self.touched: set[int] = set()
         self.tracker = RoundTracker(self.activable)
         self.ages = FairnessAges(g.n, self.activable)
 
@@ -314,7 +316,7 @@ class Activity:
 
         s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
         moved = []
-        touched = set()
+        self.touched = touched = set()
         for (node, _), (new_s, new_x) in zip(ordered, nexts):
             moved.append(node)
             touched.add(node)

@@ -370,7 +370,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     activity = Activity(algo, g, cfg, _strategy_map(spec))
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     x, deg = activity.x, activity.deg
-    ledger = ColorLedger(g, algo, cfg, activable) if spec.instrument else None
+    ledger = ColorLedger(g, algo, activity) if spec.instrument else None
     trace = Trace(initial=cfg, seed=seed) if want_trace else None
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
@@ -414,8 +414,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
 
         moves, draws, ended = activity.transition(
             daemon.select(g, activity, activable, ages, rng), rng)
-        lost = (safe.update(activity, [m.node for m in moves])
-                if safe is not None else None)
+        lost = safe.update(activity, activity.touched) if safe is not None else None
         moves_total += len(moves)
         for _, rule in moves:
             name = rule._value_  # Rule.value without the enum descriptor's cost
@@ -440,15 +439,10 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                         raise InvariantViolation(
                             f"node {u} has x={x[u]} != deg={deg[u]} "
                             "after the first round")
-        if ledger is not None or trace is not None:
-            # the ledger and the in-memory trace read whole configurations;
-            # cfg is the last one built
-            after = activity.snapshot()
-            if ledger is not None:
-                ledger.record(cfg, moves, after)
-            if trace is not None:
-                trace.record(moves, draws, after, ended)
-            cfg = after
+        if ledger is not None:
+            ledger.record(moves)
+        if trace is not None:
+            trace.record(moves, draws, activity.snapshot(), ended)
         if writer is not None:
             writer.record(moves, draws, activity, ended)
 

@@ -13,7 +13,7 @@ from mislab.analysis import (
     locally_alone_set,
     safe_alone_set,
 )
-from mislab.engine import Configuration, Rule, run_script
+from mislab.engine import Activity, Configuration, Rule, run_script
 from mislab.errors import ConfigError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
 
@@ -174,7 +174,8 @@ def test_candidate_sets_of_figure_configuration():
 def test_ledger_rejects_counter_algorithms():
     byz = get_algorithm("byzantine")
     with pytest.raises(ConfigError):
-        ColorLedger(make_graph(1, []), byz, Configuration((False,), (0,)), {})
+        g = make_graph(1, [])
+        ColorLedger(g, byz, Activity(byz, g, Configuration((False,), (0,))))
 
 
 def test_initial_up_nodes_form_color_zero():

@@ -11,9 +11,11 @@ TrialRecord field and every error message.
 
 The stepper's counted state (s, x, deg and up, the number of up neighbors)
 is checked after every transition against a recount and against the
-paper's N(u)-scanning guards.
+paper's N(u)-scanning guards, and the color ledger, which reads that state,
+against the ledger over whole before/after configurations.
 """
 
+import io
 import os
 import tempfile
 from collections import Counter
@@ -28,10 +30,13 @@ from mislab.algorithms import AnonymousMIS, ByzantineMIS, get_algorithm
 from mislab.analysis import (
     SafeAloneTracker,
     is_legitimate,
+    ledger_from_trace,
     locally_alone_set,
     safe_alone_set,
+    write_ledger_csv,
 )
 from mislab.byzantine import STRATEGY_KINDS
+from mislab.daemons import DAEMON_KINDS
 from mislab.engine import (
     INITIAL_PRESETS,
     Activity,
@@ -56,7 +61,14 @@ from mislab.harness import (
     default_round_ceiling,
     run_trial,
 )
-from reference import apply_transition, counted_state, paper_rules
+import reference
+from reference import (
+    apply_transition,
+    closed_neighbourhood,
+    counted_state,
+    paper_rules,
+    whole_configuration_ledger,
+)
 
 
 class WholeGraphRoundTracker:
@@ -227,7 +239,7 @@ def _result_or_error(fn):
 
 
 @st.composite
-def trial_specs(draw):
+def trial_specs(draw, algorithms=("anonymous", "byzantine")):
     kind = draw(st.sampled_from(["ring", "grid", "erdos_renyi", "random_tree", "star"]))
     if kind == "grid":
         params = {"rows": draw(st.integers(1, 5)), "cols": draw(st.integers(1, 5))}
@@ -239,7 +251,7 @@ def trial_specs(draw):
         params["p"] = draw(st.sampled_from([0.1, 0.3, 0.6]))
     graph_seed = draw(st.integers(0, 1000))
     n = generate_graph(kind, seed=graph_seed, **params).n
-    algorithm = draw(st.sampled_from(["anonymous", "byzantine"]))
+    algorithm = draw(st.sampled_from(algorithms))
     byzantine, strategies = (), ()
     if algorithm == "byzantine":
         byzantine = tuple(draw(st.lists(st.integers(0, n - 1), unique=True,
@@ -345,7 +357,7 @@ def test_safe_alone_tracker_matches_whole_graph_predicates(case):
     assert tracker.legitimate == is_legitimate(g, byz, cfg)
     for step in outcome.trace.steps:
         lost = tracker.update(counted_state(g, step.config),
-                              [m.node for m in step.moves])
+                              closed_neighbourhood(g, [m.node for m in step.moves]))
         cfg, previous = step.config, expected
         expected = safe_alone_set(g, byz, cfg)
         assert lost == sorted(previous - expected)
@@ -377,7 +389,7 @@ def test_safe_alone_tracker_follows_arbitrary_flips(data):
     for flips in data.draw(st.lists(flip_sets, max_size=12)):
         cfg = Configuration(tuple(
             not up if u in flips else up for u, up in enumerate(cfg.s)))
-        lost = tracker.update(counted_state(g, cfg), flips)
+        lost = tracker.update(counted_state(g, cfg), closed_neighbourhood(g, flips))
         previous, expected = expected, safe_alone_set(g, byz, cfg)
         assert lost == sorted(previous - expected)
         assert tracker.alone == expected
@@ -575,3 +587,175 @@ def test_trial_builds_a_constant_number_of_configurations(monkeypatch,
     assert record.converged
     assert sum(record.moves_by_rule.values()) >= n
     assert built <= 2, built
+
+
+def _ledger_csv(ledger) -> bytes:
+    buf = io.StringIO()
+    write_ledger_csv([ledger], buf)
+    return buf.getvalue().encode()
+
+
+def _assert_ledgers_match_reference(spec: RunSpec, trial: int) -> None:
+    """The ledger a run keeps, and the one a replay of its trace builds,
+    equal the whole-configuration ledger over that trace."""
+    outcome = run_trial(replace(spec, instrument=True), trial, want_trace=True)
+    g, algo = outcome.graph, get_algorithm(spec.algorithm)
+    expected = whole_configuration_ledger(g, algo, outcome.trace)
+    for ledger in (outcome.ledger, ledger_from_trace(g, algo, outcome.trace)):
+        assert ledger.fresh_sets == expected.fresh_sets
+        assert ledger.move_colors == expected.move_colors
+        assert list(ledger.records) == list(expected.records)
+        for color, record in expected.records.items():
+            assert asdict(ledger.records[color]) == asdict(record), color
+        assert ledger.all_dead() == expected.all_dead()
+        assert _ledger_csv(ledger) == _ledger_csv(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=trial_specs(algorithms=("anonymous",)), scripted=st.booleans())
+def test_ledger_matches_whole_configuration_reference(case, scripted):
+    spec, trial = case
+    with tempfile.TemporaryDirectory() as directory:
+        if scripted:
+            spec = _scripted_from_synchronous(spec, trial, directory)
+        _assert_ledgers_match_reference(spec, trial)
+
+
+LEDGER_GRAPHS = (
+    {"graph": "ring", "n": 24},
+    {"graph": "grid", "rows": 5, "cols": 6},
+    {"graph": "erdos_renyi", "n": 30, "p": 0.2, "graph_seed": 4},
+    {"graph": "random_tree", "n": 25, "graph_seed": 2},
+    {"graph": "star", "leaves": 12},
+)
+
+
+@pytest.mark.parametrize("daemon", DAEMON_KINDS)
+def test_ledger_matches_reference_on_every_graph_and_preset(daemon):
+    """Every daemon kind, init preset and graph kind, three trials each."""
+    with tempfile.TemporaryDirectory() as directory:
+        for params in LEDGER_GRAPHS:
+            for init in INITIAL_PRESETS:
+                spec = RunSpec(algorithm="anonymous", daemon=daemon, init=init,
+                               master_seed=9, **params)
+                for trial in range(3):
+                    run = (_scripted_from_synchronous(spec, trial, directory)
+                           if daemon == "scripted" else spec)
+                    _assert_ledgers_match_reference(run, trial)
+
+
+def _plant_candidacy_next_to_up(monkeypatch):
+    """A guard bug: candidacy is enabled on every down node, even next to an
+    up neighbor, so a fresh-up set need not be a candidate set."""
+    original = AnonymousMIS.enabled_rules
+    monkeypatch.setattr(
+        AnonymousMIS, "enabled_rules",
+        lambda self, s, x, deg, up, u: (
+            (Rule.CANDIDACY,) if not s[u] else original(self, s, x, deg, up, u)))
+
+
+def _plant_unchecked_candidacy_next_to_up(monkeypatch):
+    """The guard bug above with the candidate-set check switched off in both
+    ledgers: a node up since a color died gains an up neighbor, and so a
+    possible withdrawal with that dead color."""
+    _plant_candidacy_next_to_up(monkeypatch)
+    for module in (analysis, reference):
+        monkeypatch.setattr(module, "is_candidate_set", lambda g, cfg, nodes: True)
+
+
+def _plant_rising_withdrawal(monkeypatch):
+    """A command bug: a try-withdrawal raises s. The withdrawal is offered to
+    down nodes next to an up neighbor too, where it would bring up a node
+    that made no candidacy; the ledger rejects the offer itself, a possible
+    withdrawal on a node that has no color."""
+    guard, apply = AnonymousMIS.enabled_rules, AnonymousMIS.apply
+
+    def offering(self, s, x, deg, up, u):
+        if not s[u] and up[u]:
+            return (Rule.TRY_WITHDRAW,)
+        return guard(self, s, x, deg, up, u)
+
+    def rising(self, g, cfg, u, rule, draw):
+        if rule is Rule.TRY_WITHDRAW and not cfg.s[u]:
+            return True, None
+        return apply(self, g, cfg, u, rule, draw)
+
+    monkeypatch.setattr(AnonymousMIS, "enabled_rules", offering)
+    monkeypatch.setattr(AnonymousMIS, "apply", rising)
+
+
+def _plant_stuck_candidacy(monkeypatch):
+    """A command bug: a candidacy leaves s down, so the fresh-up set misses
+    a candidacy mover."""
+    apply = AnonymousMIS.apply
+    monkeypatch.setattr(
+        AnonymousMIS, "apply",
+        lambda self, g, cfg, u, rule, draw: (
+            (False, None) if rule is Rule.CANDIDACY
+            else apply(self, g, cfg, u, rule, draw)))
+
+
+def _violation(fn) -> str | None:
+    try:
+        fn()
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("daemon", ["synchronous", "random_subset", "singleton"])
+@pytest.mark.parametrize("plant, message", [
+    (_plant_candidacy_next_to_up, "is not a candidate set"),
+    (_plant_unchecked_candidacy_next_to_up, "can still move with it"),
+    (_plant_rising_withdrawal, "has no color record for None"),
+    (_plant_stuck_candidacy, "does not match candidacy movers"),
+])
+def test_planted_ledger_bug_raises_the_reference_message(monkeypatch, plant,
+                                                         message, daemon):
+    plant(monkeypatch)
+    spec = RunSpec(algorithm="anonymous", graph="grid", rows=6, cols=8,
+                   daemon=daemon, master_seed=3, move_ceiling=2000,
+                   check_invariants=False)
+    outcome = run_trial(spec, 0, want_trace=True)
+    g, algo = outcome.graph, get_algorithm("anonymous")
+    expected = _violation(
+        lambda: whole_configuration_ledger(g, algo, outcome.trace))
+    assert expected is not None and message in expected
+    assert _violation(lambda: ledger_from_trace(g, algo, outcome.trace)) == expected
+    assert _violation(
+        lambda: run_trial(replace(spec, instrument=True), 0)) == expected
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_instrumented_trial_scans_no_whole_configuration_per_transition(
+        monkeypatch, n):
+    """The color ledger reads the stepper's state: an instrumented trial
+    builds its initial and final configurations only, and computes the
+    settled set once, for its set_size."""
+    built = 0
+    init = Configuration.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    scans = 0
+    whole_graph = analysis.locally_alone_set
+
+    def counting_scans(*args):
+        nonlocal scans
+        scans += 1
+        return whole_graph(*args)
+
+    monkeypatch.setattr(Configuration, "__init__", counting)
+    for module in (harness, analysis):
+        monkeypatch.setattr(module, "locally_alone_set", counting_scans)
+    spec = RunSpec(algorithm="anonymous", graph="ring", n=n, daemon="singleton",
+                   master_seed=5, instrument=True)
+    outcome = run_trial(spec, 0)
+    assert outcome.record.converged
+    assert outcome.record.transitions >= n // 4
+    assert len(outcome.ledger.records) > 1 and outcome.ledger.all_dead()
+    assert built <= 2, built
+    assert scans <= 1, scans
