@@ -8,9 +8,9 @@ activable for more than F consecutive transitions without being activated.
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Sequence
 
-from .engine import Configuration, Move, Rule
+from .engine import Configuration, FairnessAges, Move, Rule
 from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
 
@@ -27,11 +27,10 @@ class Daemon:
 
     def select(self, g: Graph, cfg: Configuration,
                activable: dict[int, tuple[Rule, ...]],
-               ages: Sequence[int], rng) -> Collection[Move]:
-        """The moves of the next transition, at most one per node. `cfg` is
-        the current state (anything with `.s`). Every policy but `scripted`
-        returns a list in ascending node order; the stepper sorts by node
-        in any case."""
+               ages: FairnessAges, rng) -> list[Move]:
+        """The moves of the next transition, at most one per node, as a list
+        in ascending node order: the stepper takes it as it is and rejects
+        an unsorted one. `cfg` is the current state (anything with `.s`)."""
         raise NotImplementedError
 
 
@@ -53,10 +52,11 @@ class AgedFairDaemon(Daemon):
         self.fair_bound = fairness
 
     def select(self, g, cfg, activable, ages, rng):
-        chosen = []
-        for u in sorted(activable):
-            if ages[u] >= self.fair_bound - 1 or rng.random() < 0.5:
-                chosen.append(u)
+        # an activable u has age >= F - 1 iff since[u] <= transitions - (F - 1);
+        # an overdue node draws nothing
+        since, due = ages.since, ages.transitions - (self.fair_bound - 1)
+        chosen = [u for u in sorted(activable)
+                  if since[u] <= due or rng.random() < 0.5]
         if not chosen:
             chosen = [rng.choice(sorted(activable))]
         return _moves_for(chosen, activable)
@@ -113,7 +113,8 @@ class ConflictGreedyDaemon(Daemon):
 
 
 class ScriptedDaemon(Daemon):
-    """Replays an explicit list of move sets; fails if a move is not enabled."""
+    """Replays an explicit list of move sets; fails if a move is not enabled.
+    A move listed twice in one set counts once."""
 
     def __init__(self, script: Sequence[Sequence[tuple[int, Rule]]] | None):
         if script is None:
@@ -135,7 +136,7 @@ class ScriptedDaemon(Daemon):
             moves.add(Move(node, rule))
         if not moves:
             raise ScriptError(f"scripted transition {self._next} is empty")
-        return moves
+        return sorted(moves, key=lambda m: m.node)
 
 
 #: kind -> factory (n, fairness, density, script) of a fresh daemon

@@ -16,7 +16,6 @@ Semantics fixed here, shared by every run:
 from __future__ import annotations
 
 import enum
-import operator
 import random
 from collections import abc, deque
 from dataclasses import dataclass, field
@@ -108,8 +107,9 @@ class FixedDraws:
         return self._queue.popleft()
 
 
-#: sort key of a move: its node
-_node = operator.itemgetter(0)
+#: the faulty-node marker as a module global, read per move
+_BYZ = Rule.BYZ
+_ONLY_BYZ = (_BYZ,)
 
 
 def _counted(g: Graph, cfg: Configuration) -> tuple[
@@ -128,7 +128,7 @@ def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, tuple[Rule, ...
     out = {}
     for u in range(len(s)):
         if u in byz:
-            out[u] = (Rule.BYZ,)
+            out[u] = _ONLY_BYZ
         else:
             rules = guard(s, x, deg, up, u)
             if rules:
@@ -149,8 +149,9 @@ def activable_map(algo, g: Graph, cfg: Configuration,
 def validate_move_set(g: Graph, moves: Sequence[Move],
                       activable: dict[int, tuple[Rule, ...]],
                       byz_strategies: dict) -> None:
-    """Check the invariants of a node-sorted move set against the activable
-    map of the current configuration.
+    """Check the invariants of a move set against the activable map of the
+    current configuration. The set must list its moves in ascending node
+    order, as every daemon returns them; the stepper does not sort.
 
     Violations are engine errors: daemons must only emit valid sets.
     """
@@ -165,7 +166,7 @@ def validate_move_set(g: Graph, moves: Sequence[Move],
     for node, rule in moves:
         if not (0 <= node < g.n):
             raise EngineError(f"move on node {node} outside graph of size {g.n}")
-        if rule is Rule.BYZ:
+        if rule is _BYZ:
             if node not in byz_strategies:
                 raise EngineError(f"byz move on non-faulty node {node}")
         elif node in byz_strategies:
@@ -228,32 +229,36 @@ class FairnessAges(abc.Sequence):
     without being activated; 0 while u is not activable.
 
     Kept as "activable since" stamps: only a node that moves or newly becomes
-    activable is written, and its age is read as transitions - since[u].
+    activable is written, and an activable node's age is
+    transitions - since[u]. Hot readers use the stamps directly: an
+    activable u has age >= a iff since[u] <= transitions - a.
     """
 
     def __init__(self, n: int, activable: dict[int, tuple[Rule, ...]]):
         self.transitions = 0
-        self._since = [0] * n
+        #: since[u]: the transition after which u last moved or became
+        #: activable; meaningful only while u is activable
+        self.since = [0] * n
         self._activable = activable
 
     def __len__(self) -> int:
-        return len(self._since)
+        return len(self.since)
 
     def __getitem__(self, u: int) -> int:
-        if u not in self._activable:
-            return 0
-        return self.transitions - self._since[u]
+        since = self.since[u]  # IndexError past the end ends iteration
+        return self.transitions - since if u in self._activable else 0
 
     def advance(self, restarted: Iterable[int]) -> None:
         """Count one transition after which the `restarted` nodes (movers and
         newly activable nodes) have age 0."""
         self.transitions += 1
         for u in restarted:
-            self._since[u] = self.transitions
+            self.since[u] = self.transitions
 
     def oldest(self) -> int:
         """The largest age; only activable nodes can have a nonzero one."""
-        return max((self[u] for u in self._activable), default=0)
+        return self.transitions - min(map(self.since.__getitem__, self._activable),
+                                      default=self.transitions)
 
 
 class Activity:
@@ -261,9 +266,10 @@ class Activity:
     plain lists: `s`, `x` (None when the algorithm keeps none), `deg`, and
     `up`, where up[u] is the number of u's neighbors with s = 1. It also
     owns the activable map, the round tracker and the fairness ages.
-    Commands, strategies and daemons read the state through the stepper's
-    own `.s` and `.x`; a `Configuration` is built only on request
-    (`snapshot`). `strategies` maps each faulty node to its behavior.
+    An algorithm's `step` is handed the `s` and `x` lists; strategies and
+    daemons read the state through the stepper's own `.s` and `.x`; a
+    `Configuration` is built only on request (`snapshot`). `strategies`
+    maps each faulty node to its behavior.
 
     Every guard reads only s[u], x[u], deg[u] and up[u]. After one scan of
     every guard for the initial configuration, `transition` adjusts `up`
@@ -290,47 +296,47 @@ class Activity:
         return Configuration(tuple(self.s),
                              None if self.x is None else tuple(self.x))
 
-    def transition(self, moves: Iterable[Move], rng) -> tuple[
-            tuple[Move, ...], tuple[int | None, ...], bool]:
-        """Execute a move set on the current state and account it.
+    def transition(self, moves: Sequence[Move], rng) -> tuple[
+            Sequence[Move], tuple[int | None, ...], bool]:
+        """Execute a move set, listed in ascending node order, on the
+        current state and account it.
 
-        Returns the moves sorted by node, their draws and whether the
-        transition closed a round; the new state is the stepper's own.
+        Returns the moves, their draws and whether the transition closed a
+        round; the new state is the stepper's own. An honest move costs one
+        `step` call on the algorithm, which draws its own Bernoulli.
         """
-        g, algo, strategies = self._g, self._algo, self._strategies
-        ordered = tuple(sorted(moves, key=_node))
-        validate_move_set(g, ordered, self.activable, strategies)
+        g, step, strategies = self._g, self._algo.step, self._strategies
+        validate_move_set(g, moves, self.activable, strategies)
+        s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
         # every next state is computed against the current one before any
         # is written: simultaneous activation
         draws: list[int | None] = []
         nexts = []
-        for node, rule in ordered:
-            if rule is Rule.BYZ:
-                nexts.append(strategies[node].act(g, self, node, rng))
-                draws.append(None)
+        for node, rule in moves:
+            if rule is _BYZ:
+                new_s, new_x = strategies[node].act(g, self, node, rng)
+                draw = None
             else:
-                p = algo.rule_probability(g, self, node, rule)
-                draw = rng.bernoulli(p) if p is not None else None
-                draws.append(draw)
-                nexts.append(algo.apply(g, self, node, rule, draw))
+                new_s, new_x, draw = step(g, s, x, node, rule, rng)
+            draws.append(draw)
+            nexts.append((new_s, new_x))
 
-        s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
         moved = []
         self.touched = touched = set()
-        for (node, _), (new_s, new_x) in zip(ordered, nexts):
+        for (node, _), (new_s, new_x) in zip(moves, nexts):
             moved.append(node)
             touched.add(node)
             touched.update(adjacency[node])
             if new_s != s[node]:
                 s[node] = new_s
-                step = 1 if new_s else -1
+                delta = 1 if new_s else -1
                 for v in adjacency[node]:
-                    up[v] += step
+                    up[v] += delta
             if x is not None and new_x is not None:
                 x[node] = new_x
 
         # only N[movers] can change activability
-        guard, byz, activable = algo.enabled_rules, self._byz, self.activable
+        guard, byz, activable = self._algo.enabled_rules, self._byz, self.activable
         left, entered = [], []
         for u in touched:
             if u in byz:
@@ -344,7 +350,7 @@ class Activity:
                 left.append(u)
         self.ages.advance([*moved, *entered])
         ended = self.tracker.advance(moved, left, activable)
-        return ordered, tuple(draws), ended
+        return moves, tuple(draws), ended
 
 
 @dataclass(frozen=True)
@@ -370,7 +376,7 @@ class Trace:
     def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
                config: Configuration, round_ended: bool) -> None:
         """Append one transition and the configuration it produced."""
-        self.steps.append(TraceStep(moves, draws, config))
+        self.steps.append(TraceStep(tuple(moves), draws, config))
         if round_ended:
             self.round_ends.append(len(self.steps))
 
@@ -437,20 +443,22 @@ def run_script(algo, g: Graph, cfg: Configuration,
     trace = Trace(initial=cfg)
     activity = Activity(algo, g, cfg)
     for step in steps:
+        # the stepper takes moves, and the draw feeder draws, in ascending
+        # node order
+        ordered = sorted(step, key=lambda e: e[0])
         forced = []
-        for node, rule, d in sorted(step, key=lambda e: e[0]):
+        for node, rule, d in ordered:
             if rule not in activity.activable.get(node, ()):
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled at "
                     f"transition {len(trace.steps) + 1}")
-            if algo.rule_probability(g, activity, node, rule) is not None:
+            if rule is algo.random_rule:
                 if d not in (0, 1):
                     raise ScriptError(
                         f"move ({node},{rule.value}) needs a scripted 0/1 draw")
                 forced.append(d)
-        # draw feeder must follow the engine's ascending-node order
         moves, draws, ended = activity.transition(
-            [Move(node, rule) for node, rule, _ in step], FixedDraws(forced))
+            [Move(node, rule) for node, rule, _ in ordered], FixedDraws(forced))
         trace.record(moves, draws, activity.snapshot(), ended)
     return trace
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -12,6 +13,9 @@ from .errors import ConfigError, known_kind
 
 #: Distance value used for nodes that no source can reach.
 UNREACHABLE = math.inf
+
+#: 2**-53, the scale of `random.random()`'s 53-bit integer
+_TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
 
 @dataclass(frozen=True)
@@ -100,17 +104,34 @@ def grid(rows: int, cols: int) -> Graph:
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
-    """G(n, p): every pair drawn independently. Connectedness is not guaranteed."""
+    """G(n, p): every pair drawn independently. Connectedness is not guaranteed.
+
+    The edges are those of `random.Random(seed).random() < p` drawn for each
+    pair (i, j), i < j, in row-major order, but a row's draws are read in
+    bulk. `random()` consumes two Mersenne Twister words w0, w1 and returns
+    ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, which is at least
+    (w0 >> 24) / 256. One `getrandbits(64 * m)` call yields the same 2m words
+    for a row of m pairs; only the pairs whose w0 top byte is at most
+    int(p * 256), found by a byte-class regex, can fall below p, and only
+    those are tested exactly. One row is held at a time.
+    """
     _require_positive("n", n)
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"edge probability must be in [0,1], got {p}")
     rng = random.Random(seed)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
+    top = min(int(p * 256), 255)
+    candidates = re.compile(rb"[\x00-" + re.escape(bytes((top,))) + rb"]")
+    edges = []
+    for i in range(n - 1):
+        m = n - 1 - i
+        words = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        # byte 8k + 3 is the top byte of pair k's first word
+        for match in candidates.finditer(words[3::8]):
+            k = match.start()
+            w0 = int.from_bytes(words[8 * k:8 * k + 4], "little")
+            w1 = int.from_bytes(words[8 * k + 4:8 * k + 8], "little")
+            if ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _TWO_POW_MINUS_53 < p:
+                edges.append((i, i + 1 + k))
     return make_graph(n, edges)
 
 

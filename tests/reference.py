@@ -1,31 +1,52 @@
 """Slow references for the engine's fast paths.
 
+- `pairwise_erdos_renyi_edges`: G(n, p) with one `random()` call per
+  pair, the form the bulk generator must reproduce edge for edge.
 - `paper_rules`: the guards as the paper states them, scanning N(u) for an
   up neighbor and comparing x[u] with the degree. The engine's counted
   guards (`enabled_rules` over s, x, deg, up) must agree with them.
+- `PAPER_COMMANDS` and `paper_move`: each algorithm's commands in the
+  paper's two-call form over a whole configuration, `rule_probability` and
+  then `apply` given the draw. The engine's fused `step` (one call that
+  draws its own Bernoulli) must agree with them.
 - `apply_transition`: one transition on a whole immutable configuration,
-  validated against a full `activable_map` scan and written into a fresh
-  copy of the s (and x) vector.
+  validated against a full `activable_map` scan, computed through the
+  paper-form commands and written into a fresh copy of the s (and x) vector.
+- `fairness_ages`: plain per-node ages as the "activable since" stamps
+  that daemons read.
 - `WholeConfigurationLedger` and `whole_configuration_ledger`: the color
   ledger as it read a before/after configuration pair per transition,
   walking every node for the fresh-up set and the "up since" stamps and
-  rescanning the locally alone set whenever a color dies.
+  rescanning the locally alone set whenever a color dies; it replays a
+  trace through `apply_transition`, not through the stepper.
 """
 
+import random
 from typing import NamedTuple
 
 from mislab.analysis import ColorRecord, is_candidate_set, locally_alone_set
 from mislab.engine import (
-    Activity,
     Configuration,
+    FairnessAges,
     FixedDraws,
     Move,
     Rule,
     activable_map,
     validate_move_set,
 )
-from mislab.errors import ConfigError, InvariantViolation
+from mislab.errors import ConfigError, EngineError, InvariantViolation
 from mislab.graphs import Graph
+
+
+def pairwise_erdos_renyi_edges(n, p, seed):
+    """The edges of G(n, p), one draw per pair in row-major order."""
+    rng = random.Random(seed)
+    return frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p
+    )
 
 
 def paper_rules(algo, g, cfg, u):
@@ -73,6 +94,88 @@ def enabled(algo, g, cfg, u):
     return rules
 
 
+class PaperByzantineCommands:
+    """ByzantineMIS's probability and command, read off a configuration."""
+
+    name = "byzantine"
+
+    def rule_probability(self, g: Graph, cfg: Configuration, u: int,
+                         rule: Rule) -> float | None:
+        if rule is Rule.TRY_CANDIDACY:
+            # 1 / (1 + max x over the closed neighborhood N[u])
+            return 1.0 / (1.0 + max(cfg.x[v] for v in (u, *g.adjacency[u])))
+        return None
+
+    def apply(self, g: Graph, cfg: Configuration, u: int, rule: Rule,
+              draw: int | None) -> tuple[bool, int]:
+        if rule is Rule.REFRESH:
+            return cfg.s[u], g.degree(u)
+        if rule is Rule.TRY_CANDIDACY:
+            return (True if draw == 1 else cfg.s[u]), cfg.x[u]
+        if rule is Rule.WITHDRAW:
+            return False, cfg.x[u]
+        raise EngineError(f"rule {rule.value} does not belong to {self.name}")
+
+
+class PaperAnonymousCommands:
+    """AnonymousMIS's probability and command, read off a configuration."""
+
+    name = "anonymous"
+
+    def rule_probability(self, g: Graph, cfg: Configuration, u: int,
+                         rule: Rule) -> float | None:
+        if rule is Rule.TRY_WITHDRAW:
+            return 0.5
+        return None
+
+    def apply(self, g: Graph, cfg: Configuration, u: int, rule: Rule,
+              draw: int | None) -> tuple[bool, None]:
+        if rule is Rule.CANDIDACY:
+            return True, None
+        if rule is Rule.TRY_WITHDRAW:
+            return (False if draw == 1 else cfg.s[u]), None
+        raise EngineError(f"rule {rule.value} does not belong to {self.name}")
+
+
+#: algorithm name -> its paper-form commands
+PAPER_COMMANDS = {
+    "byzantine": PaperByzantineCommands(),
+    "anonymous": PaperAnonymousCommands(),
+}
+
+
+def paper_move(algo, g, cfg, u, rule, rng):
+    """u's move in the paper's two calls, `rule_probability` and then
+    `apply`, drawing from rng between them: (new_s, new_x, draw), as the
+    engine's `step` returns it."""
+    commands = PAPER_COMMANDS[algo.name]
+    p = commands.rule_probability(g, cfg, u, rule)
+    draw = rng.bernoulli(p) if p is not None else None
+    return (*commands.apply(g, cfg, u, rule, draw), draw)
+
+
+def move(algo, g, cfg, u, rule, draw=None):
+    """u's move by `rule` in cfg through the engine's `step`, fed `draw`
+    (if any) as its Bernoulli outcome and checked against the paper-form
+    commands: (new_s, new_x, draw)."""
+    state = counted_state(g, cfg)
+    forced = () if draw is None else (draw,)
+    got = algo.step(g, state.s, state.x, u, rule, FixedDraws(forced))
+    assert got == paper_move(algo, g, cfg, u, rule, FixedDraws(forced)), (u, cfg)
+    return got
+
+
+def fairness_ages(ages, activable):
+    """Plain per-node ages (0 off the activable map) as the stamps a
+    `FairnessAges` keeps, which read back as the same ages."""
+    stamps = FairnessAges(len(ages), activable)
+    stamps.transitions = max(ages, default=0)
+    stamps.since = [stamps.transitions - age for age in ages]
+    assert [stamps[u] for u in range(len(ages))] == [
+        ages[u] if u in activable else 0 for u in range(len(ages))]
+    return stamps
+
+
 def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
     """Execute a valid move set simultaneously and return (next config,
     draws); draws align with the node-sorted moves, None for deterministic
@@ -89,10 +192,8 @@ def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
             new_s, new_x = byz_strategies[node].act(g, cfg, node, rng)
             draws.append(None)
         else:
-            p = algo.rule_probability(g, cfg, node, rule)
-            draw = rng.bernoulli(p) if p is not None else None
+            new_s, new_x, draw = paper_move(algo, g, cfg, node, rule, rng)
             draws.append(draw)
-            new_s, new_x = algo.apply(g, cfg, node, rule, draw)
         s[node] = new_s
         if x is not None and new_x is not None:
             x[node] = new_x
@@ -110,8 +211,8 @@ class WholeConfigurationLedger:
     shared with another color ended up settled.
 
     Possible withdrawal moves are read from `activable`, the activable map of
-    the run, which the caller keeps current (an `Activity` does) and brings
-    up to date before recording each transition.
+    the run, which the caller brings up to date before recording each
+    transition (`whole_configuration_ledger` rescans every guard).
     """
 
     def __init__(self, g: Graph, algo, initial: Configuration,
@@ -227,14 +328,17 @@ class WholeConfigurationLedger:
 
 def whole_configuration_ledger(g, algo, trace):
     """Run the full instrumentation over a recorded execution by executing
-    its moves and draws again."""
-    activity = Activity(algo, g, trace.initial)
-    ledger = WholeConfigurationLedger(g, algo, trace.initial, activity.activable)
+    its moves and draws again, one whole configuration at a time, through
+    the paper-form commands."""
+    activable = activable_map(algo, g, trace.initial)
+    ledger = WholeConfigurationLedger(g, algo, trace.initial, activable)
     before = trace.initial
     for step in trace.steps:
-        moves, _, _ = activity.transition(
-            step.moves, FixedDraws(d for d in step.draws if d is not None))
-        after = activity.snapshot()
-        ledger.record(before, moves, after)
+        after, _ = apply_transition(
+            algo, g, before, step.moves,
+            FixedDraws(d for d in step.draws if d is not None))
+        activable.clear()
+        activable.update(activable_map(algo, g, after))
+        ledger.record(before, step.moves, after)
         before = after
     return ledger

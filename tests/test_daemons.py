@@ -6,14 +6,18 @@ from mislab.engine import Configuration, Move, RngStream, Rule, activable_map
 from mislab.errors import ConfigError, ScriptError
 from mislab.graphs import make_graph, ring
 from mislab.harness import RunSpec, run_trial
+from reference import fairness_ages
 
 ANON = get_algorithm("anonymous")
 EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 def select(daemon, g, cfg, ages=None, seed=0):
+    """The daemon's moves; `ages` are plain per-node ages, given to it as
+    the stamps a run keeps."""
     act = activable_map(ANON, g, cfg)
-    return daemon.select(g, cfg, act, ages or [0] * g.n, RngStream(seed))
+    return daemon.select(g, cfg, act, fairness_ages(ages or [0] * g.n, act),
+                         RngStream(seed))
 
 
 def test_synchronous_selects_every_activable_node():
@@ -46,7 +50,8 @@ def test_random_subset_validity_and_density_check():
     daemon = make_daemon("random_subset", 8, density=0.3)
     act = activable_map(ANON, g, cfg)
     for seed in range(20):
-        moves = daemon.select(g, cfg, act, [0] * 8, RngStream(seed))
+        moves = daemon.select(g, cfg, act, fairness_ages([0] * 8, act),
+                              RngStream(seed))
         assert moves
         assert all(m.node in act and m.rule in act[m.node] for m in moves)
     with pytest.raises(ConfigError):
@@ -85,7 +90,15 @@ def test_scripted_daemon_replays_moves():
     ])
     cfg = Configuration((True,) * 4)
     moves = select(daemon, EXAMPLE, cfg)
-    assert moves == {Move(0, Rule.TRY_WITHDRAW), Move(1, Rule.TRY_WITHDRAW)}
+    assert moves == [Move(0, Rule.TRY_WITHDRAW), Move(1, Rule.TRY_WITHDRAW)]
+
+
+def test_scripted_daemon_sorts_by_node_and_collapses_repeats():
+    daemon = make_daemon("scripted", 4, script=[
+        [(2, Rule.TRY_WITHDRAW), (0, Rule.TRY_WITHDRAW), (2, Rule.TRY_WITHDRAW)],
+    ])
+    moves = select(daemon, EXAMPLE, Configuration((True,) * 4))
+    assert moves == [Move(0, Rule.TRY_WITHDRAW), Move(2, Rule.TRY_WITHDRAW)]
 
 
 def test_scripted_daemon_rejects_disabled_moves():

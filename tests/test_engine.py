@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mislab.algorithms import get_algorithm
 from mislab.byzantine import make_strategy
 from mislab.engine import (
+    Activity,
     Configuration,
     FixedDraws,
     Move,
@@ -103,6 +104,16 @@ def test_move_set_validation():
         apply_transition(ANON, EXAMPLE, cfg, [Move(0, Rule.TRY_WITHDRAW)], rng)
     with pytest.raises(EngineError):
         apply_transition(ANON, EXAMPLE, cfg, [Move(0, Rule.BYZ)], rng)
+
+
+def test_unsorted_move_set_is_rejected():
+    # the stepper takes a daemon's node-ascending list as it is
+    moves = [Move(1, Rule.CANDIDACY), Move(0, Rule.CANDIDACY)]
+    activity = Activity(ANON, EXAMPLE, all_bot(4))
+    with pytest.raises(EngineError, match="^move set is not sorted by node$"):
+        activity.transition(moves, RngStream(0))
+    assert activity.snapshot() == all_bot(4)
+    assert activity.ages.transitions == 0
 
 
 def test_byz_move_requires_strategy_binding():

@@ -23,6 +23,7 @@ from mislab.graphs import (
     star,
     write_graph,
 )
+from reference import pairwise_erdos_renyi_edges
 
 
 def test_ring_four():
@@ -51,6 +52,24 @@ def test_erdos_renyi_deterministic_per_seed():
     a = erdos_renyi(12, 0.4, seed=99)
     b = erdos_renyi(12, 0.4, seed=99)
     assert a.edges == b.edges
+
+
+#: the edge probabilities whose candidate byte int(p * 256) is a regex
+#: metacharacter inside a byte class
+METACHARACTER_PS = tuple(b / 256 + 1 / 512 for b in b"-\\]^")
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.9999, 0.01, *METACHARACTER_PS])
+@pytest.mark.parametrize("n", [1, 2, 3, 41])
+def test_erdos_renyi_matches_pairwise_draws(n, p):
+    for seed in (0, 1, 99, 2**40 + 3):
+        assert erdos_renyi(n, p, seed).edges == pairwise_erdos_renyi_edges(n, p, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
+def test_erdos_renyi_matches_pairwise_draws_anywhere(n, p, seed):
+    assert erdos_renyi(n, p, seed).edges == pairwise_erdos_renyi_edges(n, p, seed)
 
 
 def test_grid_two_by_three():

@@ -63,9 +63,11 @@ from mislab.harness import (
 )
 import reference
 from reference import (
+    PaperAnonymousCommands,
     apply_transition,
     closed_neighbourhood,
     counted_state,
+    fairness_ages,
     paper_rules,
     whole_configuration_ledger,
 )
@@ -185,7 +187,8 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
                 ceiling_hit = True
             break
 
-        moves = daemon.select(g, cfg, activable, ages, rng)
+        moves = daemon.select(g, cfg, activable,
+                              fairness_ages(ages, activable), rng)
         new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
         new_activable = activable_map(algo, g, new_cfg, byz)
         sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
@@ -667,29 +670,43 @@ def _plant_rising_withdrawal(monkeypatch):
     """A command bug: a try-withdrawal raises s. The withdrawal is offered to
     down nodes next to an up neighbor too, where it would bring up a node
     that made no candidacy; the ledger rejects the offer itself, a possible
-    withdrawal on a node that has no color."""
-    guard, apply = AnonymousMIS.enabled_rules, AnonymousMIS.apply
+    withdrawal on a node that has no color. The engine's `step` and the
+    paper-form command carry the same bug."""
+    guard, step = AnonymousMIS.enabled_rules, AnonymousMIS.step
+    apply = PaperAnonymousCommands.apply
 
     def offering(self, s, x, deg, up, u):
         if not s[u] and up[u]:
             return (Rule.TRY_WITHDRAW,)
         return guard(self, s, x, deg, up, u)
 
-    def rising(self, g, cfg, u, rule, draw):
+    def rising_step(self, g, s, x, u, rule, rng):
+        if rule is Rule.TRY_WITHDRAW and not s[u]:
+            return True, None, rng.bernoulli(0.5)
+        return step(self, g, s, x, u, rule, rng)
+
+    def rising_apply(self, g, cfg, u, rule, draw):
         if rule is Rule.TRY_WITHDRAW and not cfg.s[u]:
             return True, None
         return apply(self, g, cfg, u, rule, draw)
 
     monkeypatch.setattr(AnonymousMIS, "enabled_rules", offering)
-    monkeypatch.setattr(AnonymousMIS, "apply", rising)
+    monkeypatch.setattr(AnonymousMIS, "step", rising_step)
+    monkeypatch.setattr(PaperAnonymousCommands, "apply", rising_apply)
 
 
 def _plant_stuck_candidacy(monkeypatch):
     """A command bug: a candidacy leaves s down, so the fresh-up set misses
-    a candidacy mover."""
-    apply = AnonymousMIS.apply
+    a candidacy mover; in the engine's `step` and the paper-form command
+    alike."""
+    step, apply = AnonymousMIS.step, PaperAnonymousCommands.apply
     monkeypatch.setattr(
-        AnonymousMIS, "apply",
+        AnonymousMIS, "step",
+        lambda self, g, s, x, u, rule, rng: (
+            (False, None, None) if rule is Rule.CANDIDACY
+            else step(self, g, s, x, u, rule, rng)))
+    monkeypatch.setattr(
+        PaperAnonymousCommands, "apply",
         lambda self, g, cfg, u, rule, draw: (
             (False, None) if rule is Rule.CANDIDACY
             else apply(self, g, cfg, u, rule, draw)))
