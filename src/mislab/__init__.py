@@ -48,9 +48,11 @@ from .graphs import (
     write_graph,
 )
 from .harness import (
+    Plan,
     RunSpec,
     TrialRecord,
     parse_run_spec,
+    prepare,
     reference_replay,
     run_sweep,
     run_trial,

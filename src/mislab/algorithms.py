@@ -62,6 +62,8 @@ class ByzantineMIS:
 
     name = "byzantine"
     uses_x = True
+    #: every rule of the algorithm, as a script file may name them
+    rules = (_REFRESH, _TRY_CANDIDACY, _WITHDRAW)
     #: the one rule whose command draws a Bernoulli
     random_rule = _TRY_CANDIDACY
 
@@ -89,6 +91,8 @@ class AnonymousMIS:
 
     name = "anonymous"
     uses_x = False
+    #: every rule of the algorithm, as a script file may name them
+    rules = (_CANDIDACY, _TRY_WITHDRAW)
     #: the one rule whose command draws a Bernoulli
     random_rule = _TRY_WITHDRAW
 

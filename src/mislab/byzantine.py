@@ -75,5 +75,6 @@ STRATEGY_KINDS = tuple(STRATEGIES)
 
 
 def make_strategy(kind: str, x_cap: int = DEFAULT_X_CAP) -> Strategy:
-    """Fresh per-trial strategy instance."""
+    """A strategy instance. It holds only its x cap, so the trials of a spec
+    share it."""
     return STRATEGIES[known_kind(kind, STRATEGIES, "Byzantine strategy")](x_cap)

@@ -76,7 +76,8 @@ class RandomSubsetDaemon(Daemon):
             chosen = [u for u in nodes if rng.random() < self.density]
             if chosen:
                 return _moves_for(chosen, activable)
-        raise EngineError("random subset selection failed to produce a node")
+        raise ConfigError(f"random_subset density {self.density} chose no node "
+                          "in 10000 draws; raise the density")
 
 
 class SingletonDaemon(Daemon):

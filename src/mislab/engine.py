@@ -38,13 +38,6 @@ class Rule(enum.Enum):
     BYZ = "byz"
 
 
-def rule_from_name(name: str) -> Rule:
-    try:
-        return Rule(name)
-    except ValueError:
-        raise ConfigError(f"unknown rule name {name!r}") from None
-
-
 class Move(NamedTuple):
     node: int
     rule: Rule

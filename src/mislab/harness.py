@@ -16,7 +16,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import byzantine as byz_mod
-from .algorithms import get_algorithm
+from .algorithms import AnonymousMIS, ByzantineMIS, get_algorithm
 from .analysis import (
     ColorLedger,
     SafeAloneTracker,
@@ -35,7 +35,6 @@ from .engine import (
     derive_seed,
     initial_configuration,
     is_stable,
-    rule_from_name,
     run_script,
 )
 from .errors import ConfigError, InvariantViolation, known_kind
@@ -238,6 +237,8 @@ def validate_run_spec(spec: RunSpec) -> None:
     if spec.x_cap < 0 or any(cap is not None and cap < 0
                              for _, _, cap in spec.strategies):
         raise ConfigError("x caps must be nonnegative")
+    if len(set(spec.byzantine)) != len(spec.byzantine):
+        raise ConfigError("duplicate node in byzantine")
     strategy_nodes = [node for node, _, _ in spec.strategies]
     if len(set(strategy_nodes)) != len(strategy_nodes):
         raise ConfigError("duplicate node in strategies")
@@ -268,25 +269,13 @@ def spec_hash(spec: RunSpec) -> str:
 
 
 def build_graph(spec: RunSpec) -> Graph:
-    """The spec's graph. A generated one is built once and shared by every
-    trial of the spec (graphs are immutable); a graph file is read anew."""
+    """The spec's graph: generated from its kind, seed and parameters, or
+    read from graph_file."""
     if spec.graph == "file":
         with open(spec.graph_file, encoding="utf-8") as fh:
             return read_graph(fh)
-    return _generated_graph(spec.graph, spec.graph_seed, tuple(
-        (name, getattr(spec, name)) for name in GENERATORS[spec.graph][0]))
-
-
-@functools.lru_cache(maxsize=1)
-def _generated_graph(kind: str, seed: int, params: tuple) -> Graph:
-    return generate_graph(kind, seed=seed, **dict(params))
-
-
-@functools.lru_cache(maxsize=1)
-def _safe_zones(g: Graph, byz: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """The distance-1 and distance-2 safe zones, computed once for every
-    trial of a spec."""
-    return safe_zone(g, byz, 1), safe_zone(g, byz, 2)
+    return generate_graph(spec.graph, seed=spec.graph_seed, **{
+        name: getattr(spec, name) for name in GENERATORS[spec.graph][0]})
 
 
 def default_move_ceiling(n: int) -> int:
@@ -306,26 +295,40 @@ def legitimacy_round_bound(g: Graph) -> int:
         (math.sqrt(2) / (math.sqrt(2) - 1)) * math.e * (g.max_degree + 1) * g.n)
 
 
-def _load_script(path: str) -> list[list[tuple[int, Rule]]]:
+def _load_script(path: str, n: int, algo,
+                 byzantine: frozenset[int]) -> tuple[tuple[tuple[int, Rule], ...], ...]:
+    """The move sets of a script file, one per non-blank line. Every move
+    names a node of the graph and a rule that node can have: one of algo's
+    rules for an honest node, `byz` for a faulty one."""
+    honest = {rule.value: rule for rule in algo.rules}
+    faulty = {Rule.BYZ.value: Rule.BYZ}
     script = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path} line {lineno}"
             step = []
             for token in line.split(","):
-                node_text, _, rule_text = token.strip().partition(":")
-                step.append((_number(int, f"{path} line {lineno}", node_text),
-                             rule_from_name(rule_text)))
-            script.append(step)
-    return script
+                node_text, _, name = token.strip().partition(":")
+                node = _number(int, where, node_text)
+                if not 0 <= node < n:
+                    raise ConfigError(
+                        f"{where}: node {node} outside graph of size {n}")
+                rules = faulty if node in byzantine else honest
+                if name not in rules:
+                    raise ConfigError(f"{where}: node {node} has no rule {name!r}; "
+                                      f"expected one of {tuple(rules)}")
+                step.append((node, rules[name]))
+            script.append(tuple(step))
+    return tuple(script)
 
 
-def _make_trial_daemon(spec: RunSpec, g: Graph):
-    script = _load_script(spec.script_file) if spec.script_file else None
-    return make_daemon(spec.daemon, g.n, fairness=spec.fairness,
-                       density=spec.density, script=script)
+def _check_byzantine(byzantine: tuple[int, ...], n: int) -> None:
+    for node in byzantine:
+        if not 0 <= node < n:
+            raise ConfigError(f"Byzantine node {node} outside graph of size {n}")
 
 
 def _strategy_map(spec: RunSpec) -> dict:
@@ -338,8 +341,48 @@ def _strategy_map(spec: RunSpec) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class Plan:
+    """What every trial of a spec shares, built once by `prepare`. The
+    strategies hold only their x cap, so trials share them; a daemon keeps
+    per-trial state, so each trial makes its own (from `script` if scripted).
+    """
+
+    graph: Graph
+    algorithm: ByzantineMIS | AnonymousMIS
+    strategies: dict[int, byz_mod.Strategy]
+    script: tuple[tuple[tuple[int, Rule], ...], ...] | None
+    #: the distance-1 and distance-2 safe zones; None if no trial reads them
+    zones: tuple[frozenset[int], frozenset[int]] | None
+    move_ceiling: int
+    round_ceiling: int
+
+
+def prepare(spec: RunSpec) -> Plan:
+    """Validate spec, build (or read) its graph, check the Byzantine nodes
+    and the script against that graph, and compute what its trials share.
+    Every failure is a ConfigError raised before any trial runs."""
+    validate_run_spec(spec)
+    g = build_graph(spec)
+    _check_byzantine(spec.byzantine, g.n)
+    algo = get_algorithm(spec.algorithm)
+    byz = frozenset(spec.byzantine)
+    tracked = spec.algorithm == "byzantine" or spec.check_invariants
+    return Plan(
+        graph=g,
+        algorithm=algo,
+        strategies=_strategy_map(spec),
+        script=(_load_script(spec.script_file, g.n, algo, byz)
+                if spec.script_file else None),
+        zones=(safe_zone(g, byz, 1), safe_zone(g, byz, 2)) if tracked else None,
+        move_ceiling=spec.move_ceiling or default_move_ceiling(g.n),
+        round_ceiling=spec.round_ceiling or default_round_ceiling(g),
+    )
+
+
 def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
-              trace_to: typing.IO[str] | None = None) -> TrialOutcome:
+              trace_to: typing.IO[str] | None = None,
+              plan: Plan | None = None) -> TrialOutcome:
     """Run one seeded trial to convergence or a ceiling.
 
     Anonymous runs stop at the first stable configuration; Byzantine-tolerant
@@ -349,25 +392,24 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
 
     want_trace keeps the execution in memory as the outcome's Trace;
     trace_to streams it, encoded as each transition happens, to that file.
+    plan is `prepare(spec)`, shared by the spec's trials; without it the
+    trial prepares its own.
     """
-    validate_run_spec(spec)
-    g = build_graph(spec)
-    algo = get_algorithm(spec.algorithm)
+    if plan is None:
+        plan = prepare(spec)
+    g, algo = plan.graph, plan.algorithm
     byz = frozenset(spec.byzantine)
-    for node in byz:
-        if not (0 <= node < g.n):
-            raise ConfigError(f"Byzantine node {node} outside graph of size {g.n}")
     byz_runs = spec.algorithm == "byzantine"
     seed = derive_seed(spec.master_seed, trial_index)
     rng = RngStream(seed)
-    daemon = _make_trial_daemon(spec, g)
+    daemon = make_daemon(spec.daemon, g.n, fairness=spec.fairness,
+                         density=spec.density, script=plan.script)
     cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
 
-    move_ceiling = spec.move_ceiling or default_move_ceiling(g.n)
-    round_ceiling = spec.round_ceiling or default_round_ceiling(g)
+    move_ceiling, round_ceiling = plan.move_ceiling, plan.round_ceiling
     fair_bound = daemon.fair_bound
 
-    activity = Activity(algo, g, cfg, _strategy_map(spec))
+    activity = Activity(algo, g, cfg, plan.strategies)
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     x, deg = activity.x, activity.deg
     ledger = ColorLedger(g, algo, activity) if spec.instrument else None
@@ -375,8 +417,8 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
-    safe = (SafeAloneTracker(g, activity, *_safe_zones(g, byz))
-            if byz_runs or spec.check_invariants else None)
+    safe = (SafeAloneTracker(g, activity, *plan.zones)
+            if plan.zones is not None else None)
     monotone = "safe alone set" if byz else "settled set"
 
     moves_total = 0
@@ -477,14 +519,16 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
 
 def run_trials(spec: RunSpec, want_trace: bool = False,
                trace_to: typing.IO[str] | None = None) -> list[TrialOutcome]:
-    """Run every trial of spec, streaming their traces one after another to
-    trace_to when it is given; an invariant violation is re-raised naming
-    the spec hash, trial and seed, with a command line that reruns it."""
+    """Prepare spec once and run every trial of it, streaming their traces
+    one after another to trace_to when it is given; an invariant violation
+    is re-raised naming the spec hash, trial and seed, with a command line
+    that reruns it."""
+    plan = prepare(spec)
     outcomes = []
     for t in range(spec.trials):
         try:
             outcomes.append(run_trial(spec, t, want_trace=want_trace,
-                                      trace_to=trace_to))
+                                      trace_to=trace_to, plan=plan))
         except InvariantViolation as exc:
             raise InvariantViolation(
                 f"spec {spec_hash(spec)} trial {t} seed "
@@ -568,10 +612,10 @@ class SweepRow:
 def run_sweep(spec: RunSpec) -> list[SweepRow]:
     """Per-size trial batches with aggregate statistics.
 
-    Sizes come from spec.sizes; each size rebuilds the graph with that many
-    nodes (kind-specific parameters via sized_params) and runs spec.trials
-    trials. Heavyweight per-transition checks are off here; dedicated trials
-    cover them.
+    Sizes come from spec.sizes; each size is prepared in its turn, with a
+    graph of that many nodes (kind-specific parameters via sized_params), and
+    runs spec.trials trials. Heavyweight per-transition checks are off here;
+    dedicated trials cover them.
     """
     if not spec.sizes:
         raise ConfigError("sweep requires a nonempty 'sizes' list")
@@ -580,6 +624,9 @@ def run_sweep(spec: RunSpec) -> list[SweepRow]:
     if spec.trace_out or spec.ledger_out:
         raise ConfigError("a sweep writes no trace or color ledger; "
                           "drop trace_out and ledger_out")
+    # a generator builds exactly `size` nodes, so the smallest size decides
+    # before any trial whether every Byzantine node fits
+    _check_byzantine(spec.byzantine, min(spec.sizes))
     rows = []
     for size in spec.sizes:
         sized = replace(spec, **sized_params(spec.graph, size),

@@ -125,6 +125,17 @@ def test_non_numeric_strategy_node_is_config_error(capsys):
     assert "strategies: expected an integer" in capsys.readouterr().err
 
 
+def test_a_density_that_chooses_no_node_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "trials.csv"
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "4", "--daemon", "random_subset", "--density", "1e-9",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: random_subset density 1e-09 chose no node in 10000 draws; "
+        "raise the density\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_spec_is_config_error(capsys):
     assert main(["trial"]) == 2
 

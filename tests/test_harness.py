@@ -1,11 +1,15 @@
+import builtins
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from mislab import harness
 from mislab.algorithms import get_algorithm
 from mislab.analysis import all_maximal_independent_sets, is_legitimate, safe_alone_set
 from mislab.engine import is_stable
 from mislab.errors import ConfigError
+from mislab.graphs import ring, write_graph
 from mislab.harness import (
     RunSpec,
     build_graph,
@@ -97,12 +101,24 @@ def test_validation_rules():
                                   byzantine=(0, 1),
                                   strategies=((0, "silent", None),
                                               (0, "oscillate", None))))
+    with pytest.raises(ConfigError, match="^duplicate node in byzantine$"):
+        validate_run_spec(RunSpec(algorithm="byzantine", graph="ring", n=8,
+                                  byzantine=(1, 1)))
 
 
 def test_byzantine_node_must_exist_in_graph():
     spec = RunSpec(algorithm="byzantine", graph="ring", n=4, byzantine=(9,))
     with pytest.raises(ConfigError):
         run_trial(spec, 0)
+
+
+def test_byzantine_nodes_must_fit_every_sweep_size(monkeypatch):
+    monkeypatch.setattr(harness, "prepare", lambda spec: pytest.fail("prepared"))
+    spec = RunSpec(algorithm="byzantine", graph="ring", daemon="aged_fair",
+                   sizes=(3000, 4), trials=3, byzantine=(10,))
+    with pytest.raises(ConfigError,
+                       match="^Byzantine node 10 outside graph of size 4$"):
+        run_sweep(spec)
 
 
 def test_spec_hash_tracks_semantics_not_outputs():
@@ -250,6 +266,55 @@ def test_scripted_daemon_via_spec_file(tmp_path):
     record = run_trial(spec, 0).record
     assert record.moves == 4
     assert record.ceiling_hit  # all-up ring is not stable; script ends there
+
+
+def test_per_spec_work_is_done_once(tmp_path, monkeypatch):
+    """Validation, the graph, the script and the two safe zones belong to
+    the spec: one run_trials prepares them once for all its trials, and a
+    sweep once per size."""
+    calls = Counter()
+    per_spec = ("validate_run_spec", "build_graph", "_load_script", "safe_zone")
+    for name in per_spec:
+        def counting(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counting)
+    script = tmp_path / "steps.txt"
+    script.write_text("0:candidacy,2:candidacy\n", encoding="utf-8")
+    for spec in (
+            RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
+                    daemon="aged_fair", byzantine=(0, 20), master_seed=5,
+                    trials=12),
+            RunSpec(algorithm="anonymous", graph="ring", n=4, init="all_bot",
+                    daemon="scripted", script_file=str(script), trials=3)):
+        calls.clear()
+        assert len(run_trials(spec)) == spec.trials
+        assert max(calls[name] for name in per_spec[:3]) <= 1, calls
+        assert calls["safe_zone"] <= 2, calls
+    calls.clear()
+    rows = run_sweep(RunSpec(algorithm="byzantine", graph="ring", sizes=(6, 9, 12),
+                             byzantine=(0,), trials=4))
+    assert [row.trials for row in rows] == [4, 4, 4]
+    assert calls["validate_run_spec"] <= 3 and calls["build_graph"] <= 3, calls
+    assert calls["safe_zone"] <= 6, calls
+
+
+def test_a_graph_file_is_read_once_per_spec(tmp_path, monkeypatch):
+    path = tmp_path / "g.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_graph(ring(8), fh)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    outcomes = run_trials(RunSpec(algorithm="anonymous", graph="file",
+                                  graph_file=str(path), trials=4))
+    monkeypatch.undo()
+    assert len(outcomes) == 4
+    assert opened.count(str(path)) == 1
 
 
 def test_reference_replay_is_clean():

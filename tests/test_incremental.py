@@ -36,7 +36,7 @@ from mislab.analysis import (
     write_ledger_csv,
 )
 from mislab.byzantine import STRATEGY_KINDS
-from mislab.daemons import DAEMON_KINDS
+from mislab.daemons import DAEMON_KINDS, make_daemon
 from mislab.engine import (
     INITIAL_PRESETS,
     Activity,
@@ -54,11 +54,11 @@ from mislab.graphs import generate_graph, safe_zone
 from mislab.harness import (
     RunSpec,
     TrialRecord,
-    _make_trial_daemon,
     _strategy_map,
     build_graph,
     default_move_ceiling,
     default_round_ceiling,
+    prepare,
     run_trial,
 )
 import reference
@@ -145,7 +145,8 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
     strategies = _strategy_map(spec)
     seed = derive_seed(spec.master_seed, trial_index)
     rng = RngStream(seed)
-    daemon = _make_trial_daemon(spec, g)
+    daemon = make_daemon(spec.daemon, g.n, fairness=spec.fairness,
+                         density=spec.density, script=prepare(spec).script)
     cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
     zone1 = safe_zone(g, byz, 1) if byz_runs else None
     zone2 = safe_zone(g, byz, 2) if byz_runs else None
@@ -492,7 +493,6 @@ def test_safe_zones_are_computed_once_per_spec(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    harness._safe_zones.cache_clear()
     monkeypatch.setattr(harness, "safe_zone",
                         counting("safe_zone", harness.safe_zone))
     monkeypatch.setattr(analysis, "locally_alone_set",

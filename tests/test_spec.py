@@ -99,6 +99,21 @@ def test_every_field_is_a_cli_flag(command):
 
 BASE = ["--algorithm", "anonymous", "--graph", "ring", "--n", "6"]
 
+#: script files that the bad-spec cases name as "{scripts}/<name>"
+SCRIPTS = {
+    "far_node.txt": "0:candidacy\n99:candidacy\n",
+    "foreign_rule.txt": "0:refresh\n",
+}
+
+
+@pytest.fixture
+def scripts(tmp_path_factory):
+    """A directory, apart from the run's own, holding the SCRIPTS files."""
+    directory = tmp_path_factory.mktemp("scripts")
+    for name, text in SCRIPTS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory
+
 
 @pytest.mark.parametrize("command, flags", [
     ("trial", ["--algorithm", "anonymous", "--graph", "moebius", "--n", "6"]),
@@ -125,10 +140,23 @@ BASE = ["--algorithm", "anonymous", "--graph", "ring", "--n", "6"]
                "--ledger-out", "c.csv"]),
     ("sweep", ["--algorithm", "anonymous", "--graph", "erdos_renyi",
                "--sizes", "4,8"]),
+    ("trial", ["--algorithm", "byzantine", "--graph", "ring", "--n", "8",
+               "--byzantine", "1,1"]),
+    ("trial", ["--algorithm", "byzantine", "--graph", "ring", "--n", "6",
+               "--byzantine", "6", "--out", "trials.csv"]),
+    ("sweep", ["--algorithm", "byzantine", "--graph", "ring", "--sizes", "3000,4",
+               "--trials", "3", "--byzantine", "10", "--daemon", "aged_fair",
+               "--out", "sweep.csv"]),
+    ("trial", ["--algorithm", "anonymous", "--graph", "ring", "--n", "4",
+               "--daemon", "scripted", "--script-file", "{scripts}/far_node.txt",
+               "--out", "trials.csv"]),
+    ("trial", [*BASE, "--daemon", "scripted",
+               "--script-file", "{scripts}/foreign_rule.txt"]),
 ])
-def test_bad_specs_exit_2_before_any_trial(command, flags, tmp_path, monkeypatch,
-                                           capsys):
+def test_bad_specs_exit_2_before_any_trial(command, flags, scripts, tmp_path,
+                                           monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    flags = [flag.format(scripts=scripts) for flag in flags]
     trials = []
     monkeypatch.setattr(harness, "run_trial",
                         lambda *args, **kwargs: trials.append(args))
@@ -170,6 +198,37 @@ def test_bad_script_node_names_the_file_line(script, where, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} {where}: expected an integer, got ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, script, message", [
+    (["--algorithm", "anonymous"], "0:candidacy\n99:candidacy\n",
+     "line 2: node 99 outside graph of size 4"),
+    (["--algorithm", "anonymous"], "0:refresh\n",
+     "line 1: node 0 has no rule 'refresh'; "
+     "expected one of ('candidacy', 'withdrawal?')"),
+    (["--algorithm", "byzantine", "--byzantine", "0"], "0:byz\n\n1:byz\n",
+     "line 3: node 1 has no rule 'byz'; "
+     "expected one of ('refresh', 'candidacy?', 'withdrawal')"),
+    (["--algorithm", "byzantine", "--byzantine", "0"], "0:refresh\n",
+     "line 1: node 0 has no rule 'refresh'; expected one of ('byz',)"),
+    (["--algorithm", "byzantine"], "2:jump\n",
+     "line 1: node 2 has no rule 'jump'; "
+     "expected one of ('refresh', 'candidacy?', 'withdrawal')"),
+], ids=["far_node", "foreign_rule", "byz_on_honest_node", "rule_on_faulty_node",
+        "unknown_rule"])
+def test_script_moves_are_checked_against_graph_and_rules(
+        flags, script, message, tmp_path, monkeypatch, capsys):
+    """A move no node could ever make is refused with the file and line
+    named, before the first trial, not when the daemon reaches it."""
+    path = tmp_path / "steps.txt"
+    path.write_text(script, encoding="utf-8")
+    trials = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: trials.append(args))
+    assert main(["trial", *flags, "--graph", "ring", "--n", "4",
+                 "--daemon", "scripted", "--script-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} {message}\n"
+    assert trials == []
 
 
 def test_ledger_rows_of_every_trial_are_written_alike(tmp_path, capsys):
