@@ -315,12 +315,8 @@ class ColorLedger:
         return not self._live
 
     def report_rows(self) -> list[tuple]:
-        rows = []
-        for color in sorted(self.records):
-            r = self.records[color]
-            rows.append((color, r.size, color, r.died, r.withdrawal_moves,
-                         r.success))
-        return rows
+        return [(color, r.size, color, r.died, r.withdrawal_moves, r.success)
+                for color, r in sorted(self.records.items())]
 
 
 def write_ledger_csv(ledgers: Iterable[ColorLedger], fh: IO[str]) -> None:
@@ -338,7 +334,7 @@ def ledger_from_trace(g: Graph, algo, trace: Trace) -> ColorLedger:
     activity = Activity(algo, g, trace.initial)
     ledger = ColorLedger(g, algo, activity)
     for step in trace.steps:
-        moves, _, _ = activity.transition(
+        activity.transition(
             step.moves, FixedDraws(d for d in step.draws if d is not None))
-        ledger.record(moves)
+        ledger.record(step.moves)
     return ledger

@@ -2,7 +2,8 @@
 
 Subcommands: trial, sweep, replay, oracle. Every run-spec key is mirrored by
 a flag; flags override values read from a spec file. Relative output paths
-resolve against $MISLAB_OUT when it is set.
+resolve against $MISLAB_OUT when it is set. stdout carries data only; status
+lines, "wrote <path>" among them, go to stderr.
 
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
 (reported with the spec hash, trial and seed, and a command that reruns it).
@@ -73,7 +74,7 @@ def _output(path: str | None):
             with contextlib.suppress(OSError):  # not empty: another output
                 d.rmdir()
         raise
-    print(f"wrote {target}")
+    print(f"wrote {target}", file=sys.stderr)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -94,7 +95,8 @@ def cmd_trial(args: argparse.Namespace) -> int:
         with _output(spec.ledger_out) as fh:
             write_ledger_csv((outcome.ledger for outcome in outcomes), fh)
     converged = sum(1 for r in records if r.converged)
-    print(f"spec {spec_hash(spec)}: {converged}/{len(records)} trials converged")
+    print(f"spec {spec_hash(spec)}: {converged}/{len(records)} trials converged",
+          file=sys.stderr)
     return 0
 
 
@@ -105,7 +107,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         print(f"n={row.size}: mean moves {row.moves.mean:.1f} "
               f"(bound {row.moves_bound}), mean rounds {row.rounds.mean:.1f}, "
-              f"{row.converged}/{row.trials} converged")
+              f"{row.converged}/{row.trials} converged", file=sys.stderr)
     return 0
 
 

@@ -55,10 +55,10 @@ class AgedFairDaemon(Daemon):
         # an activable u has age >= F - 1 iff since[u] <= transitions - (F - 1);
         # an overdue node draws nothing
         since, due = ages.since, ages.transitions - (self.fair_bound - 1)
-        chosen = [u for u in sorted(activable)
-                  if since[u] <= due or rng.random() < 0.5]
+        nodes = sorted(activable)
+        chosen = [u for u in nodes if since[u] <= due or rng.random() < 0.5]
         if not chosen:
-            chosen = [rng.choice(sorted(activable))]
+            chosen = [rng.choice(nodes)]
         return _moves_for(chosen, activable)
 
 
@@ -100,17 +100,14 @@ class ConflictGreedyDaemon(Daemon):
     collisions and simultaneous withdrawals, then pads randomly."""
 
     def select(self, g, cfg, activable, ages, rng):
-        s = cfg.s
-        core = [u for u in sorted(activable)
-                if any(v in activable and s[v] == s[u] for v in g.adjacency[u])]
-        in_core = set(core)
-        chosen = list(core)
-        for u in sorted(activable):
-            if u not in in_core and rng.random() < 0.5:
-                chosen.append(u)
+        # a core node draws nothing, the others draw in ascending order
+        s, adjacency, nodes = cfg.s, g.adjacency, sorted(activable)
+        chosen = [u for u in nodes
+                  if any(v in activable and s[v] == s[u] for v in adjacency[u])
+                  or rng.random() < 0.5]
         if not chosen:
-            chosen = [rng.choice(sorted(activable))]
-        return _moves_for(sorted(chosen), activable)
+            chosen = [rng.choice(nodes)]
+        return _moves_for(chosen, activable)
 
 
 class ScriptedDaemon(Daemon):

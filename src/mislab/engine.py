@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import abc, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, EngineError, ScriptError, known_kind
+from .errors import EngineError, ScriptError, known_kind
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -62,30 +62,14 @@ def derive_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-class RngStream:
-    """Seeded random stream; identical seed means identical draw sequence."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.position = 0
-        self._rng = random.Random(seed)
+class RngStream(random.Random):
+    """Seeded random stream; identical seed means identical draw sequence.
+    It must not define `random` or `getrandbits`: `random.Random` would then
+    switch `randint` and `choice` to another `_randbelow`, changing draws."""
 
     def bernoulli(self, p: float) -> int:
         """1 with probability p, else 0."""
-        self.position += 1
-        return 1 if self._rng.random() < p else 0
-
-    def random(self) -> float:
-        self.position += 1
-        return self._rng.random()
-
-    def randint(self, lo: int, hi: int) -> int:
-        self.position += 1
-        return self._rng.randint(lo, hi)
-
-    def choice(self, seq: Sequence):
-        self.position += 1
-        return seq[self._rng.randrange(len(seq))]
+        return 1 if self.random() < p else 0
 
 
 class FixedDraws:
@@ -168,12 +152,8 @@ def validate_move_set(g: Graph, moves: Sequence[Move],
             raise EngineError(f"rule {rule.value} not enabled on node {node}")
 
 
-def is_stable(algo, g: Graph, cfg: Configuration,
-              byz: frozenset[int] = frozenset()) -> bool:
-    """True iff no node is activable. Meaningless with faulty nodes present."""
-    if byz:
-        raise ConfigError("stability is undefined while Byzantine nodes exist: "
-                          "they are always activable")
+def is_stable(algo, g: Graph, cfg: Configuration) -> bool:
+    """True iff no node is activable, every node counted as honest."""
     return not activable_map(algo, g, cfg)
 
 
@@ -217,14 +197,14 @@ class RoundTracker:
         return self.rounds_completed + (1 if self.transitions_in_round else 0)
 
 
-class FairnessAges(abc.Sequence):
-    """ages[u]: consecutive transitions, up to now, that u has spent activable
-    without being activated; 0 while u is not activable.
+class FairnessAges:
+    """The age of u: consecutive transitions, up to now, that u has spent
+    activable without being activated; 0 while u is not activable.
 
-    Kept as "activable since" stamps: only a node that moves or newly becomes
-    activable is written, and an activable node's age is
-    transitions - since[u]. Hot readers use the stamps directly: an
-    activable u has age >= a iff since[u] <= transitions - a.
+    Kept as "activable since" stamps only: a node that moves or newly
+    becomes activable is written, and an activable node's age is
+    transitions - since[u]. Readers use the stamps directly: an activable
+    u has age >= a iff since[u] <= transitions - a.
     """
 
     def __init__(self, n: int, activable: dict[int, tuple[Rule, ...]]):
@@ -233,13 +213,6 @@ class FairnessAges(abc.Sequence):
         #: activable; meaningful only while u is activable
         self.since = [0] * n
         self._activable = activable
-
-    def __len__(self) -> int:
-        return len(self.since)
-
-    def __getitem__(self, u: int) -> int:
-        since = self.since[u]  # IndexError past the end ends iteration
-        return self.transitions - since if u in self._activable else 0
 
     def advance(self, restarted: Iterable[int]) -> None:
         """Count one transition after which the `restarted` nodes (movers and
@@ -290,13 +263,13 @@ class Activity:
                              None if self.x is None else tuple(self.x))
 
     def transition(self, moves: Sequence[Move], rng) -> tuple[
-            Sequence[Move], tuple[int | None, ...], bool]:
+            tuple[int | None, ...], bool]:
         """Execute a move set, listed in ascending node order, on the
         current state and account it.
 
-        Returns the moves, their draws and whether the transition closed a
-        round; the new state is the stepper's own. An honest move costs one
-        `step` call on the algorithm, which draws its own Bernoulli.
+        Returns the moves' draws and whether the transition closed a round;
+        the new state is the stepper's own. An honest move costs one `step`
+        call on the algorithm, which draws its own Bernoulli.
         """
         g, step, strategies = self._g, self._algo.step, self._strategies
         validate_move_set(g, moves, self.activable, strategies)
@@ -343,7 +316,7 @@ class Activity:
                 left.append(u)
         self.ages.advance([*moved, *entered])
         ended = self.tracker.advance(moved, left, activable)
-        return moves, tuple(draws), ended
+        return tuple(draws), ended
 
 
 @dataclass(frozen=True)
@@ -360,7 +333,6 @@ class Trace:
     initial: Configuration
     steps: list[TraceStep] = field(default_factory=list)
     round_ends: list[int] = field(default_factory=list)
-    seed: int | None = None
 
     @property
     def final(self) -> Configuration:
@@ -401,7 +373,7 @@ class TraceWriter:
         fh.write(f"0 - {self._fields()}\n")
 
     def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
-               state, round_ended: bool) -> None:
+               state) -> None:
         self._index += 1
         s, x, s_text, x_text = state.s, state.x, self._s, self._x
         one, zero = _ONE, _ZERO
@@ -423,7 +395,7 @@ def dump_trace(trace: Trace, fh: IO[str]) -> None:
     """Encode an in-memory trace with `TraceWriter`."""
     writer = TraceWriter(fh, trace.initial)
     for step in trace.steps:
-        writer.record(step.moves, step.draws, step.config, False)
+        writer.record(step.moves, step.draws, step.config)
 
 
 def run_script(algo, g: Graph, cfg: Configuration,
@@ -450,8 +422,8 @@ def run_script(algo, g: Graph, cfg: Configuration,
                     raise ScriptError(
                         f"move ({node},{rule.value}) needs a scripted 0/1 draw")
                 forced.append(d)
-        moves, draws, ended = activity.transition(
-            [Move(node, rule) for node, rule, _ in ordered], FixedDraws(forced))
+        moves = [Move(node, rule) for node, rule, _ in ordered]
+        draws, ended = activity.transition(moves, FixedDraws(forced))
         trace.record(moves, draws, activity.snapshot(), ended)
     return trace
 

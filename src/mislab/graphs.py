@@ -230,6 +230,8 @@ def read_graph(fh: IO[str]) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ConfigError(f"bad graph header: {exc}") from exc
+    if m < 0:
+        raise ConfigError(f"line 1: edge count must be nonnegative, got {m}")
     edges = []
     for lineno in range(2, m + 2):
         parts = fh.readline().split()
@@ -242,4 +244,7 @@ def read_graph(fh: IO[str]) -> Graph:
             raise ConfigError(
                 f"line {lineno}: edge endpoints must be integers, "
                 f"got {' '.join(parts)!r}") from None
+    for lineno, line in enumerate(fh, start=m + 2):
+        if line.strip():
+            raise ConfigError(f"line {lineno}: the header declares only {m} edges")
     return make_graph(n, edges)

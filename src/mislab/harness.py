@@ -413,7 +413,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     x, deg = activity.x, activity.deg
     ledger = ColorLedger(g, algo, activity) if spec.instrument else None
-    trace = Trace(initial=cfg, seed=seed) if want_trace else None
+    trace = Trace(initial=cfg) if want_trace else None
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
@@ -454,8 +454,8 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                 ceiling_hit = True
             break
 
-        moves, draws, ended = activity.transition(
-            daemon.select(g, activity, activable, ages, rng), rng)
+        moves = daemon.select(g, activity, activable, ages, rng)
+        draws, ended = activity.transition(moves, rng)
         lost = safe.update(activity, activity.touched) if safe is not None else None
         moves_total += len(moves)
         for _, rule in moves:
@@ -486,7 +486,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
         if trace is not None:
             trace.record(moves, draws, activity.snapshot(), ended)
         if writer is not None:
-            writer.record(moves, draws, activity, ended)
+            writer.record(moves, draws, activity)
 
     cfg = activity.snapshot()
 
@@ -517,7 +517,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                         ledger=ledger)
 
 
-def run_trials(spec: RunSpec, want_trace: bool = False,
+def run_trials(spec: RunSpec,
                trace_to: typing.IO[str] | None = None) -> list[TrialOutcome]:
     """Prepare spec once and run every trial of it, streaming their traces
     one after another to trace_to when it is given; an invariant violation
@@ -527,8 +527,7 @@ def run_trials(spec: RunSpec, want_trace: bool = False,
     outcomes = []
     for t in range(spec.trials):
         try:
-            outcomes.append(run_trial(spec, t, want_trace=want_trace,
-                                      trace_to=trace_to, plan=plan))
+            outcomes.append(run_trial(spec, t, trace_to=trace_to, plan=plan))
         except InvariantViolation as exc:
             raise InvariantViolation(
                 f"spec {spec_hash(spec)} trial {t} seed "
@@ -584,11 +583,9 @@ class Aggregate:
 
 
 def aggregate(values: list[int]) -> Aggregate:
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
     return Aggregate(
-        mean=mean,
-        std=std,
+        mean=statistics.fmean(values),
+        std=statistics.stdev(values) if len(values) > 1 else 0.0,
         minimum=min(values),
         maximum=max(values),
         p50=_percentile(values, 0.50),

@@ -171,7 +171,8 @@ def fairness_ages(ages, activable):
     stamps = FairnessAges(len(ages), activable)
     stamps.transitions = max(ages, default=0)
     stamps.since = [stamps.transitions - age for age in ages]
-    assert [stamps[u] for u in range(len(ages))] == [
+    assert [stamps.transitions - since if u in activable else 0
+            for u, since in enumerate(stamps.since)] == [
         ages[u] if u in activable else 0 for u in range(len(ages))]
     return stamps
 

@@ -40,6 +40,7 @@ from mislab.harness import (
     RunSpec,
     build_graph,
     legitimacy_round_bound,
+    prepare,
     reference_replay,
     run_trial,
     run_trials,
@@ -144,8 +145,8 @@ def test_c3_stability_characterization():
                 assert stable == maximal, (g, cfg.s)
 
 
-def _trace_transitions_anonymous(spec, trial):
-    outcome = run_trial(spec, trial, want_trace=True)
+def _trace_transitions_anonymous(spec, trial, plan):
+    outcome = run_trial(spec, trial, want_trace=True, plan=plan)
     trace = outcome.trace
     g = outcome.graph
     prev = locally_alone_set(g, trace.initial)
@@ -158,8 +159,8 @@ def _trace_transitions_anonymous(spec, trial):
     return checked
 
 
-def _trace_transitions_byzantine(spec, trial, byz):
-    outcome = run_trial(spec, trial, want_trace=True)
+def _trace_transitions_byzantine(spec, trial, byz, plan):
+    outcome = run_trial(spec, trial, want_trace=True, plan=plan)
     trace = outcome.trace
     g = outcome.graph
     prev = safe_alone_set(g, byz, trace.initial)
@@ -174,32 +175,35 @@ def _trace_transitions_byzantine(spec, trial, byz):
 
 def test_c4_monotonicity_suites():
     with criterion(4, "monotone growth over >= 10^4 transitions each"):
+        # each spec is prepared once and shared by its trials
+        specs = [RunSpec(algorithm="anonymous", graph="erdos_renyi", n=48,
+                         p=0.15, graph_seed=6, init="random", daemon=daemon,
+                         master_seed=51_000, check_invariants=False)
+                 for daemon in ("singleton", "random_subset", "conflict_greedy")]
+        plans = [prepare(spec) for spec in specs]
         checked = 0
         trial = 0
         while checked < 10_000:
-            spec = RunSpec(algorithm="anonymous", graph="erdos_renyi", n=48,
-                           p=0.15, graph_seed=6, init="random",
-                           daemon=("singleton", "random_subset",
-                                   "conflict_greedy")[trial % 3],
-                           master_seed=51_000, check_invariants=False)
-            checked += _trace_transitions_anonymous(spec, trial)
+            checked += _trace_transitions_anonymous(
+                specs[trial % 3], trial, plans[trial % 3])
             trial += 1
         assert checked >= 10_000
 
         byz = frozenset({0, 24})
+        # unfair scheduling is fine: growth is a per-transition fact,
+        # so run to a move budget without requiring convergence
+        spec = RunSpec(algorithm="byzantine", graph="erdos_renyi", n=48,
+                       p=0.15, graph_seed=6, init="random",
+                       daemon="random_subset", master_seed=52_000,
+                       move_ceiling=400, check_invariants=False,
+                       byzantine=tuple(byz),
+                       strategies=((0, "oscillate", None),
+                                   (24, "uniform_random", None)))
+        plan = prepare(spec)
         checked = 0
         trial = 0
         while checked < 10_000:
-            # unfair scheduling is fine: growth is a per-transition fact,
-            # so run to a move budget without requiring convergence
-            spec = RunSpec(algorithm="byzantine", graph="erdos_renyi", n=48,
-                           p=0.15, graph_seed=6, init="random",
-                           daemon="random_subset", master_seed=52_000,
-                           move_ceiling=400, check_invariants=False,
-                           byzantine=tuple(byz),
-                           strategies=((0, "oscillate", None),
-                                       (24, "uniform_random", None)))
-            checked += _trace_transitions_byzantine(spec, trial, byz)
+            checked += _trace_transitions_byzantine(spec, trial, byz, plan)
             trial += 1
         assert checked >= 10_000
 
@@ -226,10 +230,11 @@ def test_c5_degree_stabilization_after_one_round():
                         check_invariants=False))
         verified_trials = 0
         for spec in cells:
-            g = build_graph(spec)
+            plan = prepare(spec)
+            g = plan.graph
             byz = set(spec.byzantine)
             for t in range(spec.trials):
-                outcome = run_trial(spec, t, want_trace=True)
+                outcome = run_trial(spec, t, want_trace=True, plan=plan)
                 trace = outcome.trace
                 assert trace.round_ends, "trial ended before one full round"
                 first_round_end = trace.round_ends[0]

@@ -155,10 +155,10 @@ class _Recorded:
 
 
 def _stream_state(rng):
-    """Where a draw stream stands: an RngStream's position and next value,
+    """Where a draw stream stands: an RngStream's state and next value,
     or the outcomes a FixedDraws has left."""
     if isinstance(rng, RngStream):
-        return rng.position, rng.random()
+        return rng.getstate(), rng.random()
     return list(rng._queue)
 
 

@@ -1,12 +1,18 @@
-"""The interface the benchmark's verify mode relies on.
+"""The interface the benchmark's verify and traced modes rely on.
 
 `perfbench/child.py` wraps the module-level `harness.run_trial`, reads
 `.algorithm` and `.byzantine` off its first argument, counts the trials it
 sees and checks each captured outcome; on any mismatch the benchmark marks
-every trial as failed. These tests run that wrapper and that check, so a
-change that breaks the interface fails here and not only in the benchmark.
+every trial as failed. Its traced mode patches the names `perfbench/tracer.py`
+lists, and crashes if one it evaluates directly is gone. These tests run that
+wrapper, that check and the traced mode, so a change that breaks the
+interface fails here and not only in the benchmark.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +21,17 @@ from mislab import harness
 from mislab.harness import RunSpec, run_sweep, run_trials
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
+
+#: tracer patch points no longer in mislab: the stepper and the ledger do
+#: this work under other names; any other missing name is a new break
+STALE_PATCH_POINTS = {
+    "mislab.harness.activable_map",
+    "mislab.harness.apply_transition",
+    "mislab.harness.is_legitimate",
+    "mislab.harness.safe_alone_set",
+    "ColorLedger.write_report",
+}
 
 
 @pytest.fixture
@@ -53,3 +70,20 @@ def test_verify_mode_sees_every_trial_of_a_sweep(captured):
     assert len(captured) == sum(row.trials for row in rows) == 4
     assert [spec.n for spec, _ in captured] == [8, 8, 16, 16]
     assert _all_ok(captured)
+
+
+@pytest.mark.parametrize("workload", ["ring-singleton", "grid-byzantine"])
+def test_traced_mode_finds_its_patch_points(tmp_path, workload):
+    """`child.py traced` runs the workload under the span tracer: it exits
+    0, and every name the tracer cannot patch is one already known stale."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("MISLAB_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "traced", workload, "0",
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exit_code"] == 0
+    assert set(result["trace"]["missing"]) <= STALE_PATCH_POINTS
+    assert result["trace"]["calls"]["harness.run_trial"] >= 1

@@ -28,10 +28,23 @@ def spec_file(tmp_path):
 
 
 def test_trial_to_stdout(spec_file, capsys):
+    """stdout is the CSV alone, so `mislab trial ... > r.csv` is a CSV file;
+    the status line goes to stderr."""
     assert main(["trial", str(spec_file)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("spec_hash,trial,seed,moves,rounds,")
-    assert "4/4 trials converged" in out
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("spec_hash,trial,seed,moves,rounds,")
+    assert len(lines) == 5
+    assert all(line.count(",") == lines[0].count(",") for line in lines)
+    assert "4/4 trials converged" in captured.err
+
+
+def test_sweep_to_stdout_is_csv_only(spec_file, capsys):
+    assert main(["sweep", str(spec_file), "--sizes", "4,8", "--trials", "2"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("spec_hash,n,delta,trials,") and len(lines) == 3
+    assert "n=8: mean moves" in captured.err
 
 
 def test_trial_writes_csv_and_trace(spec_file, tmp_path, capsys):
@@ -109,6 +122,18 @@ def test_non_numeric_flag_is_config_error(capsys):
     assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
                  "--n", "abc"]) == 2
     assert "n: expected an integer, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line", [("4 2\n0 1\n1 2\n2 3\n", 4),
+                                        ("3 -1\n", 1)])
+def test_graph_file_that_disagrees_with_its_header_exits_2(tmp_path, capsys,
+                                                           text, line):
+    target = tmp_path / "g.txt"
+    target.write_text(text, encoding="utf-8")
+    assert main(["oracle", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: line {line}: ")
+    assert captured.out == ""
 
 
 def test_non_numeric_graph_file_edge_is_config_error(tmp_path, capsys):

@@ -192,6 +192,16 @@ def test_read_graph_rejects_garbage():
         read_graph(io.StringIO("2 1\n0\n"))
 
 
+def test_read_graph_rejects_lines_past_the_declared_edges():
+    with pytest.raises(ConfigError, match="^line 4: "):
+        read_graph(io.StringIO("4 2\n0 1\n1 2\n2 3\n"))
+    with pytest.raises(ConfigError, match="^line 1: "):
+        read_graph(io.StringIO("3 -1\n"))
+    # trailing blank lines are not edges
+    g = read_graph(io.StringIO("3 1\n0 1\n\n  \n"))
+    assert (g.n, g.edges) == (3, frozenset({(0, 1)}))
+
+
 def test_near_square_grid():
     assert near_square_grid(16) == (4, 4)
     assert near_square_grid(32) == (4, 8)

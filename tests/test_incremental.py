@@ -154,7 +154,7 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
     round_ceiling = spec.round_ceiling or default_round_ceiling(g)
     tracker = WholeGraphRoundTracker(g.n, byz)
     ages = AgeList([0] * g.n)
-    trace = Trace(initial=cfg, seed=seed)
+    trace = Trace(initial=cfg)
 
     moves_total = transitions = 0
     moves_by_rule: dict[str, int] = {}

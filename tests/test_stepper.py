@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from mislab.algorithms import ByzantineMIS, get_algorithm
-from mislab.engine import Configuration, FairnessAges, Rule, run_script
+from mislab.engine import Configuration, Rule, run_script
 from mislab.graphs import make_graph
 from mislab.harness import RunSpec, run_trial
 
@@ -53,10 +53,8 @@ def test_script_draws_follow_their_moves_in_any_listed_order():
 
 def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
     """An aged_fair Byzantine grid trial with invariants on makes one `step`
-    call per honest move, reads no age through the `FairnessAges` view
-    (the daemon and the fairness check read the stamps), and evaluates
-    guards exactly as often as the counted engine did before `step` was
-    fused: 1599 times at this seed."""
+    call per honest move and evaluates guards exactly as often as the
+    counted engine did before `step` was fused: 1599 times at this seed."""
     calls = Counter()
 
     def counting(name, fn):
@@ -65,8 +63,7 @@ def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for cls, name in ((ByzantineMIS, "step"), (ByzantineMIS, "enabled_rules"),
-                      (FairnessAges, "__getitem__")):
+    for cls, name in ((ByzantineMIS, "step"), (ByzantineMIS, "enabled_rules")):
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     spec = RunSpec(algorithm="byzantine", graph="grid", rows=12, cols=12,
                    daemon="aged_fair", byzantine=(0, 77),
@@ -78,5 +75,4 @@ def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
                  for step in outcome.trace.steps for m in step.moves)
     assert honest == 380
     assert calls["step"] == honest
-    assert calls["__getitem__"] == 0
     assert calls["enabled_rules"] == 1599

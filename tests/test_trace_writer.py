@@ -15,7 +15,7 @@ from mislab.byzantine import STRATEGY_KINDS
 from mislab.cli import main
 from mislab.engine import INITIAL_PRESETS, Rule, TraceWriter, dump_trace
 from mislab.graphs import generate_graph
-from mislab.harness import RunSpec, parse_run_spec, run_trial, run_trials
+from mislab.harness import RunSpec, parse_run_spec, prepare, run_trial
 
 
 def reference_fields(cfg):
@@ -102,12 +102,13 @@ def test_streamed_trace_file_equals_in_memory_traces(tmp_path, capsys):
         f"{k[2:].replace('-', '_')} = {v}"
         for k, v in zip(GRID_FLAGS[::2], GRID_FLAGS[1::2])))
     buf = io.StringIO()
-    for outcome in run_trials(spec, want_trace=True):
-        dump_trace(outcome.trace, buf)
+    plan = prepare(spec)
+    for t in range(spec.trials):
+        dump_trace(run_trial(spec, t, want_trace=True, plan=plan).trace, buf)
     assert target.read_text(encoding="utf-8") == buf.getvalue()
     # only the finished files are left, and each is reported once
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "trace.txt"]
-    assert capsys.readouterr().out.count(f"wrote {target}\n") == 1
+    assert capsys.readouterr().err.count(f"wrote {target}\n") == 1
 
 
 class _LineCosts:
@@ -154,7 +155,7 @@ def test_writer_rewrites_only_movers():
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
     writer.record((engine.Move(1, Rule.REFRESH),), (None,),
-                  engine.Configuration((True, True, True), (0, 1, 2)), False)
+                  engine.Configuration((True, True, True), (0, 1, 2)))
     assert buf.getvalue().splitlines() == ["0 - 000 7,8,9", "1 1:refresh:- 010 7,1,9"]
 
 
@@ -187,7 +188,7 @@ def test_relative_trace_out_lands_under_output_dir(monkeypatch, tmp_path, capsys
                  "--n", "6", "--trials", "2", "--trace-out",
                  "deep/er/trace.txt"]) == 0
     target = base / "deep" / "er" / "trace.txt"
-    assert f"wrote {target}\n" in capsys.readouterr().out
+    assert f"wrote {target}\n" in capsys.readouterr().err
     lines = target.read_text(encoding="utf-8").splitlines()
     assert sum(line.startswith("0 - ") for line in lines) == 2
     assert os.listdir(target.parent) == ["trace.txt"]
