@@ -11,7 +11,6 @@ from .analysis import (
     is_candidate_set,
     is_independent,
     is_legitimate,
-    ledger_from_trace,
     locally_alone_set,
     safe_alone_set,
 )
@@ -26,14 +25,11 @@ from .engine import (
     RngStream,
     RoundTracker,
     Rule,
-    Trace,
     TraceWriter,
     activable_map,
     derive_seed,
-    dump_trace,
     initial_configuration,
     is_stable,
-    run_script,
 )
 from .errors import ConfigError, EngineError, InvariantViolation, ScriptError
 from .graphs import (

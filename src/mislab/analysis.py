@@ -8,7 +8,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .engine import Activity, Configuration, FixedDraws, Move, Rule, Trace
+from .engine import Activity, Configuration, Move, Rule
 from .errors import ConfigError, InvariantViolation
 from .graphs import Graph, safe_zone
 
@@ -326,15 +326,3 @@ def write_ledger_csv(ledgers: Iterable[ColorLedger], fh: IO[str]) -> None:
         ("color", "size", "born", "died", "withdrawal_moves", "success"))
     for ledger in ledgers:
         writer.writerows(ledger.report_rows())
-
-
-def ledger_from_trace(g: Graph, algo, trace: Trace) -> ColorLedger:
-    """Run the full instrumentation over a recorded execution by executing
-    its moves and draws again."""
-    activity = Activity(algo, g, trace.initial)
-    ledger = ColorLedger(g, algo, activity)
-    for step in trace.steps:
-        activity.transition(
-            step.moves, FixedDraws(d for d in step.draws if d is not None))
-        ledger.record(step.moves)
-    return ledger

@@ -21,7 +21,6 @@ from dataclasses import fields
 from pathlib import Path
 
 from .analysis import all_maximal_independent_sets, write_ledger_csv
-from .engine import dump_trace
 from .errors import ConfigError, InvariantViolation, ScriptError
 from .graphs import read_graph
 from .harness import (
@@ -114,8 +113,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     report = reference_replay()
     if args.trace_out:
-        with _output(args.trace_out) as fh:
-            dump_trace(report.trace, fh)
+        _write(args.trace_out, report.trace)
     if report.ok:
         print("replay ok: 8 transitions, stable end, settled set {1, 3}")
         return 0

@@ -1,8 +1,9 @@
 """Scheduler policies: which activable nodes fire in the next transition.
 
-The genuinely worst-case adversary is not computable, so the adversarial
-kinds here are heuristics; bounds that hold against any daemon hold against
-them in particular. Fair kinds carry a bound F: no node stays continuously
+The worst-case adversary is a Markov decision process over configurations,
+solvable exactly only for small n; the adversarial kinds here are
+heuristics, and bounds that hold against any daemon hold against them in
+particular. Fair kinds carry a bound F: no node stays continuously
 activable for more than F consecutive transitions without being activated.
 """
 
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .engine import Configuration, FairnessAges, Move, Rule
+from .algorithms import ALGORITHMS
+from .engine import Activity, FairnessAges, FixedDraws, Move, RngStream, Rule
 from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
 
@@ -21,16 +23,19 @@ def _moves_for(nodes, activable) -> list[Move]:
 
 
 class Daemon:
-    """Base policy. fair_bound is F for fair kinds, None for adversarial ones."""
+    """Base policy. fair_bound is F for fair kinds, None for adversarial ones.
+    `stream` is the type of a trial's random stream, made from its seed."""
 
     fair_bound: int | None = None
+    stream = RngStream
 
-    def select(self, g: Graph, cfg: Configuration,
+    def select(self, g: Graph, cfg: Activity,
                activable: dict[int, tuple[Rule, ...]],
                ages: FairnessAges, rng) -> list[Move]:
         """The moves of the next transition, at most one per node, as a list
         in ascending node order: the stepper takes it as it is and rejects
-        an unsorted one. `cfg` is the current state (anything with `.s`)."""
+        an unsorted one. `cfg` is the run's live stepper, `rng` the trial's
+        stream."""
         raise NotImplementedError
 
 
@@ -110,31 +115,44 @@ class ConflictGreedyDaemon(Daemon):
         return _moves_for(chosen, activable)
 
 
-class ScriptedDaemon(Daemon):
-    """Replays an explicit list of move sets; fails if a move is not enabled.
-    A move listed twice in one set counts once."""
+#: the rules whose command draws a Bernoulli, one per algorithm
+_DRAWING = frozenset(algo.random_rule for algo in ALGORITHMS.values())
 
-    def __init__(self, script: Sequence[Sequence[tuple[int, Rule]]] | None):
+
+class ScriptedDaemon(Daemon):
+    """Replays an explicit list of move sets, each a list of (node, rule,
+    draw) entries; fails if a move is not enabled. An entry listed twice in
+    one set counts once. The trial's stream is a `FixedDraws`, fed each
+    set's draws in ascending node order; a None draw comes from the stream.
+    """
+
+    stream = FixedDraws
+
+    def __init__(self, script: Sequence[Sequence[tuple[int, Rule, int | None]]] | None):
         if script is None:
             raise ConfigError("scripted daemon needs a script")
-        self._script = [list(step) for step in script]
+        self._script = []
+        for step in script:
+            entries = sorted(dict.fromkeys(step), key=lambda e: e[0])
+            self._script.append((
+                [Move(node, rule) for node, rule, _ in entries],
+                [d for _, rule, d in entries if rule in _DRAWING]))
         self._next = 0
 
     def select(self, g, cfg, activable, ages, rng):
         if self._next >= len(self._script):
             raise ScriptError("scripted daemon ran out of transitions")
-        step = self._script[self._next]
+        moves, draws = self._script[self._next]
         self._next += 1
-        moves = set()
-        for node, rule in step:
-            if node not in activable or rule not in activable[node]:
+        for node, rule in moves:
+            if rule not in activable.get(node, ()):
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled "
                     f"at transition {self._next}")
-            moves.add(Move(node, rule))
         if not moves:
             raise ScriptError(f"scripted transition {self._next} is empty")
-        return sorted(moves, key=lambda m: m.node)
+        rng.forced.extend(draws)
+        return moves
 
 
 #: kind -> factory (n, fairness, density, script) of a fresh daemon

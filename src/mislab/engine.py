@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
@@ -72,16 +72,20 @@ class RngStream(random.Random):
         return 1 if self.random() < p else 0
 
 
-class FixedDraws:
-    """Stands in for RngStream when a script dictates every random outcome."""
+class FixedDraws(RngStream):
+    """The stream of a scripted trial: `forced` queues the outcomes of its
+    next Bernoulli draws, in the order they are made. A queued None, like
+    every draw other than a Bernoulli, comes from the stream itself."""
 
-    def __init__(self, outcomes: Iterable[int]):
-        self._queue = deque(outcomes)
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        self.forced: deque[int | None] = deque()
 
     def bernoulli(self, p: float) -> int:
-        if not self._queue:
+        if not self.forced:
             raise ScriptError("scripted draw sequence exhausted")
-        return self._queue.popleft()
+        draw = self.forced.popleft()
+        return super().bernoulli(p) if draw is None else draw
 
 
 #: the faulty-node marker as a module global, read per move
@@ -319,36 +323,6 @@ class Activity:
         return tuple(draws), ended
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    moves: tuple[Move, ...]
-    draws: tuple[int | None, ...]
-    config: Configuration
-
-
-@dataclass
-class Trace:
-    """Full record of one execution, sufficient to replay it exactly."""
-
-    initial: Configuration
-    steps: list[TraceStep] = field(default_factory=list)
-    round_ends: list[int] = field(default_factory=list)
-
-    @property
-    def final(self) -> Configuration:
-        return self.steps[-1].config if self.steps else self.initial
-
-    def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
-               config: Configuration, round_ended: bool) -> None:
-        """Append one transition and the configuration it produced."""
-        self.steps.append(TraceStep(tuple(moves), draws, config))
-        if round_ended:
-            self.round_ends.append(len(self.steps))
-
-    def total_moves(self) -> int:
-        return sum(len(step.moves) for step in self.steps)
-
-
 _ONE, _ZERO = b"10"
 
 
@@ -361,8 +335,7 @@ class TraceWriter:
     A transition writes state only at its movers, so the encoded s and x are
     kept between lines and only the movers' entries are re-encoded: a line
     costs O(|movers|) plus one join of the kept text. `record` reads those
-    entries from `state`, anything with `.s` and `.x`: a run's live
-    `Activity`, or a `Configuration`.
+    entries from `state`, the run's live `Activity` (its `.s` and `.x`).
     """
 
     def __init__(self, fh: IO[str], initial: Configuration):
@@ -389,43 +362,6 @@ class TraceWriter:
     def _fields(self) -> str:
         s_text = self._s.decode("ascii")
         return s_text if self._x is None else f"{s_text} {','.join(self._x)}"
-
-
-def dump_trace(trace: Trace, fh: IO[str]) -> None:
-    """Encode an in-memory trace with `TraceWriter`."""
-    writer = TraceWriter(fh, trace.initial)
-    for step in trace.steps:
-        writer.record(step.moves, step.draws, step.config)
-
-
-def run_script(algo, g: Graph, cfg: Configuration,
-               steps: Sequence[Sequence[tuple[int, Rule, int | None]]]) -> Trace:
-    """Replay an explicit schedule with forced draws.
-
-    Each step lists (node, rule, draw) with draw None for deterministic rules.
-    A move that is not enabled fails the script.
-    """
-    trace = Trace(initial=cfg)
-    activity = Activity(algo, g, cfg)
-    for step in steps:
-        # the stepper takes moves, and the draw feeder draws, in ascending
-        # node order
-        ordered = sorted(step, key=lambda e: e[0])
-        forced = []
-        for node, rule, d in ordered:
-            if rule not in activity.activable.get(node, ()):
-                raise ScriptError(
-                    f"scripted move ({node},{rule.value}) not enabled at "
-                    f"transition {len(trace.steps) + 1}")
-            if rule is algo.random_rule:
-                if d not in (0, 1):
-                    raise ScriptError(
-                        f"move ({node},{rule.value}) needs a scripted 0/1 draw")
-                forced.append(d)
-        moves = [Move(node, rule) for node, rule, _ in ordered]
-        draws, ended = activity.transition(moves, FixedDraws(forced))
-        trace.record(moves, draws, activity.snapshot(), ended)
-    return trace
 
 
 def _coins(g: Graph, rng) -> tuple[bool, ...]:

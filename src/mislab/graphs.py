@@ -233,17 +233,24 @@ def read_graph(fh: IO[str]) -> Graph:
     if m < 0:
         raise ConfigError(f"line 1: edge count must be nonnegative, got {m}")
     edges = []
+    #: each edge, in either orientation -> the line that lists it
+    seen: dict[tuple[int, int], int] = {}
     for lineno in range(2, m + 2):
         parts = fh.readline().split()
         if len(parts) != 2:
             raise ConfigError(
                 f"line {lineno}: each edge line must contain exactly 'u v'")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: edge endpoints must be integers, "
                 f"got {' '.join(parts)!r}") from None
+        first = seen.setdefault((min(u, v), max(u, v)), lineno)
+        if first != lineno:
+            raise ConfigError(
+                f"line {lineno}: edge {u} {v} repeats the edge on line {first}")
+        edges.append((u, v))
     for lineno, line in enumerate(fh, start=m + 2):
         if line.strip():
             raise ConfigError(f"line {lineno}: the header declares only {m} edges")

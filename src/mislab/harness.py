@@ -17,25 +17,17 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import byzantine as byz_mod
 from .algorithms import AnonymousMIS, ByzantineMIS, get_algorithm
-from .analysis import (
-    ColorLedger,
-    SafeAloneTracker,
-    ledger_from_trace,
-    locally_alone_set,
-)
+from .analysis import ColorLedger, SafeAloneTracker, locally_alone_set
 from .daemons import DAEMON_KINDS, make_daemon
 from .engine import (
     INITIAL_PRESETS,
     Activity,
     Configuration,
-    RngStream,
     Rule,
-    Trace,
     TraceWriter,
     derive_seed,
     initial_configuration,
     is_stable,
-    run_script,
 )
 from .errors import ConfigError, InvariantViolation, known_kind
 from .graphs import (
@@ -122,7 +114,6 @@ class TrialOutcome:
     record: TrialRecord
     final: Configuration
     graph: Graph
-    trace: Trace | None = None
     ledger: ColorLedger | None = None
 
 
@@ -295,33 +286,54 @@ def legitimacy_round_bound(g: Graph) -> int:
         (math.sqrt(2) / (math.sqrt(2) - 1)) * math.e * (g.max_degree + 1) * g.n)
 
 
-def _load_script(path: str, n: int, algo,
-                 byzantine: frozenset[int]) -> tuple[tuple[tuple[int, Rule], ...], ...]:
-    """The move sets of a script file, one per non-blank line. Every move
-    names a node of the graph and a rule that node can have: one of algo's
-    rules for an honest node, `byz` for a faulty one."""
+#: a script entry's draw field: "-", or no field at all, means none
+_DRAWS = {"-": None, "0": 0, "1": 1}
+
+#: one transition of a script: its (node, rule, draw) entries
+ScriptStep = tuple[tuple[int, Rule, int | None], ...]
+
+
+def _load_script(lines: typing.Iterable[str], source: str, n: int, algo,
+                 byzantine: frozenset[int]) -> tuple[ScriptStep, ...]:
+    """The move sets of a script, one per non-blank line of `lines`, each a
+    comma-separated list of node:rule[:draw] entries: a trace line's move
+    field is one. Every move names a node of the graph and a rule that node
+    can have: one of algo's rules for an honest node, `byz` for a faulty
+    one. Only algo's random rule takes a 0/1 draw. A node listed twice in a
+    line must name the same move both times. Errors name `source` and the
+    line."""
     honest = {rule.value: rule for rule in algo.rules}
     faulty = {Rule.BYZ.value: Rule.BYZ}
     script = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path} line {lineno}"
-            step = []
-            for token in line.split(","):
-                node_text, _, name = token.strip().partition(":")
-                node = _number(int, where, node_text)
-                if not 0 <= node < n:
-                    raise ConfigError(
-                        f"{where}: node {node} outside graph of size {n}")
-                rules = faulty if node in byzantine else honest
-                if name not in rules:
-                    raise ConfigError(f"{where}: node {node} has no rule {name!r}; "
-                                      f"expected one of {tuple(rules)}")
-                step.append((node, rules[name]))
-            script.append(tuple(step))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{source} line {lineno}"
+        step = {}
+        for token in line.split(","):
+            node_text, _, rest = token.strip().partition(":")
+            name, has_draw, draw_text = rest.partition(":")
+            node = _number(int, where, node_text)
+            if not 0 <= node < n:
+                raise ConfigError(
+                    f"{where}: node {node} outside graph of size {n}")
+            rules = faulty if node in byzantine else honest
+            if name not in rules:
+                raise ConfigError(f"{where}: node {node} has no rule {name!r}; "
+                                  f"expected one of {tuple(rules)}")
+            if has_draw and draw_text not in _DRAWS:
+                raise ConfigError(
+                    f"{where}: draw must be 0, 1 or -, got {draw_text!r}")
+            draw = _DRAWS[draw_text] if has_draw else None
+            if draw is not None and rules[name] is not algo.random_rule:
+                raise ConfigError(
+                    f"{where}: rule {name!r} draws nothing, got draw {draw}")
+            entry = (node, rules[name], draw)
+            if step.setdefault(node, entry) != entry:
+                raise ConfigError(
+                    f"{where}: node {node} is listed twice with different moves")
+        script.append(tuple(step.values()))
     return tuple(script)
 
 
@@ -351,7 +363,7 @@ class Plan:
     graph: Graph
     algorithm: ByzantineMIS | AnonymousMIS
     strategies: dict[int, byz_mod.Strategy]
-    script: tuple[tuple[tuple[int, Rule], ...], ...] | None
+    script: tuple[ScriptStep, ...] | None
     #: the distance-1 and distance-2 safe zones; None if no trial reads them
     zones: tuple[frozenset[int], frozenset[int]] | None
     move_ceiling: int
@@ -368,19 +380,22 @@ def prepare(spec: RunSpec) -> Plan:
     algo = get_algorithm(spec.algorithm)
     byz = frozenset(spec.byzantine)
     tracked = spec.algorithm == "byzantine" or spec.check_invariants
+    script = None
+    if spec.script_file:
+        with open(spec.script_file, encoding="utf-8") as fh:
+            script = _load_script(fh, spec.script_file, g.n, algo, byz)
     return Plan(
         graph=g,
         algorithm=algo,
         strategies=_strategy_map(spec),
-        script=(_load_script(spec.script_file, g.n, algo, byz)
-                if spec.script_file else None),
+        script=script,
         zones=(safe_zone(g, byz, 1), safe_zone(g, byz, 2)) if tracked else None,
         move_ceiling=spec.move_ceiling or default_move_ceiling(g.n),
         round_ceiling=spec.round_ceiling or default_round_ceiling(g),
     )
 
 
-def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
+def run_trial(spec: RunSpec, trial_index: int,
               trace_to: typing.IO[str] | None = None,
               plan: Plan | None = None) -> TrialOutcome:
     """Run one seeded trial to convergence or a ceiling.
@@ -390,10 +405,10 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     hold_rounds further rounds, where the first hit remains the reported
     convergence time, since legitimacy persists once reached).
 
-    want_trace keeps the execution in memory as the outcome's Trace;
-    trace_to streams it, encoded as each transition happens, to that file.
-    plan is `prepare(spec)`, shared by the spec's trials; without it the
-    trial prepares its own.
+    trace_to receives the execution, encoded as each transition happens.
+    The trial draws from a stream of the daemon's `stream` type, seeded by
+    master_seed and the trial index. plan is `prepare(spec)`, shared by the
+    spec's trials; without it the trial prepares its own.
     """
     if plan is None:
         plan = prepare(spec)
@@ -401,9 +416,9 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     byz = frozenset(spec.byzantine)
     byz_runs = spec.algorithm == "byzantine"
     seed = derive_seed(spec.master_seed, trial_index)
-    rng = RngStream(seed)
     daemon = make_daemon(spec.daemon, g.n, fairness=spec.fairness,
                          density=spec.density, script=plan.script)
+    rng = daemon.stream(seed)
     cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
 
     move_ceiling, round_ceiling = plan.move_ceiling, plan.round_ceiling
@@ -413,7 +428,6 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
     activable, tracker, ages = activity.activable, activity.tracker, activity.ages
     x, deg = activity.x, activity.deg
     ledger = ColorLedger(g, algo, activity) if spec.instrument else None
-    trace = Trace(initial=cfg) if want_trace else None
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
@@ -483,8 +497,6 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
                             "after the first round")
         if ledger is not None:
             ledger.record(moves)
-        if trace is not None:
-            trace.record(moves, draws, activity.snapshot(), ended)
         if writer is not None:
             writer.record(moves, draws, activity)
 
@@ -513,8 +525,7 @@ def run_trial(spec: RunSpec, trial_index: int, want_trace: bool = False,
         set_size=set_size,
         ceiling_hit=ceiling_hit,
     )
-    return TrialOutcome(record=record, final=cfg, graph=g, trace=trace,
-                        ledger=ledger)
+    return TrialOutcome(record=record, final=cfg, graph=g, ledger=ledger)
 
 
 def run_trials(spec: RunSpec,
@@ -669,29 +680,28 @@ def sweep_csv_text(spec: RunSpec, rows: list[SweepRow]) -> str:
 
 REFERENCE_EDGES = ((0, 1), (0, 2), (1, 2), (2, 3))
 
-_W = Rule.TRY_WITHDRAW
-_C = Rule.CANDIDACY
+#: one transition per line, in the script format; start: all nodes down
+REFERENCE_SCRIPT = """\
+0:candidacy,1:candidacy,2:candidacy,3:candidacy
+0:withdrawal?:0,1:withdrawal?:0
+0:withdrawal?:0,1:withdrawal?:0,2:withdrawal?:1
+0:withdrawal?:1,1:withdrawal?:1
+0:candidacy,1:candidacy
+0:withdrawal?:0,1:withdrawal?:0
+0:withdrawal?:0,1:withdrawal?:0
+0:withdrawal?:1
+"""
 
-REFERENCE_SCRIPT: tuple = (
-    ((0, _C, None), (1, _C, None), (2, _C, None), (3, _C, None)),
-    ((0, _W, 0), (1, _W, 0)),
-    ((0, _W, 0), (1, _W, 0), (2, _W, 1)),
-    ((0, _W, 1), (1, _W, 1)),
-    ((0, _C, None), (1, _C, None)),
-    ((0, _W, 0), (1, _W, 0)),
-    ((0, _W, 0), (1, _W, 0)),
-    ((0, _W, 1),),
-)
-
+#: the s-vector after each transition
 REFERENCE_CONFIGS = (
-    (True, True, True, True),    # after t1
-    (True, True, True, True),    # t2: both coins fail
-    (True, True, False, True),   # t3: only node 2 drops
-    (False, False, False, True),  # t4
-    (True, True, False, True),   # t5: 0 and 1 candidate again
-    (True, True, False, True),   # t6
-    (True, True, False, True),   # t7
-    (False, True, False, True),  # t8: stable
+    "1111",  # after t1
+    "1111",  # t2: both coins fail
+    "1101",  # t3: only node 2 drops
+    "0001",  # t4
+    "1101",  # t5: 0 and 1 candidate again
+    "1101",  # t6
+    "1101",  # t7
+    "0101",  # t8: stable
 )
 
 REFERENCE_FRESH_SETS = {1: frozenset({0, 1, 2, 3}), 5: frozenset({0, 1})}
@@ -704,28 +714,44 @@ REFERENCE_MOVE_COLORS = ((1, 1, 1, 1), (1, 1), (1, 1, 1), (1, 1),
 class ReplayReport:
     ok: bool
     problems: list[str]
-    trace: Trace
-    ledger: ColorLedger
+    #: the replay's trace, as `mislab trial --trace-out` writes it
+    trace: str
+    outcome: TrialOutcome
 
 
 def reference_replay() -> ReplayReport:
-    """Replay the scripted four-node execution and verify every recorded fact:
-    the configuration after each transition, terminal stability, the settled
-    set {1, 3}, and the ledger's fresh sets, move colors, and color fates."""
+    """Run the scripted four-node execution as one instrumented trial and
+    verify every recorded fact: the configuration after each transition,
+    terminal stability, the settled set {1, 3}, the move count, and the
+    ledger's fresh sets, move colors, and color fates."""
     g = make_graph(4, REFERENCE_EDGES)
     algo = get_algorithm("anonymous")
-    cfg0 = Configuration((False,) * 4)
-    trace = run_script(algo, g, cfg0, REFERENCE_SCRIPT)
-    ledger = ledger_from_trace(g, algo, trace)
+    # the plan carries the graph and the script; the spec only what a
+    # trial reads besides them
+    spec = RunSpec(algorithm="anonymous", graph="file", daemon="scripted",
+                   init="all_bot", instrument=True)
+    plan = Plan(graph=g, algorithm=algo, strategies={},
+                script=_load_script(REFERENCE_SCRIPT.splitlines(),
+                                    "reference script", g.n, algo, frozenset()),
+                zones=(safe_zone(g, (), 1), safe_zone(g, (), 2)),
+                move_ceiling=default_move_ceiling(g.n),
+                round_ceiling=default_round_ceiling(g))
+    buf = io.StringIO()
+    outcome = run_trial(spec, 0, trace_to=buf, plan=plan)
+    trace, ledger, final = buf.getvalue(), outcome.ledger, outcome.final
     problems = []
 
-    for i, (step, expected) in enumerate(zip(trace.steps, REFERENCE_CONFIGS), start=1):
-        if step.config.s != expected:
-            problems.append(f"configuration after t{i} is {step.config.s}, "
+    configs = tuple(line.split()[2] for line in trace.splitlines()[1:])
+    for i, (got, expected) in enumerate(zip(configs, REFERENCE_CONFIGS), start=1):
+        if got != expected:
+            problems.append(f"configuration after t{i} is {got}, "
                             f"expected {expected}")
-    if not is_stable(algo, g, trace.final):
+    if len(configs) != len(REFERENCE_CONFIGS):
+        problems.append(f"{len(configs)} transitions, expected "
+                        f"{len(REFERENCE_CONFIGS)}")
+    if not is_stable(algo, g, final):
         problems.append("final configuration is not stable")
-    settled = locally_alone_set(g, trace.final)
+    settled = locally_alone_set(g, final)
     if settled != frozenset({1, 3}):
         problems.append(f"settled set is {sorted(settled)}, expected [1, 3]")
     if ledger.fresh_sets != REFERENCE_FRESH_SETS:
@@ -744,7 +770,8 @@ def reference_replay() -> ReplayReport:
             problems.append(
                 f"color {color}: (died={r.died}, moves={r.withdrawal_moves}, "
                 f"success={r.success}) expected ({died}, {moves}, {success})")
-    if trace.total_moves() != 18:
-        problems.append(f"total executed moves {trace.total_moves()}, expected 18")
+    if outcome.record.moves != 18:
+        problems.append(f"total executed moves {outcome.record.moves}, "
+                        "expected 18")
     return ReplayReport(ok=not problems, problems=problems, trace=trace,
-                        ledger=ledger)
+                        outcome=outcome)

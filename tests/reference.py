@@ -19,13 +19,30 @@
   walking every node for the fresh-up set and the "up since" stamps and
   rescanning the locally alone set whenever a color dies; it replays a
   trace through `apply_transition`, not through the stepper.
+
+It also holds the tools that read an execution in memory:
+
+- `recording` and `traced_trial`: a recorder around `Activity.transition`
+  that keeps each transition's moves, draws and resulting configuration,
+  and the round ends, as a `Trace`.
+- `forced_draws`: a stream whose Bernoulli draws are the given outcomes.
+- `scripted_ledger`: a stepper and a color ledger driven over a
+  hand-made configuration by (node, rule, draw) steps.
 """
 
+import contextlib
 import random
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from mislab.analysis import ColorRecord, is_candidate_set, locally_alone_set
+from mislab.analysis import (
+    ColorLedger,
+    ColorRecord,
+    is_candidate_set,
+    locally_alone_set,
+)
 from mislab.engine import (
+    Activity,
     Configuration,
     FairnessAges,
     FixedDraws,
@@ -36,6 +53,7 @@ from mislab.engine import (
 )
 from mislab.errors import ConfigError, EngineError, InvariantViolation
 from mislab.graphs import Graph
+from mislab.harness import run_trial
 
 
 def pairwise_erdos_renyi_edges(n, p, seed):
@@ -154,14 +172,22 @@ def paper_move(algo, g, cfg, u, rule, rng):
     return (*commands.apply(g, cfg, u, rule, draw), draw)
 
 
+def forced_draws(draws):
+    """A stream whose Bernoulli draws are `draws`, in order; one draw more
+    is a ScriptError."""
+    stream = FixedDraws(0)
+    stream.forced.extend(draws)
+    return stream
+
+
 def move(algo, g, cfg, u, rule, draw=None):
     """u's move by `rule` in cfg through the engine's `step`, fed `draw`
     (if any) as its Bernoulli outcome and checked against the paper-form
     commands: (new_s, new_x, draw)."""
     state = counted_state(g, cfg)
     forced = () if draw is None else (draw,)
-    got = algo.step(g, state.s, state.x, u, rule, FixedDraws(forced))
-    assert got == paper_move(algo, g, cfg, u, rule, FixedDraws(forced)), (u, cfg)
+    got = algo.step(g, state.s, state.x, u, rule, forced_draws(forced))
+    assert got == paper_move(algo, g, cfg, u, rule, forced_draws(forced)), (u, cfg)
     return got
 
 
@@ -337,9 +363,88 @@ def whole_configuration_ledger(g, algo, trace):
     for step in trace.steps:
         after, _ = apply_transition(
             algo, g, before, step.moves,
-            FixedDraws(d for d in step.draws if d is not None))
+            forced_draws(d for d in step.draws if d is not None))
         activable.clear()
         activable.update(activable_map(algo, g, after))
         ledger.record(before, step.moves, after)
         before = after
     return ledger
+
+
+class TraceStep(NamedTuple):
+    moves: tuple[Move, ...]
+    draws: tuple[int | None, ...]
+    config: Configuration
+
+
+@dataclass
+class Trace:
+    """One execution as a recorder saw it: the stepper's initial
+    configuration, then each transition's moves, draws and resulting
+    configuration; `round_ends` lists the transitions (1-based) that
+    closed a round."""
+
+    initial: Configuration
+    steps: list[TraceStep] = field(default_factory=list)
+    round_ends: list[int] = field(default_factory=list)
+
+    @property
+    def final(self) -> Configuration:
+        return self.steps[-1].config if self.steps else self.initial
+
+    def entries(self) -> list[list[tuple]]:
+        """Each transition's (node, rule, draw) entries, as
+        `scripted_ledger` takes them."""
+        return [[(node, rule, d) for (node, rule), d in zip(step.moves, step.draws)]
+                for step in self.steps]
+
+
+@contextlib.contextmanager
+def recording():
+    """Record every stepper made in the block: yields a list that gains a
+    `Trace` for each `Activity` built, filled in as it steps."""
+    traces = []
+    init, transition = Activity.__init__, Activity.transition
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.recorded = Trace(self.snapshot())
+        traces.append(self.recorded)
+
+    def recording_transition(self, moves, rng):
+        draws, ended = transition(self, moves, rng)
+        trace = self.recorded
+        trace.steps.append(TraceStep(tuple(moves), draws, self.snapshot()))
+        if ended:
+            trace.round_ends.append(len(trace.steps))
+        return draws, ended
+
+    Activity.__init__, Activity.transition = recording_init, recording_transition
+    try:
+        yield traces
+    finally:
+        Activity.__init__, Activity.transition = init, transition
+
+
+def traced_trial(spec, trial, **kwargs):
+    """run_trial(spec, trial, **kwargs) under a recorder: (outcome, Trace)."""
+    with recording() as traces:
+        outcome = run_trial(spec, trial, **kwargs)
+    (trace,) = traces
+    return outcome, trace
+
+
+def scripted_ledger(algo, g, cfg, steps):
+    """Drive a stepper and a color ledger from cfg through `steps`, each a
+    list of (node, rule, draw) entries in any order, the draws forced:
+    (ledger, Trace)."""
+    with recording() as traces:
+        activity = Activity(algo, g, cfg)
+        ledger = ColorLedger(g, algo, activity)
+        for step in steps:
+            ordered = sorted(step, key=lambda entry: entry[0])
+            moves = [Move(node, rule) for node, rule, _ in ordered]
+            activity.transition(moves, forced_draws(
+                d for _, _, d in ordered if d is not None))
+            ledger.record(moves)
+    return ledger, traces[0]

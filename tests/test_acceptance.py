@@ -45,6 +45,7 @@ from mislab.harness import (
     run_trial,
     run_trials,
 )
+from reference import traced_trial
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -77,11 +78,12 @@ def test_c1_golden_trace():
         assert report.ok, report.problems
         expected_colors = ((1, 1, 1, 1), (1, 1), (1, 1, 1), (1, 1),
                            (5, 5), (5, 5), (5, 5), (5,))
-        assert tuple(report.ledger.move_colors) == expected_colors
-        assert report.ledger.fresh_sets == {
+        ledger = report.outcome.ledger
+        assert tuple(ledger.move_colors) == expected_colors
+        assert ledger.fresh_sets == {
             1: frozenset({0, 1, 2, 3}), 5: frozenset({0, 1})}
         example = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert locally_alone_set(example, report.trace.final) == frozenset({1, 3})
+        assert locally_alone_set(example, report.outcome.final) == frozenset({1, 3})
         assert elapsed < 1.0, f"replay took {elapsed:.3f}s"
 
 
@@ -146,8 +148,7 @@ def test_c3_stability_characterization():
 
 
 def _trace_transitions_anonymous(spec, trial, plan):
-    outcome = run_trial(spec, trial, want_trace=True, plan=plan)
-    trace = outcome.trace
+    outcome, trace = traced_trial(spec, trial, plan=plan)
     g = outcome.graph
     prev = locally_alone_set(g, trace.initial)
     checked = 0
@@ -160,8 +161,7 @@ def _trace_transitions_anonymous(spec, trial, plan):
 
 
 def _trace_transitions_byzantine(spec, trial, byz, plan):
-    outcome = run_trial(spec, trial, want_trace=True, plan=plan)
-    trace = outcome.trace
+    outcome, trace = traced_trial(spec, trial, plan=plan)
     g = outcome.graph
     prev = safe_alone_set(g, byz, trace.initial)
     checked = 0
@@ -234,8 +234,7 @@ def test_c5_degree_stabilization_after_one_round():
             g = plan.graph
             byz = set(spec.byzantine)
             for t in range(spec.trials):
-                outcome = run_trial(spec, t, want_trace=True, plan=plan)
-                trace = outcome.trace
+                _, trace = traced_trial(spec, t, plan=plan)
                 assert trace.round_ends, "trial ended before one full round"
                 first_round_end = trace.round_ends[0]
                 for idx in range(first_round_end, len(trace.steps) + 1):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mislab.algorithms import candidacy_probability, get_algorithm
-from mislab.engine import Configuration, FixedDraws, RngStream, Rule
+from mislab.engine import Configuration, RngStream, Rule
 from mislab.errors import EngineError, ScriptError
 from mislab.graphs import erdos_renyi, make_graph, path, ring
-from reference import enabled, move, paper_move
+from reference import enabled, forced_draws, move, paper_move
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -155,11 +155,9 @@ class _Recorded:
 
 
 def _stream_state(rng):
-    """Where a draw stream stands: an RngStream's state and next value,
-    or the outcomes a FixedDraws has left."""
-    if isinstance(rng, RngStream):
-        return rng.getstate(), rng.random()
-    return list(rng._queue)
+    """Where a draw stream stands: the outcomes a FixedDraws has left, and
+    the stream's state and next value."""
+    return list(getattr(rng, "forced", ())), rng.getstate(), rng.random()
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,7 +181,7 @@ def test_step_matches_the_paper_form_commands(seed, data):
         streams = RngStream(stream_seed), RngStream(stream_seed)
     else:
         outcomes = data.draw(st.lists(st.integers(0, 1), max_size=2))
-        streams = FixedDraws(outcomes), FixedDraws(outcomes)
+        streams = forced_draws(outcomes), forced_draws(outcomes)
     stepped, paper = _Recorded(streams[0]), _Recorded(streams[1])
     got = _outcome(lambda: algo.step(g, list(s), None if x is None else list(x),
                                      u, rule, stepped))

@@ -9,13 +9,13 @@ from mislab.analysis import (
     is_candidate_set,
     is_independent,
     is_legitimate,
-    ledger_from_trace,
     locally_alone_set,
     safe_alone_set,
 )
-from mislab.engine import Activity, Configuration, Rule, run_script
+from mislab.engine import Activity, Configuration, Rule
 from mislab.errors import ConfigError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
+from reference import scripted_ledger, traced_trial
 
 ANON = get_algorithm("anonymous")
 EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -181,11 +181,10 @@ def test_ledger_rejects_counter_algorithms():
 def test_initial_up_nodes_form_color_zero():
     g = path(2)
     cfg = Configuration((True, True))
-    trace = run_script(ANON, g, cfg, [
+    ledger, _ = scripted_ledger(ANON, g, cfg, [
         [(0, Rule.TRY_WITHDRAW, 0), (1, Rule.TRY_WITHDRAW, 0)],
         [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, 0)],
     ])
-    ledger = ledger_from_trace(g, ANON, trace)
     assert ledger.fresh_sets == {0: frozenset({0, 1})}
     # every withdrawal on a node up since the start carries color 0
     assert ledger.move_colors == [(0, 0), (0, 0)]
@@ -196,18 +195,16 @@ def test_initial_up_nodes_form_color_zero():
 
 
 def test_first_wave_of_candidacies_is_color_one():
-    trace = run_script(ANON, EXAMPLE, Configuration((False,) * 4),
-                       [[(u, Rule.CANDIDACY, None) for u in range(4)]])
-    ledger = ledger_from_trace(EXAMPLE, ANON, trace)
+    ledger, _ = scripted_ledger(ANON, EXAMPLE, Configuration((False,) * 4),
+                                [[(u, Rule.CANDIDACY, None) for u in range(4)]])
     assert ledger.fresh_sets == {1: frozenset(range(4))}
     assert ledger.move_colors == [(1, 1, 1, 1)]
 
 
 def test_lone_candidacy_color_dies_instantly_and_succeeds():
     g = path(3)
-    trace = run_script(ANON, g, Configuration((False,) * 3),
-                       [[(1, Rule.CANDIDACY, None)]])
-    ledger = ledger_from_trace(g, ANON, trace)
+    ledger, _ = scripted_ledger(ANON, g, Configuration((False,) * 3),
+                                [[(1, Rule.CANDIDACY, None)]])
     record = ledger.records[1]
     assert record.died == 1
     assert record.withdrawal_moves == 0
@@ -217,12 +214,11 @@ def test_lone_candidacy_color_dies_instantly_and_succeeds():
 
 def test_failed_color_then_recandidacy_gets_new_color():
     g = path(2)
-    trace = run_script(ANON, g, Configuration((True, True)), [
+    ledger, _ = scripted_ledger(ANON, g, Configuration((True, True)), [
         [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, 1)],  # both drop
         [(0, Rule.CANDIDACY, None), (1, Rule.CANDIDACY, None)],  # fresh color 2
         [(0, Rule.TRY_WITHDRAW, 1)],                             # node 0 yields
     ])
-    ledger = ledger_from_trace(g, ANON, trace)
     zero, two = ledger.records[0], ledger.records[2]
     assert zero.died == 1 and zero.success is False
     assert two.members == frozenset({0, 1})
@@ -234,11 +230,10 @@ def test_recandidacy_taints_older_colors():
     # node 1 leaves color 0 and rejoins via color 2; color 0's success may
     # only rest on members whose every move stayed color 0
     g = path(3)
-    trace = run_script(ANON, g, Configuration((True, True, False)), [
+    ledger, _ = scripted_ledger(ANON, g, Configuration((True, True, False)), [
         [(1, Rule.TRY_WITHDRAW, 1)],            # 1 drops; 0 settles
         [(2, Rule.CANDIDACY, None)],            # unrelated color 2 appears
     ])
-    ledger = ledger_from_trace(g, ANON, trace)
     zero = ledger.records[0]
     assert zero.died == 1 and zero.success is True  # node 0 settled untainted
     assert ledger.records[2].success is True
@@ -247,12 +242,13 @@ def test_recandidacy_taints_older_colors():
 
 def test_ledger_incremental_matches_trace_replay():
     g = erdos_renyi(8, 0.35, seed=5)
-    from mislab.harness import RunSpec, run_trial
+    from mislab.harness import RunSpec
 
     spec = RunSpec(algorithm="anonymous", graph="erdos_renyi", n=8, p=0.35,
                    graph_seed=5, init="random", daemon="random_subset",
                    master_seed=31, instrument=True)
-    outcome = run_trial(spec, 0, want_trace=True)
-    replayed = ledger_from_trace(outcome.graph, ANON, outcome.trace)
+    outcome, trace = traced_trial(spec, 0)
+    replayed, _ = scripted_ledger(ANON, outcome.graph, trace.initial,
+                                  trace.entries())
     assert outcome.ledger.report_rows() == replayed.report_rows()
     assert outcome.ledger.move_colors == replayed.move_colors

@@ -23,13 +23,15 @@ from mislab.harness import RunSpec, run_sweep, run_trials
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
 
-#: tracer patch points no longer in mislab: the stepper and the ledger do
-#: this work under other names; any other missing name is a new break
+#: tracer patch points no longer in mislab: the stepper, the ledger and the
+#: streaming trace writer do this work under other names; any other missing
+#: name is a new break
 STALE_PATCH_POINTS = {
     "mislab.harness.activable_map",
     "mislab.harness.apply_transition",
     "mislab.harness.is_legitimate",
     "mislab.harness.safe_alone_set",
+    "mislab.cli.dump_trace",
     "ColorLedger.write_report",
 }
 

@@ -136,6 +136,43 @@ def test_graph_file_that_disagrees_with_its_header_exits_2(tmp_path, capsys,
     assert captured.out == ""
 
 
+def test_repeated_graph_file_edge_exits_2(tmp_path, capsys):
+    target = tmp_path / "g.txt"
+    target.write_text("3 2\n0 1\n1 0\n", encoding="utf-8")
+    assert main(["oracle", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: edge 1 0 repeats the edge on line 2\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0:candidacy,1:withdrawal?:2", "draw must be 0, 1 or -, got '2'"),
+    ("0:candidacy:", "draw must be 0, 1 or -, got ''"),
+    ("0:candidacy:1", "rule 'candidacy' draws nothing, got draw 1"),
+    ("1:withdrawal?:0,1:withdrawal?:1",
+     "node 1 is listed twice with different moves"),
+])
+def test_bad_script_draw_exits_2(tmp_path, capsys, line, message):
+    script = tmp_path / "steps.txt"
+    script.write_text(f"0:candidacy\n\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "4", "--daemon", "scripted", "--script-file",
+                 str(script), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {script} line 3: {message}\n"
+    assert not out.exists()
+
+
+def test_byzantine_script_move_takes_no_draw(tmp_path, capsys):
+    script = tmp_path / "steps.txt"
+    script.write_text("0:byz:0\n", encoding="utf-8")
+    assert main(["trial", "--algorithm", "byzantine", "--graph", "ring",
+                 "--n", "4", "--byzantine", "0", "--daemon", "scripted",
+                 "--script-file", str(script)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {script} line 1: rule 'byz' draws nothing, got draw 0\n")
+
+
 def test_non_numeric_graph_file_edge_is_config_error(tmp_path, capsys):
     target = tmp_path / "g.txt"
     target.write_text("3 2\n0 1\n0 x\n", encoding="utf-8")

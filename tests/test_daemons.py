@@ -14,10 +14,10 @@ EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 def select(daemon, g, cfg, ages=None, seed=0):
     """The daemon's moves; `ages` are plain per-node ages, given to it as
-    the stamps a run keeps."""
+    the stamps a run keeps, and the stream is of the daemon's own type."""
     act = activable_map(ANON, g, cfg)
     return daemon.select(g, cfg, act, fairness_ages(ages or [0] * g.n, act),
-                         RngStream(seed))
+                         daemon.stream(seed))
 
 
 def test_synchronous_selects_every_activable_node():
@@ -86,7 +86,7 @@ def test_conflict_greedy_pads_when_no_conflicts():
 
 def test_scripted_daemon_replays_moves():
     daemon = make_daemon("scripted", 4, script=[
-        [(0, Rule.TRY_WITHDRAW), (1, Rule.TRY_WITHDRAW)],
+        [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, None)],
     ])
     cfg = Configuration((True,) * 4)
     moves = select(daemon, EXAMPLE, cfg)
@@ -95,14 +95,28 @@ def test_scripted_daemon_replays_moves():
 
 def test_scripted_daemon_sorts_by_node_and_collapses_repeats():
     daemon = make_daemon("scripted", 4, script=[
-        [(2, Rule.TRY_WITHDRAW), (0, Rule.TRY_WITHDRAW), (2, Rule.TRY_WITHDRAW)],
+        [(2, Rule.TRY_WITHDRAW, 0), (0, Rule.TRY_WITHDRAW, 1),
+         (2, Rule.TRY_WITHDRAW, 0)],
     ])
     moves = select(daemon, EXAMPLE, Configuration((True,) * 4))
     assert moves == [Move(0, Rule.TRY_WITHDRAW), Move(2, Rule.TRY_WITHDRAW)]
 
 
+def test_scripted_daemon_feeds_its_draws_in_node_order():
+    # node 3 has no draw: it is queued as None, which the stream draws
+    daemon = make_daemon("scripted", 4, script=[
+        [(3, Rule.TRY_WITHDRAW, None), (2, Rule.TRY_WITHDRAW, 0),
+         (0, Rule.TRY_WITHDRAW, 1)],
+    ])
+    cfg = Configuration((True,) * 4)
+    stream = daemon.stream(0)
+    daemon.select(EXAMPLE, cfg, activable_map(ANON, EXAMPLE, cfg),
+                  fairness_ages([0] * 4, {}), stream)
+    assert list(stream.forced) == [1, 0, None]
+
+
 def test_scripted_daemon_rejects_disabled_moves():
-    daemon = make_daemon("scripted", 4, script=[[(0, Rule.TRY_WITHDRAW)]])
+    daemon = make_daemon("scripted", 4, script=[[(0, Rule.TRY_WITHDRAW, None)]])
     with pytest.raises(ScriptError):
         select(daemon, EXAMPLE, Configuration((False,) * 4))
 

@@ -10,22 +10,20 @@ from mislab.byzantine import make_strategy
 from mislab.engine import (
     Activity,
     Configuration,
-    FixedDraws,
     Move,
     RngStream,
     RoundTracker,
     Rule,
+    TraceWriter,
     activable_map,
     derive_seed,
-    dump_trace,
     initial_configuration,
     is_stable,
-    run_script,
 )
 from mislab.errors import ConfigError, EngineError, ScriptError
-from mislab.graphs import erdos_renyi, make_graph, path, ring
+from mislab.graphs import erdos_renyi, make_graph, path, ring, write_graph
 from mislab.harness import RunSpec, run_trial
-from reference import apply_transition, enabled
+from reference import apply_transition, enabled, forced_draws, traced_trial
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -76,7 +74,7 @@ def test_refresh_changes_only_its_node():
 def test_failed_withdrawal_coin_keeps_state():
     cfg = Configuration((True, True, True, True))
     after, draws = apply_transition(
-        ANON, EXAMPLE, cfg, [Move(0, Rule.TRY_WITHDRAW)], FixedDraws([0]))
+        ANON, EXAMPLE, cfg, [Move(0, Rule.TRY_WITHDRAW)], forced_draws([0]))
     assert after == cfg
     assert draws == (0,)
 
@@ -128,10 +126,9 @@ def test_synchronous_rounds_are_single_transitions():
     # under activate-everything scheduling each transition closes a round
     spec = RunSpec(algorithm="anonymous", graph="ring", n=8, init="random",
                    daemon="synchronous", master_seed=5)
-    outcome = run_trial(spec, 0, want_trace=True)
+    outcome, trace = traced_trial(spec, 0)
     assert outcome.record.converged
-    assert outcome.trace.round_ends == list(
-        range(1, len(outcome.trace.steps) + 1))
+    assert trace.round_ends == list(range(1, len(trace.steps) + 1))
 
 
 def test_round_tracker_disabling_action_counts():
@@ -164,7 +161,7 @@ def test_round_boundaries_decompose_the_trace():
                    init="random", daemon="aged_fair", fairness=4,
                    master_seed=21, byzantine=(4,),
                    strategies=((4, "uniform_random", None),))
-    trace = run_trial(spec, 1, want_trace=True).trace
+    _, trace = traced_trial(spec, 1)
     ends = trace.round_ends
     # nonempty contiguous segments covering a prefix of the transitions
     assert ends == sorted(set(ends))
@@ -178,12 +175,12 @@ def test_replay_determinism():
                    graph_seed=2, init="random", daemon="aged_fair",
                    master_seed=77, byzantine=(0,),
                    strategies=((0, "uniform_random", None),))
-    a = run_trial(spec, 4, want_trace=True)
-    b = run_trial(spec, 4, want_trace=True)
-    assert a.trace.initial == b.trace.initial
-    assert [s.config for s in a.trace.steps] == [s.config for s in b.trace.steps]
-    assert [s.moves for s in a.trace.steps] == [s.moves for s in b.trace.steps]
-    assert [s.draws for s in a.trace.steps] == [s.draws for s in b.trace.steps]
+    _, a = traced_trial(spec, 4)
+    _, b = traced_trial(spec, 4)
+    assert a.initial == b.initial
+    assert [s.config for s in a.steps] == [s.config for s in b.steps]
+    assert [s.moves for s in a.steps] == [s.moves for s in b.steps]
+    assert [s.draws for s in a.steps] == [s.draws for s in b.steps]
 
 
 @settings(max_examples=40, deadline=None)
@@ -303,34 +300,51 @@ def test_initial_random_is_seed_deterministic():
     assert a == b
 
 
-def test_run_script_rejects_disabled_moves():
-    with pytest.raises(ScriptError):
-        run_script(ANON, EXAMPLE, all_bot(4),
-                   [[(0, Rule.TRY_WITHDRAW, 1)]])
+def _scripted_example(tmp_path, script, **params):
+    """A scripted anonymous spec on the four-node example, read from files."""
+    graph = tmp_path / "example.graph"
+    with open(graph, "w", encoding="utf-8") as fh:
+        write_graph(EXAMPLE, fh)
+    steps = tmp_path / "steps.txt"
+    steps.write_text(script, encoding="utf-8")
+    return RunSpec(algorithm="anonymous", graph="file", graph_file=str(graph),
+                   daemon="scripted", script_file=str(steps), **params)
 
 
-def test_run_script_requires_draws_for_coin_rules():
-    cfg = Configuration((True, True, True, True))
-    with pytest.raises(ScriptError):
-        run_script(ANON, EXAMPLE, cfg, [[(0, Rule.TRY_WITHDRAW, None)]])
+def test_scripted_trial_rejects_disabled_moves(tmp_path):
+    spec = _scripted_example(tmp_path, "0:withdrawal?:1\n", init="all_bot")
+    with pytest.raises(ScriptError, match="not enabled at transition 1"):
+        run_trial(spec, 0)
 
 
-def test_dump_trace_format():
-    trace = run_script(ANON, EXAMPLE, all_bot(4),
-                       [[(u, Rule.CANDIDACY, None) for u in range(4)],
-                        [(0, Rule.TRY_WITHDRAW, 1)]])
+def test_scripted_move_without_draw_draws_from_the_stream(tmp_path):
+    # all_top draws nothing, so node 0's coin is the stream's first draw
+    spec = _scripted_example(tmp_path, "0:withdrawal?\n", init="all_top",
+                             master_seed=3, move_ceiling=1)
+    _, trace = traced_trial(spec, 0)
+    assert trace.steps[0].draws == (
+        RngStream(derive_seed(3, 0)).bernoulli(0.5),)
+
+
+def test_trace_format(tmp_path):
+    spec = _scripted_example(
+        tmp_path, "0:candidacy,1:candidacy,2:candidacy,3:candidacy\n"
+                  "0:withdrawal?:1\n", init="all_bot", move_ceiling=5)
     buf = io.StringIO()
-    dump_trace(trace, buf)
+    run_trial(spec, 0, trace_to=buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "0 - 0000"
     assert lines[1] == "1 0:candidacy:-,1:candidacy:-,2:candidacy:-,3:candidacy:- 1111"
     assert lines[2] == "2 0:withdrawal?:1 0111"
 
 
-def test_dump_trace_includes_x_vector():
+def test_trace_includes_x_vector():
     g = path(2)
     cfg = Configuration((False, False), (5, 1))
-    trace = run_script(BYZ, g, cfg, [[(0, Rule.REFRESH, None)]])
+    activity = Activity(BYZ, g, cfg)
     buf = io.StringIO()
-    dump_trace(trace, buf)
+    writer = TraceWriter(buf, cfg)
+    moves = [Move(0, Rule.REFRESH)]
+    draws, _ = activity.transition(moves, RngStream(0))
+    writer.record(moves, draws, activity)
     assert buf.getvalue().splitlines() == ["0 - 00 5,1", "1 0:refresh:- 00 1,1"]

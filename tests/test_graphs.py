@@ -202,6 +202,13 @@ def test_read_graph_rejects_lines_past_the_declared_edges():
     assert (g.n, g.edges) == (3, frozenset({(0, 1)}))
 
 
+@pytest.mark.parametrize("second", ["0 1", "1 0"])
+def test_read_graph_rejects_a_repeated_edge(second):
+    with pytest.raises(ConfigError,
+                       match=f"^line 3: edge {second} repeats the edge on line 2$"):
+        read_graph(io.StringIO(f"3 2\n0 1\n{second}\n"))
+
+
 def test_near_square_grid():
     assert near_square_grid(16) == (4, 4)
     assert near_square_grid(32) == (4, 8)

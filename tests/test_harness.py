@@ -320,8 +320,9 @@ def test_a_graph_file_is_read_once_per_spec(tmp_path, monkeypatch):
 def test_reference_replay_is_clean():
     report = reference_replay()
     assert report.ok, report.problems
-    assert report.trace.total_moves() == 18
-    assert len(report.trace.steps) == 8
+    assert report.outcome.record.moves == 18
+    assert report.outcome.record.transitions == 8
+    assert len(report.trace.splitlines()) == 9
 
 
 def test_legitimacy_round_bound_value():

@@ -30,7 +30,6 @@ from mislab.algorithms import AnonymousMIS, ByzantineMIS, get_algorithm
 from mislab.analysis import (
     SafeAloneTracker,
     is_legitimate,
-    ledger_from_trace,
     locally_alone_set,
     safe_alone_set,
     write_ledger_csv,
@@ -43,8 +42,6 @@ from mislab.engine import (
     Configuration,
     RngStream,
     Rule,
-    Trace,
-    TraceStep,
     activable_map,
     derive_seed,
     initial_configuration,
@@ -64,11 +61,15 @@ from mislab.harness import (
 import reference
 from reference import (
     PaperAnonymousCommands,
+    Trace,
+    TraceStep,
     apply_transition,
     closed_neighbourhood,
     counted_state,
     fairness_ages,
     paper_rules,
+    scripted_ledger,
+    traced_trial,
     whole_configuration_ledger,
 )
 
@@ -284,18 +285,18 @@ def trial_specs(draw, algorithms=("anonymous", "byzantine")):
 
 def _assert_matches_reference(spec: RunSpec, trial: int) -> None:
     expected, expected_error = _result_or_error(lambda: reference_trial(spec, trial))
-    got, error = _result_or_error(lambda: run_trial(spec, trial, want_trace=True))
+    got, error = _result_or_error(lambda: traced_trial(spec, trial))
     assert error == expected_error
     if expected is None:
         return
-    record, trace = expected
-    assert asdict(got.record) == asdict(record)
-    assert got.trace.initial == trace.initial
-    assert [s.moves for s in got.trace.steps] == [s.moves for s in trace.steps]
-    assert [s.draws for s in got.trace.steps] == [s.draws for s in trace.steps]
-    assert [s.config for s in got.trace.steps] == [s.config for s in trace.steps]
-    assert got.trace.round_ends == trace.round_ends
-    assert got.final == trace.final
+    (record, trace), (outcome, got_trace) = expected, got
+    assert asdict(outcome.record) == asdict(record)
+    assert got_trace.initial == trace.initial
+    assert [s.moves for s in got_trace.steps] == [s.moves for s in trace.steps]
+    assert [s.draws for s in got_trace.steps] == [s.draws for s in trace.steps]
+    assert [s.config for s in got_trace.steps] == [s.config for s in trace.steps]
+    assert got_trace.round_ends == trace.round_ends
+    assert outcome.final == trace.final
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,16 +351,15 @@ def test_guard_evaluations_per_move_do_not_grow_with_n(monkeypatch):
 @given(case=trial_specs())
 def test_safe_alone_tracker_matches_whole_graph_predicates(case):
     spec, trial = case
-    outcome = run_trial(replace(spec, check_invariants=False), trial,
-                        want_trace=True)
+    outcome, trace = traced_trial(replace(spec, check_invariants=False), trial)
     g, byz = outcome.graph, frozenset(spec.byzantine)
-    cfg = outcome.trace.initial
+    cfg = trace.initial
     tracker = SafeAloneTracker(g, counted_state(g, cfg), safe_zone(g, byz, 1),
                                safe_zone(g, byz, 2))
     expected = safe_alone_set(g, byz, cfg)
     assert tracker.alone == expected
     assert tracker.legitimate == is_legitimate(g, byz, cfg)
-    for step in outcome.trace.steps:
+    for step in trace.steps:
         lost = tracker.update(counted_state(g, step.config),
                               closed_neighbourhood(g, [m.node for m in step.moves]))
         cfg, previous = step.config, expected
@@ -513,10 +513,10 @@ def _scripted_from_synchronous(spec: RunSpec, trial: int, directory: str) -> Run
     """spec under a scripted daemon that replays the moves a synchronous
     daemon makes in the same trial. A synchronous selection draws nothing,
     so the scripted trial repeats that execution."""
-    source = run_trial(replace(spec, daemon="synchronous"), trial, want_trace=True)
+    _, source = traced_trial(replace(spec, daemon="synchronous"), trial)
     path = os.path.join(directory, "script.txt")
     with open(path, "w", encoding="utf-8") as fh:
-        for step in source.trace.steps:
+        for step in source.steps:
             fh.write(",".join(f"{m.node}:{m.rule.value}" for m in step.moves) + "\n")
     return replace(spec, daemon="scripted", script_file=path)
 
@@ -601,10 +601,11 @@ def _ledger_csv(ledger) -> bytes:
 def _assert_ledgers_match_reference(spec: RunSpec, trial: int) -> None:
     """The ledger a run keeps, and the one a replay of its trace builds,
     equal the whole-configuration ledger over that trace."""
-    outcome = run_trial(replace(spec, instrument=True), trial, want_trace=True)
+    outcome, trace = traced_trial(replace(spec, instrument=True), trial)
     g, algo = outcome.graph, get_algorithm(spec.algorithm)
-    expected = whole_configuration_ledger(g, algo, outcome.trace)
-    for ledger in (outcome.ledger, ledger_from_trace(g, algo, outcome.trace)):
+    expected = whole_configuration_ledger(g, algo, trace)
+    replayed, _ = scripted_ledger(algo, g, trace.initial, trace.entries())
+    for ledger in (outcome.ledger, replayed):
         assert ledger.fresh_sets == expected.fresh_sets
         assert ledger.move_colors == expected.move_colors
         assert list(ledger.records) == list(expected.records)
@@ -733,12 +734,12 @@ def test_planted_ledger_bug_raises_the_reference_message(monkeypatch, plant,
     spec = RunSpec(algorithm="anonymous", graph="grid", rows=6, cols=8,
                    daemon=daemon, master_seed=3, move_ceiling=2000,
                    check_invariants=False)
-    outcome = run_trial(spec, 0, want_trace=True)
+    outcome, trace = traced_trial(spec, 0)
     g, algo = outcome.graph, get_algorithm("anonymous")
-    expected = _violation(
-        lambda: whole_configuration_ledger(g, algo, outcome.trace))
+    expected = _violation(lambda: whole_configuration_ledger(g, algo, trace))
     assert expected is not None and message in expected
-    assert _violation(lambda: ledger_from_trace(g, algo, outcome.trace)) == expected
+    assert _violation(lambda: scripted_ledger(
+        algo, g, trace.initial, trace.entries())) == expected
     assert _violation(
         lambda: run_trial(replace(spec, instrument=True), 0)) == expected
 

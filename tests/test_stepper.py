@@ -1,54 +1,74 @@
-"""Seeded trials and scripted replays drive one stepper, `engine.Activity`:
-a trial's recorded moves and draws, fed back as a script, give the same
-execution."""
+"""Seeded trials and scripted trials drive one stepper, `engine.Activity`,
+through one loop, `run_trial`: a trial trace's move column, fed back as a
+script, gives the same trace, byte for byte."""
 
+import io
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from mislab.algorithms import ByzantineMIS, get_algorithm
-from mislab.engine import Configuration, Rule, run_script
-from mislab.graphs import make_graph
+from mislab.algorithms import ByzantineMIS
+from mislab.engine import INITIAL_PRESETS
 from mislab.harness import RunSpec, run_trial
 
-
-def reversed_steps(trace):
-    """The steps with each move set listed in descending node order: a
-    script's draws follow its moves, whatever order they are listed in."""
-    return [type(step)(step.moves[::-1], step.draws[::-1], step.config)
-            for step in trace.steps]
-
-
-@pytest.mark.parametrize("algorithm, daemon, seed", [
-    ("anonymous", "random_subset", 3),
-    ("anonymous", "synchronous", 4),
-    ("byzantine", "aged_fair", 5),
-    ("byzantine", "conflict_greedy", 6),
-])
-def test_script_of_a_trial_trace_replays_it(algorithm, daemon, seed):
-    spec = RunSpec(algorithm=algorithm, graph="grid", rows=4, cols=5,
-                   daemon=daemon, master_seed=seed)
-    outcome = run_trial(spec, 0, want_trace=True)
-    trace = outcome.trace
-    assert trace.steps
-    script = [[(m.node, m.rule, d) for m, d in zip(step.moves, step.draws)]
-              for step in reversed_steps(trace)]
-    replayed = run_script(get_algorithm(algorithm), outcome.graph,
-                          trace.initial, script)
-    assert replayed.steps == trace.steps
-    assert replayed.round_ends == trace.round_ends
+UNSCRIPTED = ("synchronous", "aged_fair", "random_subset", "singleton",
+              "conflict_greedy")
+GRAPHS = ({"graph": "ring", "n": 12}, {"graph": "grid", "rows": 3, "cols": 4},
+          {"graph": "erdos_renyi", "n": 14, "p": 0.25, "graph_seed": 3})
+#: the strategies that draw nothing from the trial's stream
+DRAWLESS = ("silent", "always_top", "oscillate", "degree_liar")
 
 
-def test_script_draws_follow_their_moves_in_any_listed_order():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    algo = get_algorithm("anonymous")
-    up = Configuration((True, True, False))
-    ascending = run_script(algo, g, up, [[(0, Rule.TRY_WITHDRAW, 1),
-                                          (1, Rule.TRY_WITHDRAW, 0)]])
-    descending = run_script(algo, g, up, [[(1, Rule.TRY_WITHDRAW, 0),
-                                           (0, Rule.TRY_WITHDRAW, 1)]])
-    assert ascending.final.s == descending.final.s == (False, True, False)
-    assert ascending.steps == descending.steps
+def trace_text(spec, trial=0):
+    buf = io.StringIO()
+    run_trial(spec, trial, trace_to=buf)
+    return buf.getvalue()
+
+
+def assert_script_replays_trace(spec, path):
+    """spec's trace, its move column written to path as a script, and the
+    trace of spec under a scripted daemon reading it, are the same bytes."""
+    trace = trace_text(spec)
+    lines = trace.splitlines()[1:]
+    assert lines
+    path.write_text("".join(line.split()[1] + "\n" for line in lines),
+                    encoding="utf-8")
+    assert trace_text(replace(spec, daemon="scripted",
+                              script_file=str(path))) == trace
+
+
+@pytest.mark.parametrize("daemon", UNSCRIPTED)
+@pytest.mark.parametrize("algorithm", ["anonymous", "byzantine"])
+def test_script_of_a_trial_trace_replays_it(tmp_path, algorithm, daemon):
+    for i, graph in enumerate(GRAPHS):
+        for j, init in enumerate(INITIAL_PRESETS):
+            spec = RunSpec(algorithm=algorithm, daemon=daemon, init=init,
+                           master_seed=10 * i + j, **graph)
+            assert_script_replays_trace(spec, tmp_path / "script.txt")
+
+
+@pytest.mark.parametrize("daemon", UNSCRIPTED)
+def test_script_of_a_byzantine_trace_replays_it(tmp_path, daemon):
+    for k, strategy in enumerate(DRAWLESS):
+        spec = RunSpec(algorithm="byzantine", graph="ring", n=16, daemon=daemon,
+                       byzantine=(0, 8),
+                       strategies=((0, strategy, 30), (8, strategy, None)),
+                       master_seed=k)
+        assert_script_replays_trace(spec, tmp_path / "script.txt")
+
+
+def test_script_draws_follow_their_moves_in_any_listed_order(tmp_path):
+    spec = RunSpec(algorithm="anonymous", graph="path", n=3, init="all_top",
+                   daemon="scripted", move_ceiling=2)
+    traces = []
+    for line in ("0:withdrawal?:1,1:withdrawal?:0",
+                 "1:withdrawal?:0,0:withdrawal?:1"):
+        path = tmp_path / "script.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        traces.append(trace_text(replace(spec, script_file=str(path))))
+    assert traces[0] == traces[1] == (
+        "0 - 111\n1 0:withdrawal?:1,1:withdrawal?:0 011\n")
 
 
 def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
@@ -69,10 +89,10 @@ def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
                    daemon="aged_fair", byzantine=(0, 77),
                    strategies=((0, "oscillate", None), (77, "degree_liar", None)),
                    check_invariants=True, master_seed=7)
-    outcome = run_trial(spec, 0, want_trace=True)
-    assert outcome.record.converged and outcome.record.transitions == 69
-    honest = sum(m.rule is not Rule.BYZ
-                 for step in outcome.trace.steps for m in step.moves)
+    record = run_trial(spec, 0).record
+    assert record.converged and record.transitions == 69
+    honest = sum(count for rule, count in record.moves_by_rule.items()
+                 if rule != "byz")
     assert honest == 380
     assert calls["step"] == honest
     assert calls["enabled_rules"] == 1599

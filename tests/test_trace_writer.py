@@ -13,9 +13,10 @@ from mislab import engine
 from mislab.algorithms import AnonymousMIS
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.cli import main
-from mislab.engine import INITIAL_PRESETS, Rule, TraceWriter, dump_trace
+from mislab.engine import INITIAL_PRESETS, Rule, TraceWriter
 from mislab.graphs import generate_graph
 from mislab.harness import RunSpec, parse_run_spec, prepare, run_trial
+from reference import recording, traced_trial
 
 
 def reference_fields(cfg):
@@ -80,12 +81,8 @@ def trial_specs(draw):
 @given(spec=trial_specs(), trial=st.integers(0, 3))
 def test_writer_matches_whole_configuration_encoder(spec, trial):
     streamed = io.StringIO()
-    outcome = run_trial(spec, trial, want_trace=True, trace_to=streamed)
-    expected = _reference_text(outcome.trace)
-    assert streamed.getvalue() == expected
-    dumped = io.StringIO()
-    dump_trace(outcome.trace, dumped)
-    assert dumped.getvalue() == expected
+    _, trace = traced_trial(spec, trial, trace_to=streamed)
+    assert streamed.getvalue() == _reference_text(trace)
 
 
 GRID_FLAGS = ["--algorithm", "byzantine", "--graph", "grid", "--rows", "6",
@@ -103,8 +100,11 @@ def test_streamed_trace_file_equals_in_memory_traces(tmp_path, capsys):
         for k, v in zip(GRID_FLAGS[::2], GRID_FLAGS[1::2])))
     buf = io.StringIO()
     plan = prepare(spec)
-    for t in range(spec.trials):
-        dump_trace(run_trial(spec, t, want_trace=True, plan=plan).trace, buf)
+    with recording() as traces:
+        for t in range(spec.trials):
+            run_trial(spec, t, plan=plan)
+    for trace in traces:
+        reference_dump(trace, buf)
     assert target.read_text(encoding="utf-8") == buf.getvalue()
     # only the finished files are left, and each is reported once
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "trace.txt"]
