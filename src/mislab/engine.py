@@ -7,10 +7,11 @@ Semantics fixed here, shared by every run:
   - one Bernoulli draw per executed probabilistic rule, consumed in ascending
     node order within a transition, so a seed fully determines an execution;
   - every guard reads only s[u], x[u] against deg u, and the number of u's
-    neighbors with s = 1, so a move at u can change guards only on the closed
-    neighborhood N[u]: a run scans every guard once, for its initial
-    configuration, and after each transition re-evaluates N[movers] only
-    (`Activity`).
+    neighbors with s = 1, so a run scans every guard once, for its initial
+    configuration, and after each transition re-evaluates only the guards
+    whose inputs changed (`Activity`): N[u] for a mover u whose s flipped,
+    u alone for a mover whose only change is x, nothing for a mover that
+    kept its state.
 """
 
 from __future__ import annotations
@@ -243,9 +244,12 @@ class Activity:
 
     Every guard reads only s[u], x[u], deg[u] and up[u]. After one scan of
     every guard for the initial configuration, `transition` adjusts `up`
-    over N(u) for each mover u whose s flips, and re-evaluates guards on
-    N[movers] only. A transition therefore costs the sum of deg u over the
-    flipped movers plus O(|N[movers]|), however large the graph is.
+    over N(u) for each mover u whose s flips, and re-evaluates guards only
+    on the nodes whose s, x or up changed (`touched`): N[u] for a flipped
+    mover, u for a mover whose only change is x. A transition therefore
+    costs O(|movers|) plus the sum of deg u over the flipped movers,
+    however large the graph is; a move that changes nothing evaluates no
+    guard.
     """
 
     def __init__(self, algo, g: Graph, cfg: Configuration,
@@ -256,7 +260,8 @@ class Activity:
         self._byz = frozenset(self._strategies)
         self.s, self.x, self.deg, self.up = _counted(g, cfg)
         self.activable = _scan(algo, self.s, self.x, self.deg, self.up, self._byz)
-        #: N[movers] of the last transition, whose guards it re-evaluated
+        #: the nodes whose s, x or up the last transition changed, whose
+        #: guards it re-evaluated
         self.touched: set[int] = set()
         self.tracker = RoundTracker(self.activable)
         self.ages = FairnessAges(g.n, self.activable)
@@ -291,21 +296,26 @@ class Activity:
             draws.append(draw)
             nexts.append((new_s, new_x))
 
+        # a guard input changed at a mover whose s flipped (s there, up on
+        # N(u)) or whose x changed (x there); a mover that changed nothing
+        # keeps its guard, unless a flipped neighbor already touched it
         moved = []
         self.touched = touched = set()
         for (node, _), (new_s, new_x) in zip(moves, nexts):
             moved.append(node)
-            touched.add(node)
-            touched.update(adjacency[node])
             if new_s != s[node]:
                 s[node] = new_s
                 delta = 1 if new_s else -1
-                for v in adjacency[node]:
+                nbrs = adjacency[node]
+                for v in nbrs:
                     up[v] += delta
-            if x is not None and new_x is not None:
+                touched.add(node)
+                touched.update(nbrs)
+            if x is not None and new_x is not None and new_x != x[node]:
                 x[node] = new_x
+                touched.add(node)
 
-        # only N[movers] can change activability
+        # only the touched nodes can change activability
         guard, byz, activable = self._algo.enabled_rules, self._byz, self.activable
         left, entered = [], []
         for u in touched:
@@ -333,9 +343,12 @@ class TraceWriter:
     configuration with a '-' move field.
 
     A transition writes state only at its movers, so the encoded s and x are
-    kept between lines and only the movers' entries are re-encoded: a line
-    costs O(|movers|) plus one join of the kept text. `record` reads those
-    entries from `state`, the run's live `Activity` (its `.s` and `.x`).
+    kept between lines and only the movers' entries are re-encoded. The
+    comma-joined x text is kept too, and joined again only on a line where
+    some mover's x text changed: a line costs O(|movers|) plus a copy of the
+    s bytes, and one join of the kept x text when an x changed. `record`
+    reads those entries from `state`, the run's live `Activity` (its `.s`
+    and `.x`).
     """
 
     def __init__(self, fh: IO[str], initial: Configuration):
@@ -343,6 +356,7 @@ class TraceWriter:
         self._index = 0
         self._s = bytearray(_ONE if v else _ZERO for v in initial.s)
         self._x = None if initial.x is None else list(map(str, initial.x))
+        self._x_line = None if self._x is None else self._join_x()
         fh.write(f"0 - {self._fields()}\n")
 
     def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
@@ -351,17 +365,26 @@ class TraceWriter:
         s, x, s_text, x_text = state.s, state.x, self._s, self._x
         one, zero = _ONE, _ZERO
         entries = []
+        x_changed = False
         for (node, rule), d in zip(moves, draws):
             s_text[node] = one if s[node] else zero
             if x_text is not None:
-                x_text[node] = str(x[node])
+                text = str(x[node])
+                if text != x_text[node]:
+                    x_text[node] = text
+                    x_changed = True
             # _value_ is Rule.value without the enum descriptor's cost
             entries.append(f"{node}:{rule._value_}:{'-' if d is None else d}")
+        if x_changed:
+            self._x_line = self._join_x()
         self._fh.write(f"{self._index} {','.join(entries)} {self._fields()}\n")
+
+    def _join_x(self) -> str:
+        return ",".join(self._x)
 
     def _fields(self) -> str:
         s_text = self._s.decode("ascii")
-        return s_text if self._x is None else f"{s_text} {','.join(self._x)}"
+        return s_text if self._x is None else f"{s_text} {self._x_line}"
 
 
 def _coins(g: Graph, rng) -> tuple[bool, ...]:

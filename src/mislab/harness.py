@@ -214,6 +214,13 @@ def validate_run_spec(spec: RunSpec) -> None:
         raise ConfigError(f"fairness bound must be >= 1, got {spec.fairness}")
     if spec.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {spec.trials}")
+    # random.Random(-k) seeds the stream of random.Random(k), and a trial
+    # seed keeps master_seed mod 2**64: other values would alias a valid seed
+    if spec.graph_seed < 0:
+        raise ConfigError(f"graph_seed must be nonnegative, got {spec.graph_seed}")
+    if not 0 <= spec.master_seed < 2**64:
+        raise ConfigError(
+            f"master_seed must be in [0, 2**64), got {spec.master_seed}")
     if spec.algorithm == "anonymous" and spec.byzantine:
         raise ConfigError("anonymous runs converge to stability and admit no "
                           "Byzantine nodes")
@@ -622,8 +629,8 @@ def run_sweep(spec: RunSpec) -> list[SweepRow]:
 
     Sizes come from spec.sizes; each size is prepared in its turn, with a
     graph of that many nodes (kind-specific parameters via sized_params), and
-    runs spec.trials trials. Heavyweight per-transition checks are off here;
-    dedicated trials cover them.
+    runs spec.trials trials. `check_invariants` and `instrument` are off
+    here, whatever the spec says; dedicated trials cover them.
     """
     if not spec.sizes:
         raise ConfigError("sweep requires a nonempty 'sizes' list")

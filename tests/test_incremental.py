@@ -34,12 +34,13 @@ from mislab.analysis import (
     safe_alone_set,
     write_ledger_csv,
 )
-from mislab.byzantine import STRATEGY_KINDS
+from mislab.byzantine import STRATEGY_KINDS, make_strategy
 from mislab.daemons import DAEMON_KINDS, make_daemon
 from mislab.engine import (
     INITIAL_PRESETS,
     Activity,
     Configuration,
+    Move,
     RngStream,
     Rule,
     activable_map,
@@ -67,6 +68,7 @@ from reference import (
     closed_neighbourhood,
     counted_state,
     fairness_ages,
+    forced_draws,
     paper_rules,
     scripted_ledger,
     traced_trial,
@@ -325,8 +327,10 @@ def test_long_runs_match_whole_graph_reference(algorithm, daemon):
 
 
 def test_guard_evaluations_per_move_do_not_grow_with_n(monkeypatch):
-    """After the initial full scan, a move costs N[mover] guard evaluations
-    plus one to validate it: 4 on a ring, however many nodes it has."""
+    """After the initial full scan, a move costs at most N[mover] guard
+    evaluations, 3 on a ring, however many nodes it has: a move whose s
+    flips re-evaluates N[mover], and a failed try-withdrawal none.
+    Validating a move reads the activable map and evaluates no guard."""
     calls = 0
     original = AnonymousMIS.enabled_rules
 
@@ -344,7 +348,48 @@ def test_guard_evaluations_per_move_do_not_grow_with_n(monkeypatch):
         record = run_trial(spec, 0).record
         assert record.converged
         moves = sum(record.moves_by_rule.values())
-        assert (calls - n) / moves <= 2 * (delta + 1), (n, calls, moves)
+        assert (calls - n) / moves <= delta + 1, (n, calls, moves)
+
+
+_PATH3 = generate_graph("path", n=3)
+
+
+@pytest.mark.parametrize("algorithm, s, x, strategies, move, draws, touched", [
+    pytest.param("anonymous", (True, True, False), None, {},
+                 (0, Rule.TRY_WITHDRAW), [0], set(), id="failed-try-withdrawal"),
+    pytest.param("byzantine", (False,) * 3, (1, 2, 1), {},
+                 (1, Rule.TRY_CANDIDACY), [0], set(), id="failed-try-candidacy"),
+    pytest.param("byzantine", (False,) * 3, (1, 2, 1), {0: "silent"},
+                 (0, Rule.BYZ), [], set(), id="silent"),
+    pytest.param("byzantine", (False,) * 3, (1, 2, 1), {0: "degree_liar"},
+                 (0, Rule.BYZ), [], {0}, id="degree-liar-rewrites-x"),
+    pytest.param("byzantine", (False,) * 3, (1, 0, 1), {},
+                 (1, Rule.REFRESH), [], {1}, id="refresh"),
+    pytest.param("anonymous", (False,) * 3, None, {},
+                 (1, Rule.CANDIDACY), [], {0, 1, 2}, id="candidacy-flips-s"),
+    pytest.param("byzantine", (True, True, False), (1, 2, 1), {},
+                 (1, Rule.WITHDRAW), [], {0, 1, 2}, id="withdrawal-flips-s"),
+])
+def test_a_transition_evaluates_guards_only_where_state_changed(
+        monkeypatch, algorithm, s, x, strategies, move, draws, touched):
+    """One scripted move on the path 0-1-2: the guards evaluated after it
+    are those of the honest nodes whose s, x or up it changed, and
+    `Activity.touched` names the nodes whose s, x or up changed."""
+    algo = get_algorithm(algorithm)
+    activity = Activity(algo, _PATH3, Configuration(s, x), {
+        u: make_strategy(kind) for u, kind in strategies.items()})
+    calls = []
+    original = type(algo).enabled_rules
+
+    def counting(self, s, x, deg, up, u):
+        calls.append(u)
+        return original(self, s, x, deg, up, u)
+
+    monkeypatch.setattr(type(algo), "enabled_rules", counting)
+    activity.transition([Move(*move)], forced_draws(draws))
+    assert activity.touched == touched
+    assert sorted(calls) == sorted(touched - set(strategies))
+    _assert_counted_state(activity, algo, _PATH3, frozenset(strategies))
 
 
 @settings(max_examples=150, deadline=None)

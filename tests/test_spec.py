@@ -56,7 +56,7 @@ def run_specs(draw):
         ) if byzantine else ()
     return RunSpec(
         algorithm=algorithm, graph=graph, **params,
-        graph_seed=draw(st.integers(-2**70, 2**70)),
+        graph_seed=draw(st.integers(0, 2**70)),
         graph_file=draw(_NAMES) if graph == "file" else draw(st.none() | _NAMES),
         daemon=daemon,
         fairness=draw(st.none() | _COUNTS),
@@ -64,7 +64,7 @@ def run_specs(draw):
         script_file=draw(_NAMES) if daemon == "scripted" else None,
         init=draw(st.sampled_from(INITIAL_PRESETS)),
         trials=draw(_COUNTS),
-        master_seed=draw(st.integers(0, 2**64)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
         move_ceiling=draw(st.integers(0, 10**9)),
         round_ceiling=draw(st.integers(0, 10**9)),
         byzantine=byzantine, strategies=strategies,
@@ -184,6 +184,24 @@ def test_negative_caps_are_config_errors(flags, message, capsys):
     assert main(["trial", "--algorithm", "byzantine", "--graph", "ring",
                  "--n", "6", "--daemon", "random_subset", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--graph-seed", "-1"], "graph_seed must be nonnegative, got -1"),
+    (["--master-seed", "-1"], "master_seed must be in [0, 2**64), got -1"),
+    (["--master-seed", str(2**64)],
+     f"master_seed must be in [0, 2**64), got {2**64}"),
+    (["--master-seed", str(-2**64)],
+     f"master_seed must be in [0, 2**64), got {-2**64}"),
+])
+def test_aliasing_seeds_are_config_errors(flags, message, capsys):
+    """A negative graph seed draws the edges of its absolute value, and a
+    master seed is used mod 2**64: both would give a second spec hash to
+    the same experiment."""
+    assert main(["trial", *BASE, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["trial", *BASE, "--graph-seed", "0",
+                 "--master-seed", str(2**64 - 1)]) == 0
 
 
 @pytest.mark.parametrize("script, where", [

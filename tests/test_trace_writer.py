@@ -148,6 +148,29 @@ def test_writer_encodes_only_the_movers_x(monkeypatch, n):
     assert all(cost <= movers for _, movers, cost in sink.lines[1:])
 
 
+def test_writer_joins_x_only_on_lines_where_an_x_changed(monkeypatch):
+    """The comma-joined x text is kept between lines: it is joined for line
+    0 and again only on a line whose x field differs from the one before."""
+    joins = []
+    join_x = TraceWriter._join_x
+
+    def counting(self):
+        joins.append(self._index)
+        return join_x(self)
+
+    monkeypatch.setattr(TraceWriter, "_join_x", counting)
+    buf = io.StringIO()
+    spec = RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
+                   daemon="aged_fair", byzantine=(0, 20),
+                   strategies=((0, "oscillate", None), (20, "degree_liar", None)),
+                   master_seed=3, check_invariants=False)
+    run_trial(spec, 0, trace_to=buf)
+    x_fields = [line.split(" ")[3] for line in buf.getvalue().splitlines()]
+    changed = [i for i in range(1, len(x_fields)) if x_fields[i] != x_fields[i - 1]]
+    assert joins == [0, *changed]
+    assert 0 < len(changed) < len(x_fields) // 2
+
+
 def test_writer_rewrites_only_movers():
     """An entry of a non-mover keeps its text even when the configuration
     passed in disagrees: the writer relies on state changing at movers only."""
