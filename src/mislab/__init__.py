@@ -12,7 +12,6 @@ from .analysis import (
     is_independent,
     is_legitimate,
     locally_alone_set,
-    safe_alone_set,
 )
 from .byzantine import DEFAULT_X_CAP, STRATEGY_KINDS, make_strategy
 from .daemons import DAEMON_KINDS, make_daemon
@@ -21,7 +20,6 @@ from .engine import (
     Configuration,
     FairnessAges,
     FixedDraws,
-    Move,
     RngStream,
     RoundTracker,
     Rule,

@@ -15,8 +15,8 @@ randomness sits:
 Every guard of both rule sets depends only on s[u], on x[u] against deg u,
 and on whether some neighbor is up. `enabled_rules` is therefore the counted
 guard over the stepper's lists (s, x, deg, up, u), where up[u] is the number
-of u's neighbors with s = 1: O(1) per evaluation, returning one of the
-module's constant rule tuples.
+of u's neighbors with s = 1: O(1) per evaluation. The guards of each rule
+set are mutually exclusive, so it returns u's one enabled rule, or None.
 
 A move is one call, `step(g, s, x, u, rule, rng) -> (new_s, new_x, draw)`:
 it reads the current s and x lists, draws its own Bernoulli from `rng` when
@@ -33,14 +33,9 @@ from .errors import EngineError, known_kind
 from .graphs import Graph
 
 # reading an Enum member off its class costs ten times a global read, so the
-# guards and commands compare against module globals and return constant tuples
+# guards and commands compare against and return module globals
 _REFRESH, _TRY_CANDIDACY, _WITHDRAW = Rule.REFRESH, Rule.TRY_CANDIDACY, Rule.WITHDRAW
 _CANDIDACY, _TRY_WITHDRAW = Rule.CANDIDACY, Rule.TRY_WITHDRAW
-_ONLY_REFRESH = (_REFRESH,)
-_ONLY_TRY_CANDIDACY = (_TRY_CANDIDACY,)
-_ONLY_WITHDRAW = (_WITHDRAW,)
-_ONLY_CANDIDACY = (_CANDIDACY,)
-_ONLY_TRY_WITHDRAW = (_TRY_WITHDRAW,)
 
 
 def candidacy_probability(g: Graph, x, u: int) -> float:
@@ -67,12 +62,12 @@ class ByzantineMIS:
     #: the one rule whose command draws a Bernoulli
     random_rule = _TRY_CANDIDACY
 
-    def enabled_rules(self, s, x, deg, up, u: int) -> tuple[Rule, ...]:
+    def enabled_rules(self, s, x, deg, up, u: int) -> Rule | None:
         if x[u] != deg[u]:
-            return _ONLY_REFRESH
+            return _REFRESH
         if not s[u]:
-            return () if up[u] else _ONLY_TRY_CANDIDACY
-        return _ONLY_WITHDRAW if up[u] else ()
+            return None if up[u] else _TRY_CANDIDACY
+        return _WITHDRAW if up[u] else None
 
     def step(self, g: Graph, s, x, u: int, rule: Rule,
              rng) -> tuple[bool, int, int | None]:
@@ -96,10 +91,10 @@ class AnonymousMIS:
     #: the one rule whose command draws a Bernoulli
     random_rule = _TRY_WITHDRAW
 
-    def enabled_rules(self, s, x, deg, up, u: int) -> tuple[Rule, ...]:
+    def enabled_rules(self, s, x, deg, up, u: int) -> Rule | None:
         if s[u]:
-            return _ONLY_TRY_WITHDRAW if up[u] else ()
-        return () if up[u] else _ONLY_CANDIDACY
+            return _TRY_WITHDRAW if up[u] else None
+        return None if up[u] else _CANDIDACY
 
     def step(self, g: Graph, s, x, u: int, rule: Rule,
              rng) -> tuple[bool, None, int | None]:

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
-from .engine import Activity, Configuration, Move, Rule
+from .engine import Activity, Configuration, Rule
 from .errors import ConfigError, InvariantViolation
 from .graphs import Graph, safe_zone
 
@@ -33,27 +33,15 @@ def locally_alone_set(g: Graph, cfg: Configuration) -> frozenset[int]:
     return alone
 
 
-def safe_alone_set(g: Graph, byz: frozenset[int], cfg: Configuration) -> frozenset[int]:
-    """Locally alone nodes beyond direct Byzantine influence (distance > 1)."""
-    result = locally_alone_set(g, cfg) & safe_zone(g, byz, 1)
-    assert is_independent(g, result)
-    return result
-
-
-def is_legitimate(g: Graph, byz: frozenset[int], cfg: Configuration,
-                  zone1: frozenset[int] | None = None,
-                  zone2: frozenset[int] | None = None) -> bool:
-    """The containment target: the safe alone set is a maximal independent
-    set of (distance-2 safe zone) union itself.
+def is_legitimate(g: Graph, byz: frozenset[int], cfg: Configuration) -> bool:
+    """The containment target: the safe alone set, the locally alone nodes
+    beyond direct Byzantine influence (distance > 1), is a maximal
+    independent set of (distance-2 safe zone) union itself.
 
     Concretely: (i) independent in G, and (ii) every ground-set node outside
-    it has a neighbor inside it. Zones can be passed in to avoid re-running
-    BFS when the Byzantine set is fixed.
+    it has a neighbor inside it.
     """
-    if zone1 is None:
-        zone1 = safe_zone(g, byz, 1)
-    if zone2 is None:
-        zone2 = safe_zone(g, byz, 2)
+    zone1, zone2 = safe_zone(g, byz, 1), safe_zone(g, byz, 2)
     s = cfg.s
     alone = frozenset(
         u for u in zone1
@@ -232,9 +220,10 @@ class ColorLedger:
         """Each color's members: the nodes that came up at its index."""
         return {color: r.members for color, r in self.records.items()}
 
-    def record(self, moves: tuple[Move, ...]) -> None:
+    def record(self, moves: Sequence[tuple[int, Rule]]) -> None:
         """Account one executed transition, read after the stepper applied
-        it. Moves must be node-sorted."""
+        it: its node-sorted (node, rule) pairs, as `Activity.transition`
+        returns them."""
         self.index += 1
         i = self.index
         s, top_since = self._activity.s, self._top_since
@@ -289,12 +278,12 @@ class ColorLedger:
         settle the accounts of colors that just lost their last one."""
         activable, top_since, live = (
             self._activity.activable, self._top_since, self._live)
-        possible = {top_since[u] for u, rules in activable.items()
-                    if _WITHDRAW in rules}
+        possible = {top_since[u] for u, rule in activable.items()
+                    if rule is _WITHDRAW}
         if not possible.issubset(live):
             # name the lowest node whose possible withdrawal has no live color
-            u = min(u for u, rules in activable.items()
-                    if _WITHDRAW in rules and top_since[u] not in live)
+            u = min(u for u, rule in activable.items()
+                    if rule is _WITHDRAW and top_since[u] not in live)
             i, color = self.index, top_since[u]
             record = self.records.get(color)
             if record is None:

@@ -1,5 +1,8 @@
 """Scheduler policies: which activable nodes fire in the next transition.
 
+A daemon returns nodes, not moves: each chosen node executes the one rule
+the activable map holds for it, and the stepper reads that rule itself.
+
 The worst-case adversary is a Markov decision process over configurations,
 solvable exactly only for small n; the adversarial kinds here are
 heuristics, and bounds that hold against any daemon hold against them in
@@ -12,14 +15,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algorithms import ALGORITHMS
-from .engine import Activity, FairnessAges, FixedDraws, Move, RngStream, Rule
+from .engine import Activity, FairnessAges, FixedDraws, RngStream, Rule
 from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
-
-
-def _moves_for(nodes, activable) -> list[Move]:
-    """The first enabled rule of each node, in the order given."""
-    return [Move(u, activable[u][0]) for u in nodes]
 
 
 class Daemon:
@@ -29,13 +27,12 @@ class Daemon:
     fair_bound: int | None = None
     stream = RngStream
 
-    def select(self, g: Graph, cfg: Activity,
-               activable: dict[int, tuple[Rule, ...]],
-               ages: FairnessAges, rng) -> list[Move]:
-        """The moves of the next transition, at most one per node, as a list
-        in ascending node order: the stepper takes it as it is and rejects
-        an unsorted one. `cfg` is the run's live stepper, `rng` the trial's
-        stream."""
+    def select(self, g: Graph, cfg: Activity, activable: dict[int, Rule],
+               ages: FairnessAges, rng) -> list[int]:
+        """The nodes to activate in the next transition: a nonempty list of
+        keys of `activable`, in strictly ascending order, which the stepper
+        takes as it is and rejects otherwise. `cfg` is the run's live
+        stepper, `rng` the trial's stream."""
         raise NotImplementedError
 
 
@@ -45,7 +42,7 @@ class SynchronousDaemon(Daemon):
     fair_bound = 1
 
     def select(self, g, cfg, activable, ages, rng):
-        return _moves_for(sorted(activable), activable)
+        return sorted(activable)
 
 
 class AgedFairDaemon(Daemon):
@@ -64,7 +61,7 @@ class AgedFairDaemon(Daemon):
         chosen = [u for u in nodes if since[u] <= due or rng.random() < 0.5]
         if not chosen:
             chosen = [rng.choice(nodes)]
-        return _moves_for(chosen, activable)
+        return chosen
 
 
 class RandomSubsetDaemon(Daemon):
@@ -80,7 +77,7 @@ class RandomSubsetDaemon(Daemon):
         for _ in range(10_000):
             chosen = [u for u in nodes if rng.random() < self.density]
             if chosen:
-                return _moves_for(chosen, activable)
+                return chosen
         raise ConfigError(f"random_subset density {self.density} chose no node "
                           "in 10000 draws; raise the density")
 
@@ -96,7 +93,7 @@ class SingletonDaemon(Daemon):
             u = (self._cursor + offset) % g.n
             if u in activable:
                 self._cursor = (u + 1) % g.n
-                return _moves_for([u], activable)
+                return [u]
         raise EngineError("singleton daemon called with nothing activable")
 
 
@@ -112,7 +109,7 @@ class ConflictGreedyDaemon(Daemon):
                   or rng.random() < 0.5]
         if not chosen:
             chosen = [rng.choice(nodes)]
-        return _moves_for(chosen, activable)
+        return chosen
 
 
 #: the rules whose command draws a Bernoulli, one per algorithm
@@ -121,9 +118,10 @@ _DRAWING = frozenset(algo.random_rule for algo in ALGORITHMS.values())
 
 class ScriptedDaemon(Daemon):
     """Replays an explicit list of move sets, each a list of (node, rule,
-    draw) entries; fails if a move is not enabled. An entry listed twice in
-    one set counts once. The trial's stream is a `FixedDraws`, fed each
-    set's draws in ascending node order; a None draw comes from the stream.
+    draw) entries; fails if a scripted rule is not the one the activable map
+    holds for its node. An entry listed twice in one set counts once. The
+    trial's stream is a `FixedDraws`, fed each set's draws in ascending node
+    order; a None draw comes from the stream.
     """
 
     stream = FixedDraws
@@ -135,7 +133,7 @@ class ScriptedDaemon(Daemon):
         for step in script:
             entries = sorted(dict.fromkeys(step), key=lambda e: e[0])
             self._script.append((
-                [Move(node, rule) for node, rule, _ in entries],
+                [(node, rule) for node, rule, _ in entries],
                 [d for _, rule, d in entries if rule in _DRAWING]))
         self._next = 0
 
@@ -145,21 +143,21 @@ class ScriptedDaemon(Daemon):
         moves, draws = self._script[self._next]
         self._next += 1
         for node, rule in moves:
-            if rule not in activable.get(node, ()):
+            if activable.get(node) is not rule:
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled "
                     f"at transition {self._next}")
         if not moves:
             raise ScriptError(f"scripted transition {self._next} is empty")
         rng.forced.extend(draws)
-        return moves
+        return [node for node, _ in moves]
 
 
 #: kind -> factory (n, fairness, density, script) of a fresh daemon
 DAEMONS = {
     "synchronous": lambda n, fairness, density, script: SynchronousDaemon(),
     "aged_fair": lambda n, fairness, density, script: AgedFairDaemon(
-        fairness if fairness is not None else n),
+        fairness if fairness is not None else max(n, 1)),
     "random_subset": lambda n, fairness, density, script: RandomSubsetDaemon(density),
     "singleton": lambda n, fairness, density, script: SingletonDaemon(),
     "conflict_greedy": lambda n, fairness, density, script: ConflictGreedyDaemon(),
@@ -170,6 +168,7 @@ DAEMON_KINDS = tuple(DAEMONS)
 
 def make_daemon(kind: str, n: int, *, fairness: int | None = None,
                 density: float = 0.5, script=None) -> Daemon:
-    """Fresh policy instance for one trial. fairness defaults to n."""
+    """Fresh policy instance for one trial. fairness defaults to n, and to
+    1 on the empty graph."""
     return DAEMONS[known_kind(kind, DAEMONS, "daemon kind")](
         n, fairness, density, script)

@@ -1,6 +1,10 @@
 """Execution core: configurations, transitions, round accounting, seeded randomness.
 
 Semantics fixed here, shared by every run:
+  - a daemon picks a nonempty set of activable nodes, and each executes the
+    one rule the activable map holds for it: the guards of each rule set are
+    mutually exclusive, and a faulty node's entry is `Rule.BYZ`, its
+    strategy;
   - guards are evaluated against the pre-transition configuration, and every
     mover's next state is computed before any is written (simultaneous
     activation);
@@ -20,7 +24,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
 from .graphs import Graph
@@ -37,11 +41,6 @@ class Rule(enum.Enum):
     CANDIDACY = "candidacy"
     TRY_WITHDRAW = "withdrawal?"
     BYZ = "byz"
-
-
-class Move(NamedTuple):
-    node: int
-    rule: Rule
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class FixedDraws(RngStream):
 
 #: the faulty-node marker as a module global, read per move
 _BYZ = Rule.BYZ
-_ONLY_BYZ = (_BYZ,)
 
 
 def _counted(g: Graph, cfg: Configuration) -> tuple[
@@ -105,22 +103,23 @@ def _counted(g: Graph, cfg: Configuration) -> tuple[
             [sum(map(s.__getitem__, nbrs)) for nbrs in adjacency])
 
 
-def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, tuple[Rule, ...]]:
+def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, Rule]:
     guard = algo.enabled_rules
     out = {}
     for u in range(len(s)):
         if u in byz:
-            out[u] = _ONLY_BYZ
+            out[u] = _BYZ
         else:
-            rules = guard(s, x, deg, up, u)
-            if rules:
-                out[u] = rules
+            rule = guard(s, x, deg, up, u)
+            if rule is not None:
+                out[u] = rule
     return out
 
 
 def activable_map(algo, g: Graph, cfg: Configuration,
-                  byz: frozenset[int] = frozenset()) -> dict[int, tuple[Rule, ...]]:
-    """Enabled rules per activable node; faulty nodes are always activable.
+                  byz: frozenset[int] = frozenset()) -> dict[int, Rule]:
+    """The enabled rule of each activable node; a faulty node is always
+    activable, with `Rule.BYZ`.
 
     A full scan of every guard: a run scans its initial configuration once
     and then keeps the map current itself (`Activity`).
@@ -128,33 +127,29 @@ def activable_map(algo, g: Graph, cfg: Configuration,
     return _scan(algo, *_counted(g, cfg), byz)
 
 
-def validate_move_set(g: Graph, moves: Sequence[Move],
-                      activable: dict[int, tuple[Rule, ...]],
-                      byz_strategies: dict) -> None:
-    """Check the invariants of a move set against the activable map of the
-    current configuration. The set must list its moves in ascending node
-    order, as every daemon returns them; the stepper does not sort.
+def validate_move_set(g: Graph, nodes: Sequence[int],
+                      activable: dict[int, Rule]) -> None:
+    """Check a daemon's choice against the activable map of the current
+    configuration: a nonempty list of activable nodes in strictly ascending
+    order, as every daemon returns them; the stepper does not sort. Each
+    chosen node executes the rule the map holds for it, so that rule is
+    enabled, a faulty node runs its strategy and an honest node an
+    algorithm rule, whichever nodes are chosen.
 
     Violations are engine errors: daemons must only emit valid sets.
     """
-    if not moves:
+    if not nodes:
         raise EngineError("move set must be nonempty")
-    for prev, move in zip(moves, moves[1:]):
-        if prev.node >= move.node:
-            if prev.node > move.node:
+    for prev, u in zip(nodes, nodes[1:]):
+        if prev >= u:
+            if prev > u:
                 raise EngineError("move set is not sorted by node")
-            ordered = sorted(moves, key=lambda m: (m.node, m.rule.value))
-            raise EngineError(f"move set targets a node twice: {ordered}")
-    for node, rule in moves:
-        if not (0 <= node < g.n):
-            raise EngineError(f"move on node {node} outside graph of size {g.n}")
-        if rule is _BYZ:
-            if node not in byz_strategies:
-                raise EngineError(f"byz move on non-faulty node {node}")
-        elif node in byz_strategies:
-            raise EngineError(f"faulty node {node} may not execute algorithm rules")
-        elif rule not in activable.get(node, ()):
-            raise EngineError(f"rule {rule.value} not enabled on node {node}")
+            raise EngineError(f"move set targets node {u} twice")
+    for u in nodes:
+        if u not in activable:
+            if not 0 <= u < g.n:
+                raise EngineError(f"move on node {u} outside graph of size {g.n}")
+            raise EngineError(f"move on node {u}, which is not activable")
 
 
 def is_stable(algo, g: Graph, cfg: Configuration) -> bool:
@@ -212,7 +207,7 @@ class FairnessAges:
     u has age >= a iff since[u] <= transitions - a.
     """
 
-    def __init__(self, n: int, activable: dict[int, tuple[Rule, ...]]):
+    def __init__(self, n: int, activable: dict[int, Rule]):
         self.transitions = 0
         #: since[u]: the transition after which u last moved or became
         #: activable; meaningful only while u is activable
@@ -236,7 +231,8 @@ class Activity:
     """The transition stepper every run drives. It owns the run's state as
     plain lists: `s`, `x` (None when the algorithm keeps none), `deg`, and
     `up`, where up[u] is the number of u's neighbors with s = 1. It also
-    owns the activable map, the round tracker and the fairness ages.
+    owns the activable map, which holds the one rule each activable node
+    would execute, the round tracker and the fairness ages.
     An algorithm's `step` is handed the `s` and `x` lists; strategies and
     daemons read the state through the stepper's own `.s` and `.x`; a
     `Configuration` is built only on request (`snapshot`). `strategies`
@@ -271,17 +267,21 @@ class Activity:
         return Configuration(tuple(self.s),
                              None if self.x is None else tuple(self.x))
 
-    def transition(self, moves: Sequence[Move], rng) -> tuple[
-            tuple[int | None, ...], bool]:
-        """Execute a move set, listed in ascending node order, on the
-        current state and account it.
+    def transition(self, nodes: Sequence[int], rng) -> tuple[
+            list[tuple[int, Rule]], tuple[int | None, ...], bool]:
+        """Activate the chosen nodes, listed in ascending order, on the
+        current state and account the transition. Every node's rule is read
+        from the activable map before any state is written.
 
-        Returns the moves' draws and whether the transition closed a round;
-        the new state is the stepper's own. An honest move costs one `step`
-        call on the algorithm, which draws its own Bernoulli.
+        Returns the executed (node, rule) pairs, their draws, and whether
+        the transition closed a round; the new state is the stepper's own.
+        An honest move costs one `step` call on the algorithm, which draws
+        its own Bernoulli; a faulty node's move is its strategy's `act`.
         """
         g, step, strategies = self._g, self._algo.step, self._strategies
-        validate_move_set(g, moves, self.activable, strategies)
+        activable = self.activable
+        validate_move_set(g, nodes, activable)
+        moves = [(u, activable[u]) for u in nodes]
         s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
         # every next state is computed against the current one before any
         # is written: simultaneous activation
@@ -299,10 +299,8 @@ class Activity:
         # a guard input changed at a mover whose s flipped (s there, up on
         # N(u)) or whose x changed (x there); a mover that changed nothing
         # keeps its guard, unless a flipped neighbor already touched it
-        moved = []
         self.touched = touched = set()
-        for (node, _), (new_s, new_x) in zip(moves, nexts):
-            moved.append(node)
+        for node, (new_s, new_x) in zip(nodes, nexts):
             if new_s != s[node]:
                 s[node] = new_s
                 delta = 1 if new_s else -1
@@ -316,21 +314,21 @@ class Activity:
                 touched.add(node)
 
         # only the touched nodes can change activability
-        guard, byz, activable = self._algo.enabled_rules, self._byz, self.activable
+        guard, byz = self._algo.enabled_rules, self._byz
         left, entered = [], []
         for u in touched:
             if u in byz:
                 continue
-            rules = guard(s, x, deg, up, u)
-            if rules:
+            rule = guard(s, x, deg, up, u)
+            if rule is not None:
                 if u not in activable:
                     entered.append(u)
-                activable[u] = rules
+                activable[u] = rule
             elif activable.pop(u, None) is not None:
                 left.append(u)
-        self.ages.advance([*moved, *entered])
-        ended = self.tracker.advance(moved, left, activable)
-        return tuple(draws), ended
+        self.ages.advance([*nodes, *entered])
+        ended = self.tracker.advance(nodes, left, activable)
+        return moves, tuple(draws), ended
 
 
 _ONE, _ZERO = b"10"
@@ -359,8 +357,8 @@ class TraceWriter:
         self._x_line = None if self._x is None else self._join_x()
         fh.write(f"0 - {self._fields()}\n")
 
-    def record(self, moves: tuple[Move, ...], draws: tuple[int | None, ...],
-               state) -> None:
+    def record(self, moves: Sequence[tuple[int, Rule]],
+               draws: tuple[int | None, ...], state) -> None:
         self._index += 1
         s, x, s_text, x_text = state.s, state.x, self._s, self._x
         one, zero = _ONE, _ZERO

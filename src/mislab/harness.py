@@ -475,8 +475,8 @@ def run_trial(spec: RunSpec, trial_index: int,
                 ceiling_hit = True
             break
 
-        moves = daemon.select(g, activity, activable, ages, rng)
-        draws, ended = activity.transition(moves, rng)
+        nodes = daemon.select(g, activity, activable, ages, rng)
+        moves, draws, ended = activity.transition(nodes, rng)
         lost = safe.update(activity, activity.touched) if safe is not None else None
         moves_total += len(moves)
         for _, rule in moves:
@@ -497,7 +497,7 @@ def run_trial(spec: RunSpec, trial_index: int,
                 # degree; x changes only at movers, so scan every node when
                 # that round closes, and only the movers after that
                 for u in (range(g.n) if ended and tracker.rounds_completed == 1
-                          else (m.node for m in moves)):
+                          else nodes):
                     if u not in byz and x[u] != deg[u]:
                         raise InvariantViolation(
                             f"node {u} has x={x[u]} != deg={deg[u]} "

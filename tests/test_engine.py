@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from mislab.byzantine import make_strategy
 from mislab.engine import (
     Activity,
     Configuration,
-    Move,
     RngStream,
     RoundTracker,
     Rule,
@@ -23,7 +23,14 @@ from mislab.engine import (
 from mislab.errors import ConfigError, EngineError, ScriptError
 from mislab.graphs import erdos_renyi, make_graph, path, ring, write_graph
 from mislab.harness import RunSpec, run_trial
-from reference import apply_transition, enabled, forced_draws, traced_trial
+from reference import (
+    Move,
+    apply_transition,
+    enabled,
+    forced_draws,
+    paper_rules,
+    traced_trial,
+)
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -102,12 +109,27 @@ def test_move_set_validation():
 
 def test_unsorted_move_set_is_rejected():
     # the stepper takes a daemon's node-ascending list as it is
-    moves = [Move(1, Rule.CANDIDACY), Move(0, Rule.CANDIDACY)]
     activity = Activity(ANON, EXAMPLE, all_bot(4))
     with pytest.raises(EngineError, match="^move set is not sorted by node$"):
-        activity.transition(moves, RngStream(0))
+        activity.transition([1, 0], RngStream(0))
     assert activity.snapshot() == all_bot(4)
     assert activity.ages.transitions == 0
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([], "move set must be nonempty"),
+    ([3, 3], "move set targets node 3 twice"),
+    ([0], "move on node 0, which is not activable"),
+    ([3, 4], "move on node 4 outside graph of size 4"),
+])
+def test_stepper_takes_only_activable_nodes_once(nodes, message):
+    # only node 3, down with no up neighbor, is activable
+    cfg = Configuration((False, True, False, False))
+    activity = Activity(ANON, EXAMPLE, cfg)
+    assert activity.activable == {3: Rule.CANDIDACY}
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        activity.transition(nodes, RngStream(0))
+    assert activity.snapshot() == cfg
 
 
 def test_byz_move_requires_strategy_binding():
@@ -120,6 +142,31 @@ def test_byz_move_requires_strategy_binding():
     with pytest.raises(EngineError):
         apply_transition(BYZ, g, cfg, [Move(1, Rule.TRY_CANDIDACY)],
                          RngStream(3), strategies)
+
+
+def test_chosen_nodes_run_their_own_rule_whatever_the_choice():
+    """Every nonempty choice of activable nodes, where node 0 can withdraw,
+    node 1 must refresh, node 2 is faulty and node 3 can try candidacy: a
+    faulty node runs its strategy, an honest node the one rule the paper's
+    guards enable on it, and the state and draws are the paper-form
+    stepper's."""
+    cfg = Configuration((True, True, False, False), (2, 5, 3, 1))
+    strategies = {2: make_strategy("uniform_random")}
+    activable = {0: Rule.WITHDRAW, 1: Rule.REFRESH, 2: Rule.BYZ,
+                 3: Rule.TRY_CANDIDACY}
+    for u in (0, 1, 3):
+        assert paper_rules(BYZ, EXAMPLE, cfg, u) == (activable[u],)
+    for k in range(1, 5):
+        for nodes in itertools.combinations(range(4), k):
+            activity = Activity(BYZ, EXAMPLE, cfg, strategies)
+            assert activity.activable == activable
+            moves, draws, _ = activity.transition(list(nodes), RngStream(k))
+            assert moves == [(u, activable[u]) for u in nodes]
+            after, expected_draws = apply_transition(
+                BYZ, EXAMPLE, cfg, [Move(*m) for m in moves], RngStream(k),
+                strategies)
+            assert activity.snapshot() == after
+            assert draws == expected_draws
 
 
 def test_synchronous_rounds_are_single_transitions():
@@ -194,7 +241,7 @@ def test_transition_locality(seed, data):
     if not act:
         return
     nodes = data.draw(st.sets(st.sampled_from(sorted(act)), min_size=1))
-    moves = [Move(u, act[u][0]) for u in nodes]
+    moves = [Move(u, act[u]) for u in nodes]
     after, _ = apply_transition(BYZ, g, cfg, moves, RngStream(seed))
     for u in range(8):
         if u not in nodes:
@@ -344,7 +391,7 @@ def test_trace_includes_x_vector():
     activity = Activity(BYZ, g, cfg)
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
-    moves = [Move(0, Rule.REFRESH)]
-    draws, _ = activity.transition(moves, RngStream(0))
+    moves, draws, _ = activity.transition([0], RngStream(0))
+    assert moves == [(0, Rule.REFRESH)]
     writer.record(moves, draws, activity)
     assert buf.getvalue().splitlines() == ["0 - 00 5,1", "1 0:refresh:- 00 1,1"]

@@ -6,7 +6,7 @@ import pytest
 
 from mislab import harness
 from mislab.algorithms import get_algorithm
-from mislab.analysis import all_maximal_independent_sets, is_legitimate, safe_alone_set
+from mislab.analysis import all_maximal_independent_sets, is_legitimate
 from mislab.engine import is_stable
 from mislab.errors import ConfigError
 from mislab.graphs import ring, write_graph
@@ -26,6 +26,7 @@ from mislab.harness import (
     trial_csv_text,
     validate_run_spec,
 )
+from reference import safe_alone_set
 
 SPEC_TEXT = """
 # anonymous baseline

@@ -31,7 +31,6 @@ from mislab.analysis import (
     SafeAloneTracker,
     is_legitimate,
     locally_alone_set,
-    safe_alone_set,
     write_ledger_csv,
 )
 from mislab.byzantine import STRATEGY_KINDS, make_strategy
@@ -40,7 +39,6 @@ from mislab.engine import (
     INITIAL_PRESETS,
     Activity,
     Configuration,
-    Move,
     RngStream,
     Rule,
     activable_map,
@@ -61,6 +59,7 @@ from mislab.harness import (
 )
 import reference
 from reference import (
+    Move,
     PaperAnonymousCommands,
     Trace,
     TraceStep,
@@ -70,6 +69,7 @@ from reference import (
     fairness_ages,
     forced_draws,
     paper_rules,
+    safe_alone_set,
     scripted_ledger,
     traced_trial,
     whole_configuration_ledger,
@@ -151,8 +151,6 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
     daemon = make_daemon(spec.daemon, g.n, fairness=spec.fairness,
                          density=spec.density, script=prepare(spec).script)
     cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
-    zone1 = safe_zone(g, byz, 1) if byz_runs else None
-    zone2 = safe_zone(g, byz, 2) if byz_runs else None
     move_ceiling = spec.move_ceiling or default_move_ceiling(g.n)
     round_ceiling = spec.round_ceiling or default_round_ceiling(g)
     tracker = WholeGraphRoundTracker(g.n, byz)
@@ -171,7 +169,7 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
     activable = activable_map(algo, g, cfg, byz)
     while True:
         if byz_runs:
-            if is_legitimate(g, byz, cfg, zone1, zone2):
+            if is_legitimate(g, byz, cfg):
                 if first_hit is None:
                     first_hit = (moves_total, tracker.rounds_elapsed)
                     hit_completed_rounds = tracker.rounds_completed
@@ -191,8 +189,9 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
                 ceiling_hit = True
             break
 
-        moves = daemon.select(g, cfg, activable,
+        nodes = daemon.select(g, cfg, activable,
                               fairness_ages(ages, activable), rng)
+        moves = [Move(u, activable[u]) for u in nodes]
         new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
         new_activable = activable_map(algo, g, new_cfg, byz)
         sorted_moves = tuple(sorted(moves, key=lambda m: m.node))
@@ -386,7 +385,8 @@ def test_a_transition_evaluates_guards_only_where_state_changed(
         return original(self, s, x, deg, up, u)
 
     monkeypatch.setattr(type(algo), "enabled_rules", counting)
-    activity.transition([Move(*move)], forced_draws(draws))
+    moves, _, _ = activity.transition([move[0]], forced_draws(draws))
+    assert moves == [move]
     assert activity.touched == touched
     assert sorted(calls) == sorted(touched - set(strategies))
     _assert_counted_state(activity, algo, _PATH3, frozenset(strategies))
@@ -451,11 +451,11 @@ def _plant_eager_candidacy(monkeypatch):
     anonymous, byzantine = AnonymousMIS.enabled_rules, ByzantineMIS.enabled_rules
 
     def anonymous_eager(self, s, x, deg, up, u):
-        return (Rule.CANDIDACY,) if not s[u] else anonymous(self, s, x, deg, up, u)
+        return Rule.CANDIDACY if not s[u] else anonymous(self, s, x, deg, up, u)
 
     def byzantine_eager(self, s, x, deg, up, u):
         if not s[u] and x[u] == deg[u]:
-            return (Rule.TRY_CANDIDACY,)
+            return Rule.TRY_CANDIDACY
         return byzantine(self, s, x, deg, up, u)
 
     monkeypatch.setattr(AnonymousMIS, "enabled_rules", anonymous_eager)
@@ -486,7 +486,7 @@ def test_planted_stale_degree_raises_the_reference_message(monkeypatch):
     monkeypatch.setattr(
         ByzantineMIS, "enabled_rules",
         lambda self, s, x, deg, up, u: (
-            () if u == 5 else original(self, s, x, deg, up, u)))
+            None if u == 5 else original(self, s, x, deg, up, u)))
     spec = RunSpec(algorithm="byzantine", graph="grid", rows=4, cols=5,
                    daemon="aged_fair", init="adversarial_x", master_seed=2,
                    byzantine=(0,), hold_rounds=50)
@@ -574,13 +574,14 @@ def _assert_counted_state(activity, algo, g, byz) -> None:
     expected = {}
     for u in range(g.n):
         if u in byz:
-            expected[u] = (Rule.BYZ,)
+            expected[u] = Rule.BYZ
             continue
-        rules = algo.enabled_rules(activity.s, activity.x, activity.deg,
-                                   activity.up, u)
-        assert rules == paper_rules(algo, g, cfg, u), (u, cfg)
-        if rules:
-            expected[u] = rules
+        rule = algo.enabled_rules(activity.s, activity.x, activity.deg,
+                                  activity.up, u)
+        assert paper_rules(algo, g, cfg, u) == (
+            () if rule is None else (rule,)), (u, cfg)
+        if rule is not None:
+            expected[u] = rule
     assert activity.activable == expected
 
 
@@ -596,11 +597,11 @@ def test_counted_state_matches_paper_guards_after_every_transition(case, scripte
     transition = Activity.transition
     checked = 0
 
-    def checking(self, moves, rng):
+    def checking(self, nodes, rng):
         nonlocal checked
         if checked == 0:
             _assert_counted_state(self, algo, g, byz)
-        result = transition(self, moves, rng)
+        result = transition(self, nodes, rng)
         _assert_counted_state(self, algo, g, byz)
         checked += 1
         return result
@@ -700,7 +701,7 @@ def _plant_candidacy_next_to_up(monkeypatch):
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
         lambda self, s, x, deg, up, u: (
-            (Rule.CANDIDACY,) if not s[u] else original(self, s, x, deg, up, u)))
+            Rule.CANDIDACY if not s[u] else original(self, s, x, deg, up, u)))
 
 
 def _plant_unchecked_candidacy_next_to_up(monkeypatch):
@@ -723,7 +724,7 @@ def _plant_rising_withdrawal(monkeypatch):
 
     def offering(self, s, x, deg, up, u):
         if not s[u] and up[u]:
-            return (Rule.TRY_WITHDRAW,)
+            return Rule.TRY_WITHDRAW
         return guard(self, s, x, deg, up, u)
 
     def rising_step(self, g, s, x, u, rule, rng):

@@ -177,7 +177,7 @@ def test_writer_rewrites_only_movers():
     cfg = engine.Configuration((False, False, False), (7, 8, 9))
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
-    writer.record((engine.Move(1, Rule.REFRESH),), (None,),
+    writer.record(((1, Rule.REFRESH),), (None,),
                   engine.Configuration((True, True, True), (0, 1, 2)))
     assert buf.getvalue().splitlines() == ["0 - 000 7,8,9", "1 1:refresh:- 010 7,1,9"]
 
@@ -186,7 +186,7 @@ def _plant_eager_candidacy(monkeypatch):
     original = AnonymousMIS.enabled_rules
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
-        lambda self, s, x, deg, up, u: ((Rule.CANDIDACY,) if not s[u]
+        lambda self, s, x, deg, up, u: (Rule.CANDIDACY if not s[u]
                                         else original(self, s, x, deg, up, u)))
 
 
