@@ -24,6 +24,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
@@ -99,8 +100,8 @@ def _counted(g: Graph, cfg: Configuration) -> tuple[
     s = list(map(bool, cfg.s))
     adjacency = g.adjacency
     return (s, None if cfg.x is None else list(cfg.x),
-            [len(nbrs) for nbrs in adjacency],
-            [sum(map(s.__getitem__, nbrs)) for nbrs in adjacency])
+            list(map(len, adjacency)),
+            list(map(sum, map(map, repeat(s.__getitem__), adjacency))))
 
 
 def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, Rule]:

@@ -17,21 +17,43 @@ UNREACHABLE = math.inf
 #: 2**-53, the scale of `random.random()`'s 53-bit integer
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
+_ZERO_BYTE = re.compile(rb"\x00")
+
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph over dense node indices 0..n-1.
+    """Undirected simple graph over dense node indices 0..n-1, held once, as
+    adjacency: `adjacency[u]` lists u's neighbors in ascending order.
 
-    Immutable after construction; safe to share between concurrent trials.
+    `edges` is derived from the rows on each read, at O(m); no run path
+    reads it. Immutable after construction; safe to share between
+    concurrent trials.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...]
     max_degree: int
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge once, as (u, v) with u < v."""
+        return frozenset((u, v) for u, row in enumerate(self.adjacency)
+                         for v in row if v > u)
+
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
+
+
+def _from_rows(n: int, rows: list[list[int]]) -> Graph:
+    adjacency = tuple(map(tuple, rows))
+    return Graph(n, adjacency, max(map(len, adjacency), default=0))
+
+
+def _check_edge(n: int, u: int, v: int, where: str = "") -> None:
+    if u == v:
+        raise ConfigError(f"{where}self-loop on node {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ConfigError(f"{where}edge ({u},{v}) out of range for n={n}")
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -41,20 +63,20 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ConfigError(f"node count must be nonnegative, got {n}")
-    normalized = set()
+    heard: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            raise ConfigError(f"self-loop on node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ConfigError(f"edge ({u},{v}) out of range for n={n}")
-        normalized.add((min(u, v), max(u, v)))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in normalized:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(nb)) for nb in adj)
-    max_degree = max((len(nb) for nb in adjacency), default=0)
-    return Graph(n, frozenset(normalized), adjacency, max_degree)
+        _check_edge(n, u, v)
+        heard[u].append(v)
+        heard[v].append(u)
+    # v is appended to the rows of its neighbors in ascending v, so every row
+    # comes out sorted, and a repeated edge puts v twice in a row at its end
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for v, nbrs in enumerate(heard):
+        for u in nbrs:
+            row = rows[u]
+            if not row or row[-1] != v:
+                row.append(v)
+    return _from_rows(n, rows)
 
 
 def _require_positive(name: str, value: int) -> int:
@@ -109,30 +131,40 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     The edges are those of `random.Random(seed).random() < p` drawn for each
     pair (i, j), i < j, in row-major order, but a row's draws are read in
     bulk. `random()` consumes two Mersenne Twister words w0, w1 and returns
-    ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, which is at least
-    (w0 >> 24) / 256. One `getrandbits(64 * m)` call yields the same 2m words
-    for a row of m pairs; only the pairs whose w0 top byte is at most
-    int(p * 256), found by a byte-class regex, can fall below p, and only
-    those are tested exactly. One row is held at a time.
+    ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53, which lies in [b/256, (b+1)/256)
+    for b = w0 >> 24. One `getrandbits(64 * m)` call yields the same 2m words
+    for a row of m pairs. With top = min(int(p * 256), 255), a pair whose
+    w0 top byte b is below top is an edge, as (b+1)/256 <= p; a pair with
+    b == top is tested exactly; any other is not an edge. Each edge (i, j)
+    goes straight into rows i and j in row-major order, so every row comes
+    out ascending. One row of draws is held at a time.
     """
     _require_positive("n", n)
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"edge probability must be in [0,1], got {p}")
     rng = random.Random(seed)
     top = min(int(p * 256), 255)
-    candidates = re.compile(rb"[\x00-" + re.escape(bytes((top,))) + rb"]")
-    edges = []
+    # a candidate's top byte (at most top) becomes 0, any other byte 1
+    marks = bytes(b > top for b in range(256))
+    rows: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1):
         m = n - 1 - i
         words = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
-        # byte 8k + 3 is the top byte of pair k's first word
-        for match in candidates.finditer(words[3::8]):
+        # byte 8k + 3 is the top byte of pair k's first word; a C-level
+        # translate and zero-byte search find the candidates
+        tops = words[3::8]
+        row = rows[i]
+        for match in _ZERO_BYTE.finditer(tops.translate(marks)):
             k = match.start()
-            w0 = int.from_bytes(words[8 * k:8 * k + 4], "little")
-            w1 = int.from_bytes(words[8 * k + 4:8 * k + 8], "little")
-            if ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _TWO_POW_MINUS_53 < p:
-                edges.append((i, i + 1 + k))
-    return make_graph(n, edges)
+            if tops[k] == top:
+                w0 = int.from_bytes(words[8 * k:8 * k + 4], "little")
+                w1 = int.from_bytes(words[8 * k + 4:8 * k + 8], "little")
+                if ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * _TWO_POW_MINUS_53 >= p:
+                    continue
+            j = i + 1 + k
+            row.append(j)
+            rows[j].append(i)
+    return _from_rows(n, rows)
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:
@@ -216,20 +248,28 @@ def safe_zone(g: Graph, faulty: Iterable[int], i: int) -> frozenset[int]:
 
 
 def write_graph(g: Graph, fh: IO[str]) -> None:
-    """Plain-text format: first line "n m", then one "u v" line per edge."""
-    fh.write(f"{g.n} {len(g.edges)}\n")
-    for u, v in sorted(g.edges):
-        fh.write(f"{u} {v}\n")
+    """Plain-text format: first line "n m", then one "u v" line per edge,
+    u < v, in ascending (u, v) order."""
+    adjacency = g.adjacency
+    fh.write(f"{g.n} {sum(map(len, adjacency)) // 2}\n")
+    for u, row in enumerate(adjacency):
+        for v in row:
+            if v > u:
+                fh.write(f"{u} {v}\n")
 
 
 def read_graph(fh: IO[str]) -> Graph:
     header = fh.readline().split()
     if len(header) != 2:
-        raise ConfigError("graph file must start with a 'n m' line")
+        raise ConfigError("line 1: graph file must start with a 'n m' line")
     try:
         n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad graph header: {exc}") from exc
+    except ValueError:
+        raise ConfigError(
+            f"line 1: node and edge counts must be integers, "
+            f"got {' '.join(header)!r}") from None
+    if n < 0:
+        raise ConfigError(f"line 1: node count must be nonnegative, got {n}")
     if m < 0:
         raise ConfigError(f"line 1: edge count must be nonnegative, got {m}")
     edges = []
@@ -246,6 +286,7 @@ def read_graph(fh: IO[str]) -> Graph:
             raise ConfigError(
                 f"line {lineno}: edge endpoints must be integers, "
                 f"got {' '.join(parts)!r}") from None
+        _check_edge(n, u, v, f"line {lineno}: ")
         first = seen.setdefault((min(u, v), max(u, v)), lineno)
         if first != lineno:
             raise ConfigError(

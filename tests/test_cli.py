@@ -137,6 +137,34 @@ def test_graph_file_that_disagrees_with_its_header_exits_2(tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("header, message", [
+    ("3", "graph file must start with a 'n m' line"),
+    ("3 x", "node and edge counts must be integers, got '3 x'"),
+    ("-1 0", "node count must be nonnegative, got -1"),
+])
+def test_bad_graph_file_header_names_line_1(tmp_path, capsys, header, message):
+    target = tmp_path / "g.txt"
+    target.write_text(f"{header}\n", encoding="utf-8")
+    assert main(["oracle", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 1: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edge, message", [
+    ("2 2", "self-loop on node 2"),
+    ("1 7", "edge (1,7) out of range for n=3"),
+])
+def test_graph_file_edge_outside_the_graph_names_its_line(tmp_path, capsys,
+                                                          edge, message):
+    target = tmp_path / "g.txt"
+    target.write_text(f"3 2\n0 1\n{edge}\n", encoding="utf-8")
+    assert main(["oracle", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 3: {message}\n"
+    assert captured.out == ""
+
+
 def test_repeated_graph_file_edge_exits_2(tmp_path, capsys):
     target = tmp_path / "g.txt"
     target.write_text("3 2\n0 1\n1 0\n", encoding="utf-8")

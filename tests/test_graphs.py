@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from mislab.errors import ConfigError
 from mislab.graphs import (
+    GRAPH_KINDS,
     UNREACHABLE,
     complete,
     distances_from,
@@ -55,21 +57,88 @@ def test_erdos_renyi_deterministic_per_seed():
 
 
 #: the edge probabilities whose candidate byte int(p * 256) is a regex
-#: metacharacter inside a byte class
+#: metacharacter, which a byte search must escape
 METACHARACTER_PS = tuple(b / 256 + 1 / 512 for b in b"-\\]^")
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, 0.9999, 0.01, *METACHARACTER_PS])
+#: the edge probabilities on the boundary between the top bytes that are
+#: sure edges and the one top byte that is tested exactly
+BOUNDARY_PS = tuple(q for k in (1, 2, 255) for q in (k / 256, k / 256 - 2**-40))
+
+
+@pytest.mark.parametrize(
+    "p", [0.0, 1.0, 0.9999, 0.01, *METACHARACTER_PS, *BOUNDARY_PS])
 @pytest.mark.parametrize("n", [1, 2, 3, 41])
 def test_erdos_renyi_matches_pairwise_draws(n, p):
     for seed in (0, 1, 99, 2**40 + 3):
-        assert erdos_renyi(n, p, seed).edges == pairwise_erdos_renyi_edges(n, p, seed)
+        assert erdos_renyi(n, p, seed) == make_graph(
+            n, pairwise_erdos_renyi_edges(n, p, seed))
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 60), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**64))
 def test_erdos_renyi_matches_pairwise_draws_anywhere(n, p, seed):
-    assert erdos_renyi(n, p, seed).edges == pairwise_erdos_renyi_edges(n, p, seed)
+    assert erdos_renyi(n, p, seed) == make_graph(
+        n, pairwise_erdos_renyi_edges(n, p, seed))
+
+
+def assert_rows_well_formed(g):
+    """Every row strictly ascending, the rows symmetric, and max_degree the
+    longest row."""
+    adjacency = g.adjacency
+    assert len(adjacency) == g.n
+    for u, row in enumerate(adjacency):
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert all(0 <= v < g.n and v != u and u in adjacency[v] for v in row)
+    assert g.max_degree == max(map(len, adjacency), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_make_graph_rows_from_any_edge_list(n, data):
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(
+        st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=40))
+    normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    shuffled = data.draw(st.permutations(edges))
+    reversed_ = [(v, u) for u, v in edges]
+    duplicated = edges + data.draw(st.permutations(edges)) + reversed_
+    g = make_graph(n, edges)
+    for variant in (shuffled, reversed_, duplicated):
+        assert make_graph(n, variant) == g
+    assert_rows_well_formed(g)
+    assert g.edges == normalized
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(GRAPH_KINDS),
+       size=st.integers(1, 40), p=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32))
+def test_every_generator_builds_well_formed_rows(kind, size, p, seed):
+    params = {**sized_params(kind, size), "p": p}
+    g = generate_graph(kind, seed=seed, **params)
+    assert_rows_well_formed(g)
+    assert make_graph(g.n, g.edges) == g
+
+
+def test_erdos_renyi_memory_stays_bounded():
+    """G(2000, 0.01) is held once, as rows: the build peaks under 2.5 MiB
+    and the graph keeps under 1.5 MiB."""
+    erdos_renyi(10, 0.5)  # one-time allocations of a first call are not the build's
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = erdos_renyi(2000, 0.01)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert g.n == 2000
+    assert peak - before < 2.5 * 2**20
+    assert now - before < 1.5 * 2**20
 
 
 def test_grid_two_by_three():
