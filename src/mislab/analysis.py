@@ -61,11 +61,11 @@ class SafeAloneTracker:
 
     The zones are fixed for a run, so they are given once. The state is read
     from the stepper's counted lists (`engine.Activity`): u is locally alone
-    when s[u] and up[u] = 0, so that can change only where s or up changed,
-    and a change at w can change coverage only on N[w]; `update` therefore
-    touches the nodes whose state changed and the neighborhoods of the
-    nodes whose status changed, never the whole graph. Without faulty nodes
-    both zones are V and `alone` is the settled set.
+    when s[u] and up[u] = 0, so that can change only where s or up > 0
+    changed, and a change at w can change coverage only on N[w]; `update`
+    therefore touches the nodes whose state changed and the neighborhoods of
+    the nodes whose status changed, never the whole graph. Without faulty
+    nodes both zones are V and `alone` is the settled set.
     """
 
     def __init__(self, g: Graph, state,
@@ -89,8 +89,9 @@ class SafeAloneTracker:
 
     def update(self, state, touched: Iterable[int]) -> list[int]:
         """Account a transition that produced `state` (with `.s` and `.up`,
-        as `__init__` reads); `touched` holds the nodes whose s, x or up
-        changed, as `Activity.touched` keeps it, or any superset of them.
+        as `__init__` reads); `touched` holds the nodes whose s, x or up > 0
+        changed, as `Activity.touched` keeps it, or any superset of them:
+        alone is s[u] and up[u] = 0, so no other node can change status.
         Returns the nodes that stopped being alone, sorted."""
         s, up = state.s, state.up
         lost = []

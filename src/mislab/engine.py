@@ -10,12 +10,12 @@ Semantics fixed here, shared by every run:
     activation);
   - one Bernoulli draw per executed probabilistic rule, consumed in ascending
     node order within a transition, so a seed fully determines an execution;
-  - every guard reads only s[u], x[u] against deg u, and the number of u's
-    neighbors with s = 1, so a run scans every guard once, for its initial
-    configuration, and after each transition re-evaluates only the guards
-    whose inputs changed (`Activity`): N[u] for a mover u whose s flipped,
-    u alone for a mover whose only change is x, nothing for a mover that
-    kept its state.
+  - every guard reads only s[u], x[u] against deg u, and whether some
+    neighbor of u has s = 1, so a run scans every guard once, for its
+    initial configuration, and after each transition re-evaluates only the
+    guards of the nodes whose s, x or up > 0 changed (`Activity`): a mover
+    whose s or x changed, and a neighbor of a flipped mover whose count of
+    up neighbors crossed zero; nothing for a mover that kept its state.
 """
 
 from __future__ import annotations
@@ -239,14 +239,15 @@ class Activity:
     `Configuration` is built only on request (`snapshot`). `strategies`
     maps each faulty node to its behavior.
 
-    Every guard reads only s[u], x[u], deg[u] and up[u]. After one scan of
-    every guard for the initial configuration, `transition` adjusts `up`
-    over N(u) for each mover u whose s flips, and re-evaluates guards only
-    on the nodes whose s, x or up changed (`touched`): N[u] for a flipped
-    mover, u for a mover whose only change is x. A transition therefore
-    costs O(|movers|) plus the sum of deg u over the flipped movers,
-    however large the graph is; a move that changes nothing evaluates no
-    guard.
+    Every guard reads only s[u], x[u], deg[u] and whether up[u] > 0. After
+    one scan of every guard for the initial configuration, `transition`
+    adjusts `up` over N(u) for each mover u whose s flips, and re-evaluates
+    guards only on the nodes whose s, x or up > 0 changed (`touched`): a
+    mover whose s or x changed, and a neighbor v of a flipped mover whose
+    up[v] crossed zero (0 -> 1 as the mover rises, 1 -> 0 as it falls).
+    Keeping `up` current costs the sum of deg u over the flipped movers;
+    guard evaluations cost O(|movers| + zero crossings), however large the
+    graph is; a move that changes nothing evaluates no guard.
     """
 
     def __init__(self, algo, g: Graph, cfg: Configuration,
@@ -257,7 +258,7 @@ class Activity:
         self._byz = frozenset(self._strategies)
         self.s, self.x, self.deg, self.up = _counted(g, cfg)
         self.activable = _scan(algo, self.s, self.x, self.deg, self.up, self._byz)
-        #: the nodes whose s, x or up the last transition changed, whose
+        #: the nodes whose s, x or up > 0 the last transition changed, whose
         #: guards it re-evaluated
         self.touched: set[int] = set()
         self.tracker = RoundTracker(self.activable)
@@ -297,19 +298,25 @@ class Activity:
             draws.append(draw)
             nexts.append((new_s, new_x))
 
-        # a guard input changed at a mover whose s flipped (s there, up on
-        # N(u)) or whose x changed (x there); a mover that changed nothing
-        # keeps its guard, unless a flipped neighbor already touched it
+        # a guard input changed at a mover whose s or x changed, and at a
+        # neighbor of a flipped mover whose up crossed zero: guards read up
+        # only as "some neighbor is up". A mover that changed nothing keeps
+        # its guard, unless a flipped neighbor already touched it
         self.touched = touched = set()
         for node, (new_s, new_x) in zip(nodes, nexts):
             if new_s != s[node]:
                 s[node] = new_s
-                delta = 1 if new_s else -1
-                nbrs = adjacency[node]
-                for v in nbrs:
-                    up[v] += delta
                 touched.add(node)
-                touched.update(nbrs)
+                if new_s:
+                    for v in adjacency[node]:
+                        if not up[v]:
+                            touched.add(v)
+                        up[v] += 1
+                else:
+                    for v in adjacency[node]:
+                        up[v] -= 1
+                        if not up[v]:
+                            touched.add(v)
             if x is not None and new_x is not None and new_x != x[node]:
                 x[node] = new_x
                 touched.add(node)
@@ -394,10 +401,27 @@ def _degrees(g: Graph, rng) -> tuple[int, ...]:
     return tuple(g.degree(u) for u in range(g.n))
 
 
+def _uniform_x(g: Graph, rng) -> tuple[int, ...]:
+    """One `rng.randint(0, n)` per node, drawn as `randint` draws it:
+    getrandbits((n + 1).bit_length()) until the value is at most n. The
+    values and the stream position after them are `randint`'s, without its
+    three Python frames per draw."""
+    n = g.n
+    k = (n + 1).bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        v = getrandbits(k)
+        while v > n:
+            v = getrandbits(k)
+        out.append(v)
+    return tuple(out)
+
+
 #: preset -> (s, x), each a function of (graph, rng); x is drawn after s,
 #: and only for algorithms that keep it
 _PRESETS = {
-    "random": (_coins, lambda g, rng: tuple(rng.randint(0, g.n) for _ in range(g.n))),
+    "random": (_coins, _uniform_x),
     "all_bot": (lambda g, rng: (False,) * g.n, _degrees),
     "all_top": (lambda g, rng: (True,) * g.n, _degrees),
     "adversarial_x": (_coins, lambda g, rng: (g.n,) * g.n),

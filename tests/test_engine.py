@@ -347,6 +347,19 @@ def test_initial_random_is_seed_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 1023, 1024, 2000])
+def test_initial_random_x_is_what_randint_draws(n):
+    """The random preset draws x without `randint`, yet gets its values and
+    leaves the stream where `randint` leaves it."""
+    g = make_graph(n, [])
+    for seed in (0, 9, 2**40 + 3):
+        rng, expected = RngStream(seed), RngStream(seed)
+        cfg = initial_configuration(g, True, "random", rng)
+        assert cfg.s == tuple(expected.random() < 0.5 for _ in range(n))
+        assert cfg.x == tuple(expected.randint(0, n) for _ in range(n))
+        assert rng.random() == expected.random()
+
+
 def _scripted_example(tmp_path, script, **params):
     """A scripted anonymous spec on the four-node example, read from files."""
     graph = tmp_path / "example.graph"

@@ -74,7 +74,7 @@ def test_script_draws_follow_their_moves_in_any_listed_order(tmp_path):
 def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
     """An aged_fair Byzantine grid trial with invariants on makes one `step`
     call per honest move, and evaluates guards only where a move changed a
-    guard input: 669 times at this seed."""
+    guard input: 439 times at this seed."""
     calls = Counter()
 
     def counting(name, fn):
@@ -95,4 +95,4 @@ def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
                  if rule != "byz")
     assert honest == 380
     assert calls["step"] == honest
-    assert calls["enabled_rules"] == 669
+    assert calls["enabled_rules"] == 439
