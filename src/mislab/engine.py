@@ -24,7 +24,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
 from typing import IO, Iterable, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
@@ -96,12 +96,16 @@ _BYZ = Rule.BYZ
 def _counted(g: Graph, cfg: Configuration) -> tuple[
         list, list[int] | None, list[int], list[int]]:
     """cfg as the lists every guard reads: (s, x, deg, up), where up[u] is
-    the number of u's neighbors with s = 1."""
+    the number of u's neighbors with s = 1, counted by pushing each up
+    node to its neighbors."""
     s = list(map(bool, cfg.s))
     adjacency = g.adjacency
+    up = [0] * g.n
+    for u in compress(range(g.n), s):
+        for v in adjacency[u]:
+            up[v] += 1
     return (s, None if cfg.x is None else list(cfg.x),
-            list(map(len, adjacency)),
-            list(map(sum, map(map, repeat(s.__getitem__), adjacency))))
+            list(map(len, adjacency)), up)
 
 
 def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, Rule]:
@@ -137,9 +141,18 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     enabled, a faulty node runs its strategy and an honest node an
     algorithm rule, whichever nodes are chosen.
 
+    One pass checks order and membership together; only a failing list is
+    checked again, order first, to name its first violation.
     Violations are engine errors: daemons must only emit valid sets.
     """
-    if not nodes:
+    prev = -1
+    for u in nodes:
+        if u <= prev or u not in activable:
+            break
+        prev = u
+    else:
+        if nodes:
+            return
         raise EngineError("move set must be nonempty")
     for prev, u in zip(nodes, nodes[1:]):
         if prev >= u:
@@ -215,12 +228,15 @@ class FairnessAges:
         self.since = [0] * n
         self._activable = activable
 
-    def advance(self, restarted: Iterable[int]) -> None:
-        """Count one transition after which the `restarted` nodes (movers and
-        newly activable nodes) have age 0."""
-        self.transitions += 1
-        for u in restarted:
-            self.since[u] = self.transitions
+    def advance(self, moved: Iterable[int], entered: Iterable[int]) -> None:
+        """Count one transition after which the movers and the newly
+        activable nodes have age 0."""
+        self.transitions = now = self.transitions + 1
+        since = self.since
+        for u in moved:
+            since[u] = now
+        for u in entered:
+            since[u] = now
 
     def oldest(self) -> int:
         """The largest age; only activable nodes can have a nonzero one."""
@@ -233,7 +249,9 @@ class Activity:
     plain lists: `s`, `x` (None when the algorithm keeps none), `deg`, and
     `up`, where up[u] is the number of u's neighbors with s = 1. It also
     owns the activable map, which holds the one rule each activable node
-    would execute, the round tracker and the fairness ages.
+    would execute, the round tracker and the fairness ages. `flags` is the
+    activable set as a bytearray, flags[u] = 1 iff u is in the map, which
+    the singleton daemon searches at C level.
     An algorithm's `step` is handed the `s` and `x` lists; strategies and
     daemons read the state through the stepper's own `.s` and `.x`; a
     `Configuration` is built only on request (`snapshot`). `strategies`
@@ -258,6 +276,9 @@ class Activity:
         self._byz = frozenset(self._strategies)
         self.s, self.x, self.deg, self.up = _counted(g, cfg)
         self.activable = _scan(algo, self.s, self.x, self.deg, self.up, self._byz)
+        self.flags = flags = bytearray(g.n)
+        for u in self.activable:
+            flags[u] = 1
         #: the nodes whose s, x or up > 0 the last transition changed, whose
         #: guards it re-evaluated
         self.touched: set[int] = set()
@@ -321,8 +342,9 @@ class Activity:
                 x[node] = new_x
                 touched.add(node)
 
-        # only the touched nodes can change activability
-        guard, byz = self._algo.enabled_rules, self._byz
+        # only the touched nodes can change activability, and a flag changes
+        # only where a node enters or leaves the map
+        guard, byz, flags = self._algo.enabled_rules, self._byz, self.flags
         left, entered = [], []
         for u in touched:
             if u in byz:
@@ -331,10 +353,12 @@ class Activity:
             if rule is not None:
                 if u not in activable:
                     entered.append(u)
+                    flags[u] = 1
                 activable[u] = rule
             elif activable.pop(u, None) is not None:
                 left.append(u)
-        self.ages.advance([*nodes, *entered])
+                flags[u] = 0
+        self.ages.advance(nodes, entered)
         ended = self.tracker.advance(nodes, left, activable)
         return moves, tuple(draws), ended
 

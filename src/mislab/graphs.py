@@ -86,15 +86,22 @@ def _require_positive(name: str, value: int) -> int:
 
 
 def ring(n: int) -> Graph:
+    """Cycle 0-1-...-(n-1)-0; one edge for n = 2, none for n = 1. Each
+    row is written ascending: (1, n-1), then (u-1, u+1), then (0, n-2)."""
     _require_positive("n", n)
-    if n == 1:
-        return make_graph(1, [])
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if n <= 2:
+        return path(n)
+    return _from_rows(n, [(1, n - 1), *zip(range(n - 2), range(2, n)),
+                          (0, n - 2)])
 
 
 def path(n: int) -> Graph:
+    """Path 0-1-...-(n-1), each row written ascending: (u-1, u+1) inside,
+    one neighbor at either end."""
     _require_positive("n", n)
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    if n == 1:
+        return _from_rows(1, [()])
+    return _from_rows(n, [(1,), *zip(range(n - 2), range(2, n)), (n - 2,)])
 
 
 def star(leaves: int) -> Graph:
@@ -111,18 +118,25 @@ def complete(n: int) -> Graph:
 
 
 def grid(rows: int, cols: int) -> Graph:
-    """Rectangular grid, nodes numbered row-major."""
+    """Rectangular grid, nodes numbered row-major. Each row is written
+    ascending: the node above, left, right and below, where they exist."""
     _require_positive("rows", rows)
     _require_positive("cols", cols)
-    edges = []
+    adjacency = []
     for r in range(rows):
         for c in range(cols):
             u = r * cols + c
+            row = []
+            if r:
+                row.append(u - cols)
+            if c:
+                row.append(u - 1)
             if c + 1 < cols:
-                edges.append((u, u + 1))
+                row.append(u + 1)
             if r + 1 < rows:
-                edges.append((u, u + cols))
-    return make_graph(rows * cols, edges)
+                row.append(u + cols)
+            adjacency.append(row)
+    return _from_rows(rows * cols, adjacency)
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:

@@ -11,6 +11,7 @@ import functools
 import hashlib
 import io
 import math
+import operator
 import statistics
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -516,8 +517,9 @@ def run_trial(spec: RunSpec, trial_index: int,
             first_hit if (converged and first_hit is not None)
             else (moves_total, tracker.rounds_elapsed))
     else:
+        # the settled nodes are those with s[u] and up[u] = 0: s[u] > up[u]
         criterion = "stable"
-        set_size = len(locally_alone_set(g, cfg))
+        set_size = sum(map(operator.gt, activity.s, activity.up))
         moves_reported, rounds_reported = moves_total, tracker.rounds_elapsed
 
     record = TrialRecord(

@@ -12,6 +12,9 @@
   paper's two-call form over a whole configuration, `rule_probability` and
   then `apply` given the draw. The engine's fused `step` (one call that
   draws its own Bernoulli) must agree with them.
+- `ordered_move_set_error`: the stepper's move-set checks made one after
+  another, order first and then membership, giving the message of the
+  first violation; the one-pass check must name the same.
 - `Move` and `apply_transition`: one transition on a whole immutable
   configuration, given as (node, rule) moves and checked by
   `check_move_set` against a full `activable_map` scan: every rule must be
@@ -20,6 +23,11 @@
   (and x) vector.
 - `fairness_ages`: plain per-node ages as the "activable since" stamps
   that daemons read.
+- `activable_flags` and `daemon_view`: the stepper's activable flags built
+  from an activable map, and what a daemon reads of a stepper (s, x and
+  those flags) over a whole configuration.
+- `singleton_pick`: the singleton daemon's round-robin pick as a walk over
+  node indices from its cursor, modulo n.
 - `WholeConfigurationLedger` and `whole_configuration_ledger`: the color
   ledger as it read a before/after configuration pair per transition,
   walking every node for the fresh-up set and the "up since" stamps and
@@ -30,7 +38,8 @@ It also holds the tools that read an execution in memory:
 
 - `recording` and `traced_trial`: a recorder around `Activity.transition`
   that keeps each transition's moves, draws and resulting configuration,
-  and the round ends, as a `Trace`.
+  and the round ends, as a `Trace`, and checks after every transition that
+  the stepper's activable flags are the indicator of its activable map.
 - `forced_draws`: a stream whose Bernoulli draws are the given outcomes.
 - `scripted_ledger`: a stepper and a color ledger driven over a
   hand-made configuration by (node, rule, draw) steps, through a scripted
@@ -235,6 +244,57 @@ def fairness_ages(ages, activable):
             for u, since in enumerate(stamps.since)] == [
         ages[u] if u in activable else 0 for u in range(len(ages))]
     return stamps
+
+
+def activable_flags(n, activable):
+    """The indicator of the activable map's keys, one byte per node."""
+    flags = bytearray(n)
+    for u in activable:
+        flags[u] = 1
+    return flags
+
+
+class DaemonView(NamedTuple):
+    """What a daemon reads of a stepper: its s and x, and its flags."""
+
+    s: tuple
+    x: tuple | None
+    flags: bytearray
+
+
+def daemon_view(cfg, activable):
+    """cfg and its activable map as a daemon reads a stepper."""
+    return DaemonView(cfg.s, cfg.x, activable_flags(len(cfg.s), activable))
+
+
+def singleton_pick(n, activable, cursor):
+    """The singleton daemon's pick from `cursor`: the first activable node
+    met walking the indices cursor, cursor + 1, ... modulo n, and the
+    cursor after it; None when nothing is activable."""
+    for offset in range(n):
+        u = (cursor + offset) % n
+        if u in activable:
+            return u, (u + 1) % n
+    return None
+
+
+def ordered_move_set_error(g, nodes, activable):
+    """The message of the first violation in a daemon's node list, checked
+    in order: nonempty, then strictly ascending, then each node in the
+    activable map; None for a valid list."""
+    if not nodes:
+        return "move set must be nonempty"
+    for prev, u in zip(nodes, nodes[1:]):
+        if prev > u:
+            return "move set is not sorted by node"
+        if prev == u:
+            return f"move set targets node {u} twice"
+    for u in nodes:
+        if u not in activable:
+            if not 0 <= u < g.n:
+                return f"move on node {u} outside graph of size {g.n}"
+            return f"move on node {u}, which is not activable"
+    return None
 
 
 def check_move_set(g, moves, activable, byz_strategies):
@@ -462,11 +522,13 @@ def recording():
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
+        assert self.flags == activable_flags(len(self.s), self.activable)
         self.recorded = Trace(self.snapshot())
         traces.append(self.recorded)
 
     def recording_transition(self, nodes, rng):
         moves, draws, ended = transition(self, nodes, rng)
+        assert self.flags == activable_flags(len(self.s), self.activable)
         trace = self.recorded
         trace.steps.append(TraceStep(tuple(Move(*m) for m in moves), draws,
                                      self.snapshot()))

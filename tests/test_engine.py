@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from mislab.engine import (
     derive_seed,
     initial_configuration,
     is_stable,
+    validate_move_set,
 )
 from mislab.errors import ConfigError, EngineError, ScriptError
 from mislab.graphs import erdos_renyi, make_graph, path, ring, write_graph
@@ -28,6 +30,7 @@ from reference import (
     apply_transition,
     enabled,
     forced_draws,
+    ordered_move_set_error,
     paper_rules,
     traced_trial,
 )
@@ -130,6 +133,49 @@ def test_stepper_takes_only_activable_nodes_once(nodes, message):
     with pytest.raises(EngineError, match=f"^{message}$"):
         activity.transition(nodes, RngStream(0))
     assert activity.snapshot() == cfg
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([], "move set must be nonempty"),
+    ([3], None),
+    # order is checked before membership, whatever the nodes
+    ([1, 0], "move set is not sorted by node"),
+    ([3, 0], "move set is not sorted by node"),
+    ([0, 3, 2], "move set is not sorted by node"),
+    ([5, 3], "move set is not sorted by node"),
+    ([3, 3], "move set targets node 3 twice"),
+    ([0, 0], "move set targets node 0 twice"),
+    ([0, 1, 1], "move set targets node 1 twice"),
+    ([0, 3], "move on node 0, which is not activable"),
+    ([3, 4], "move on node 4 outside graph of size 4"),
+    ([-1, 3], "move on node -1 outside graph of size 4"),
+    ([-1], "move on node -1 outside graph of size 4"),
+])
+def test_move_check_messages_keep_their_precedence(nodes, message):
+    """The one-pass check names the violation the ordered checks name: an
+    unsorted list holding a non-activable node is "not sorted"."""
+    activable = {3: Rule.CANDIDACY}
+    assert ordered_move_set_error(EXAMPLE, nodes, activable) == message
+    if message is None:
+        validate_move_set(EXAMPLE, nodes, activable)
+    else:
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            validate_move_set(EXAMPLE, nodes, activable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(activable=st.sets(st.integers(0, 5)),
+       nodes=st.lists(st.integers(-2, 8), max_size=6))
+def test_one_pass_move_check_names_the_first_ordered_violation(activable, nodes):
+    g = make_graph(6, [])
+    activable = dict.fromkeys(activable, Rule.CANDIDACY)
+    message = ordered_move_set_error(g, nodes, activable)
+    try:
+        validate_move_set(g, nodes, activable)
+    except EngineError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
 
 
 def test_byz_move_requires_strategy_binding():

@@ -168,6 +168,47 @@ def test_make_graph_rejects_bad_edges():
         make_graph(3, [(0, 5)])
 
 
+def _ring_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+
+
+def _grid_edges(rows, cols):
+    return ([(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+            + [(r * cols + c, (r + 1) * cols + c)
+               for r in range(rows - 1) for c in range(cols)])
+
+
+def test_ring_and_path_rows_equal_make_graph_of_their_edges():
+    """ring and path write their ascending rows directly; they are the rows
+    make_graph builds from the edge lists (for n = 2 the ring's two edges
+    are one, and n = 1 has none)."""
+    for n in range(1, 65):
+        assert ring(n) == make_graph(n, _ring_edges(n)), n
+        assert path(n) == make_graph(n, [(i, i + 1) for i in range(n - 1)]), n
+
+
+def test_grid_rows_equal_make_graph_of_its_edges():
+    for rows in range(1, 10):
+        for cols in range(1, 10):
+            assert grid(rows, cols) == make_graph(
+                rows * cols, _grid_edges(rows, cols)), (rows, cols)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (ring, (0,), "n must be a positive integer, got 0"),
+    (ring, (-3,), "n must be a positive integer, got -3"),
+    (path, (0,), "n must be a positive integer, got 0"),
+    (path, (2.0,), "n must be a positive integer, got 2.0"),
+    (grid, (0, 4), "rows must be a positive integer, got 0"),
+    (grid, (4, 0), "cols must be a positive integer, got 0"),
+    (grid, (-1, -1), "rows must be a positive integer, got -1"),
+])
+def test_direct_generators_refuse_non_positive_sizes(build, args, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build(*args)
+
+
 def test_generator_param_validation():
     with pytest.raises(ConfigError):
         ring(0)

@@ -6,8 +6,13 @@ import pytest
 
 from mislab import harness
 from mislab.algorithms import get_algorithm
-from mislab.analysis import all_maximal_independent_sets, is_legitimate
-from mislab.engine import is_stable
+from mislab.analysis import (
+    all_maximal_independent_sets,
+    is_legitimate,
+    locally_alone_set,
+)
+from mislab.daemons import DAEMON_KINDS
+from mislab.engine import INITIAL_PRESETS, is_stable
 from mislab.errors import ConfigError
 from mislab.graphs import ring, write_graph
 from mislab.harness import (
@@ -26,7 +31,7 @@ from mislab.harness import (
     trial_csv_text,
     validate_run_spec,
 )
-from reference import safe_alone_set
+from reference import safe_alone_set, traced_trial
 
 SPEC_TEXT = """
 # anonymous baseline
@@ -267,6 +272,60 @@ def test_scripted_daemon_via_spec_file(tmp_path):
     record = run_trial(spec, 0).record
     assert record.moves == 4
     assert record.ceiling_hit  # all-up ring is not stable; script ends there
+
+
+def _script_of(trace) -> str:
+    """A trace's moves and draws as script lines."""
+    return "".join(
+        ",".join(f"{node}:{rule.value}:{'-' if d is None else d}"
+                 for (node, rule), d in zip(step.moves, step.draws)) + "\n"
+        for step in trace.steps)
+
+
+@pytest.mark.parametrize("daemon", DAEMON_KINDS)
+@pytest.mark.parametrize("init", INITIAL_PRESETS)
+@pytest.mark.parametrize("graph", [
+    {"graph": "ring", "n": 12},
+    {"graph": "grid", "rows": 3, "cols": 4},
+    {"graph": "erdos_renyi", "n": 14, "p": 0.3, "graph_seed": 2},
+], ids=["ring", "grid", "erdos_renyi"])
+def test_anonymous_set_size_is_the_rescanned_settled_set(
+        tmp_path, graph, init, daemon):
+    """An anonymous trial counts its set size from the stepper's s and up;
+    it is the size of the locally alone set of its final configuration,
+    for trials that converge and for trials a move ceiling stops. A
+    scripted trial replays a singleton trial's moves and draws."""
+    base = RunSpec(algorithm="anonymous", **graph, init=init, master_seed=7,
+                   daemon=daemon)
+    if daemon == "scripted":
+        _, trace = traced_trial(replace(base, daemon="singleton"), 0)
+        script = tmp_path / "script.txt"
+        script.write_text(_script_of(trace), encoding="utf-8")
+        base = replace(base, script_file=str(script))
+    for ceiling in (0, 3):
+        spec = replace(base, move_ceiling=ceiling,
+                       trials=1 if daemon == "scripted" else 3)
+        for outcome in run_trials(spec):
+            assert outcome.record.set_size == len(
+                locally_alone_set(outcome.graph, outcome.final))
+
+
+def test_sweep_set_sizes_are_the_rescanned_settled_sets(monkeypatch):
+    seen = []
+    run_trial_of = harness.run_trial
+
+    def capturing(spec, trial_index, **kwargs):
+        outcome = run_trial_of(spec, trial_index, **kwargs)
+        seen.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(harness, "run_trial", capturing)
+    run_sweep(RunSpec(algorithm="anonymous", graph="grid", sizes=(1, 6, 16),
+                      daemon="singleton", trials=3, master_seed=3))
+    assert len(seen) == 9
+    for outcome in seen:
+        assert outcome.record.set_size == len(
+            locally_alone_set(outcome.graph, outcome.final))
 
 
 def test_per_spec_work_is_done_once(tmp_path, monkeypatch):

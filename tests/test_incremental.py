@@ -66,6 +66,7 @@ from reference import (
     apply_transition,
     closed_neighbourhood,
     counted_state,
+    daemon_view,
     fairness_ages,
     forced_draws,
     paper_rules,
@@ -189,7 +190,7 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
                 ceiling_hit = True
             break
 
-        nodes = daemon.select(g, cfg, activable,
+        nodes = daemon.select(g, daemon_view(cfg, activable), activable,
                               fairness_ages(ages, activable), rng)
         moves = [Move(u, activable[u]) for u in nodes]
         new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
