@@ -24,7 +24,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
 from typing import IO, Iterable, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
@@ -96,16 +96,12 @@ _BYZ = Rule.BYZ
 def _counted(g: Graph, cfg: Configuration) -> tuple[
         list, list[int] | None, list[int], list[int]]:
     """cfg as the lists every guard reads: (s, x, deg, up), where up[u] is
-    the number of u's neighbors with s = 1, counted by pushing each up
-    node to its neighbors."""
+    the number of u's neighbors with s = 1."""
     s = list(map(bool, cfg.s))
     adjacency = g.adjacency
-    up = [0] * g.n
-    for u in compress(range(g.n), s):
-        for v in adjacency[u]:
-            up[v] += 1
     return (s, None if cfg.x is None else list(cfg.x),
-            list(map(len, adjacency)), up)
+            list(map(len, adjacency)),
+            list(map(sum, map(map, repeat(s.__getitem__), adjacency))))
 
 
 def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, Rule]:
@@ -141,29 +137,28 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     enabled, a faulty node runs its strategy and an honest node an
     algorithm rule, whichever nodes are chosen.
 
-    One pass checks order and membership together; only a failing list is
-    checked again, order first, to name its first violation.
+    One pass checks order and membership together. An order violation
+    raises at once; the first node that is not activable is only noted and
+    raised after the pass, so an order violation anywhere in the list is
+    reported before any node that is not activable.
     Violations are engine errors: daemons must only emit valid sets.
     """
-    prev = -1
-    for u in nodes:
-        if u <= prev or u not in activable:
-            break
-        prev = u
-    else:
-        if nodes:
-            return
+    if not nodes:
         raise EngineError("move set must be nonempty")
-    for prev, u in zip(nodes, nodes[1:]):
-        if prev >= u:
-            if prev > u:
+    prev, missing = nodes[0] - 1, None
+    for u in nodes:
+        if u <= prev:
+            if u < prev:
                 raise EngineError("move set is not sorted by node")
             raise EngineError(f"move set targets node {u} twice")
-    for u in nodes:
-        if u not in activable:
-            if not 0 <= u < g.n:
-                raise EngineError(f"move on node {u} outside graph of size {g.n}")
-            raise EngineError(f"move on node {u}, which is not activable")
+        if u not in activable and missing is None:
+            missing = u
+        prev = u
+    if missing is not None:
+        if not 0 <= missing < g.n:
+            raise EngineError(
+                f"move on node {missing} outside graph of size {g.n}")
+        raise EngineError(f"move on node {missing}, which is not activable")
 
 
 def is_stable(algo, g: Graph, cfg: Configuration) -> bool:

@@ -147,6 +147,9 @@ def test_stepper_takes_only_activable_nodes_once(nodes, message):
     ([0, 0], "move set targets node 0 twice"),
     ([0, 1, 1], "move set targets node 1 twice"),
     ([0, 3], "move on node 0, which is not activable"),
+    # the first node that is not activable is named, not a later one
+    ([0, 3, 4], "move on node 0, which is not activable"),
+    ([-1, 0, 3], "move on node -1 outside graph of size 4"),
     ([3, 4], "move on node 4 outside graph of size 4"),
     ([-1, 3], "move on node -1 outside graph of size 4"),
     ([-1], "move on node -1 outside graph of size 4"),
