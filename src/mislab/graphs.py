@@ -63,20 +63,12 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ConfigError(f"node count must be nonnegative, got {n}")
-    heard: list[list[int]] = [[] for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         _check_edge(n, u, v)
-        heard[u].append(v)
-        heard[v].append(u)
-    # v is appended to the rows of its neighbors in ascending v, so every row
-    # comes out sorted, and a repeated edge puts v twice in a row at its end
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for v, nbrs in enumerate(heard):
-        for u in nbrs:
-            row = rows[u]
-            if not row or row[-1] != v:
-                row.append(v)
-    return _from_rows(n, rows)
+        rows[u].append(v)
+        rows[v].append(u)
+    return _from_rows(n, [sorted(set(row)) for row in rows])
 
 
 def _require_positive(name: str, value: int) -> int:

@@ -1,8 +1,15 @@
 import io
+import os
+import pkgutil
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mislab
+from mislab import harness
 from mislab.algorithms import AnonymousMIS
 from mislab.cli import main
 from mislab.daemons import DAEMON_KINDS
@@ -94,6 +101,55 @@ def test_replay_command(tmp_path, capsys):
     assert main(["replay", "--trace-out", str(trace_out)]) == 0
     assert "replay ok" in capsys.readouterr().out
     assert len(trace_out.read_text(encoding="utf-8").splitlines()) == 9
+
+
+def test_replay_trace_mismatch_exits_1(monkeypatch, capsys):
+    """One flipped s bit in the stored trace: the run still follows the
+    stored moves, and the replay names the line that no longer matches."""
+    lines = harness.REFERENCE_TRACE.splitlines(keepends=True)
+    assert lines[3].endswith(" 1101\n")
+    lines[3] = lines[3].replace(" 1101\n", " 0101\n")
+    monkeypatch.setattr(harness, "REFERENCE_TRACE", "".join(lines))
+    assert main(["replay"]) == 1
+    captured = capsys.readouterr()
+    assert "replay ok" not in captured.out
+    assert "trace line 3 is" in captured.err
+    assert "expected '3 0:withdrawal?:0,1:withdrawal?:0,2:withdrawal?:1 0101'" \
+        in captured.err
+    assert "ledger line" not in captured.err
+
+
+def test_replay_ledger_mismatch_exits_1(monkeypatch, capsys):
+    """A wrong `died` value for color 5 in the stored ledger."""
+    assert "\n5,2,5,8,5,True\n" in harness.REFERENCE_LEDGER
+    monkeypatch.setattr(harness, "REFERENCE_LEDGER",
+                        harness.REFERENCE_LEDGER.replace("5,2,5,8,", "5,2,5,7,"))
+    assert main(["replay"]) == 1
+    captured = capsys.readouterr()
+    assert "replay ok" not in captured.out
+    assert ("ledger line 2 is '5,2,5,8,5,True', expected '5,2,5,7,5,True'"
+            in captured.err)
+    assert "trace line" not in captured.err
+
+
+def test_each_module_imports_first():
+    """Every module imports in a fresh package, with no mislab module
+    loaded before it, so no import cycle hides behind a fixed order."""
+    names = [f"mislab.{info.name}" for info in pkgutil.iter_modules(mislab.__path__)
+             if info.name != "__main__"]
+    assert "mislab.cli" in names and "mislab.harness" in names
+    code = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'mislab']:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module(name)\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mislab.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *names], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_command(tmp_path, capsys):
