@@ -5,7 +5,7 @@ simultaneous candidacies it descends from."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .engine import Activity, Configuration, Rule
@@ -170,7 +170,6 @@ class ColorRecord:
     died: int | None = None
     withdrawal_moves: int = 0
     success: bool | None = None
-    tainted: set[int] = field(default_factory=set)
 
     @property
     def size(self) -> int:
@@ -188,15 +187,17 @@ class ColorLedger:
     executed candidacy/try-withdrawal move (candidacy moves take their own
     index; a try-withdrawal takes the index since when its node has been
     continuously up), which colors still have possible withdrawal moves,
-    and, at each color's death, whether some member it never
-    shared with another color ended up settled.
+    and, at each color's death, whether it succeeded: some member is still
+    up since the color's birth (its stamp is the color) and has up[u] = 0.
+    That is the paper's "some member it never shared with another color
+    ended up settled": a member moves under another color only by a
+    candidacy after going down, and that candidacy moves its stamp off.
 
     It reads the live stepper (`engine.Activity`): `s`, `up` and the
     activable map. A transition writes state only at its movers, so the
-    fresh-up set is the movers now up with no "up since" stamp, stamps
-    change only at movers, and a member is settled when s[u] and up[u] = 0.
-    A transition costs O(|movers| x live colors), one pass over the
-    activable map, and the members of each color that dies.
+    fresh-up set is the movers now up with no "up since" stamp, and stamps
+    change only at movers. A transition costs O(|movers|), one pass over
+    the activable map, and the members of each color that dies.
     """
 
     def __init__(self, g: Graph, algo, activity: Activity):
@@ -242,7 +243,6 @@ class ColorLedger:
             self.records[i] = self._live[i] = ColorRecord(i, fresh)
 
         colors = []
-        live = self._live.values()
         for node, rule in moves:
             if rule is _CANDIDACY:
                 color = i
@@ -262,9 +262,6 @@ class ColorLedger:
                 raise InvariantViolation(
                     f"transition {i}: rule {rule.value} has no color")
             colors.append(color)
-            for other in live:
-                if other.color != color and node in other.members:
-                    other.tainted.add(node)
         self.move_colors.append(tuple(colors))
 
         for u, _ in moves:
@@ -294,12 +291,12 @@ class ColorLedger:
             raise InvariantViolation(
                 f"index {i}: color {color} died at {record.died} but "
                 f"node {u} can still move with it")
-        s, up = self._activity.s, self._activity.up
+        up = self._activity.up
         for color in [c for c in live if c not in possible]:
             record = live.pop(color)
             record.died = self.index
-            record.success = any(
-                s[u] and not up[u] for u in record.members - record.tainted)
+            record.success = any(top_since[u] == color and not up[u]
+                                 for u in record.members)
 
     def all_dead(self) -> bool:
         return not self._live

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: trial, sweep, replay, oracle. Every run-spec key is mirrored by
-a flag; flags override values read from a spec file. Relative output paths
-resolve against $MISLAB_OUT when it is set. stdout carries data only; status
+a flag, whose value is taken whole; flags override values read from a spec
+file. Relative output paths resolve against $MISLAB_OUT when it is set. stdout carries data only; status
 lines, "wrote <path>" among them, go to stderr.
 
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .analysis import all_maximal_independent_sets, write_ledger_csv
-from .errors import ConfigError, InvariantViolation, ScriptError
+from .errors import ConfigError, InvariantViolation, ScriptError, read_text
 from .graphs import read_graph
 from .harness import (
     RunSpec,
@@ -37,29 +38,29 @@ from .harness import (
 OUTPUT_DIR_ENV = "MISLAB_OUT"
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    lines = []
-    if args.spec:
-        lines.append(Path(args.spec).read_text(encoding="utf-8"))
-    for f in fields(RunSpec):
-        value = getattr(args, f.name)
-        if value is not None:
-            lines.append(f"{f.name} = {value}")
-    return parse_run_spec("\n".join(lines))
+    return parse_run_spec(
+        read_text(args.spec) if args.spec else "",
+        {f.name: getattr(args, f.name) for f in fields(RunSpec)
+         if getattr(args, f.name) is not None})
+
+
+def _target(path: str) -> Path:
+    """Where an output path writes: a relative path resolves against
+    $MISLAB_OUT when it is set."""
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    return Path(base) / path if base else Path(path)
 
 
 @contextlib.contextmanager
 def _output(path: str | None):
     """A text stream for an output: stdout without a path, else a temporary
-    file beside path that replaces it, and is reported, only once the block
-    completes; on any exception it is removed, with the directories made for
-    it. A relative path resolves against $MISLAB_OUT when it is set."""
+    file beside `_target(path)` that replaces it, and is reported, only once
+    the block completes; on any exception it is removed, with the
+    directories made for it."""
     if not path:
         yield sys.stdout
         return
-    target = Path(path)
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not target.is_absolute():
-        target = Path(base) / target
+    target = _target(path)
     made = [d for d in target.parents if not d.exists()]  # deepest first
     target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
@@ -84,6 +85,16 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    # two outputs on one path would leave a mix of both, or only the last
+    writers = {}
+    for f in fields(RunSpec):
+        path = f.metadata.get("output") and getattr(spec, f.name)
+        if path:
+            target = _target(path)
+            if target in writers:
+                raise ConfigError(
+                    f"{writers[target]} and {f.name} both write {target}")
+            writers[target] = f.name
     # the trace streams to its file as the trials run
     with (_output(spec.trace_out) if spec.trace_out
           else contextlib.nullcontext()) as trace_fh:
@@ -123,8 +134,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    with open(args.graph_file, encoding="utf-8") as fh:
-        g = read_graph(fh)
+    g = read_graph(io.StringIO(read_text(args.graph_file)))
     sets = all_maximal_independent_sets(g)
     for members in sorted(sets, key=lambda s: (len(s), sorted(s))):
         print(" ".join(str(u) for u in sorted(members)))

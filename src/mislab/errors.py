@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the known-kind check."""
+"""Exception types shared across the package, the known-kind check, and
+the reader of input files."""
 
 
 class ConfigError(Exception):
@@ -31,3 +32,13 @@ def known_kind(kind: str, kinds, what: str) -> str:
     if kind not in kinds:
         raise ConfigError(f"unknown {what} {kind!r}; expected one of {tuple(kinds)}")
     return kind
+
+
+def read_text(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a ConfigError
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None

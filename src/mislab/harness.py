@@ -36,7 +36,7 @@ from .engine import (
     initial_configuration,
     is_stable,
 )
-from .errors import ConfigError, InvariantViolation, known_kind
+from .errors import ConfigError, InvariantViolation, known_kind, read_text
 from .graphs import (
     GENERATORS,
     GRAPH_KINDS,
@@ -173,8 +173,9 @@ _PARSERS = {key: _value_parser(annotation)
             for key, annotation in typing.get_type_hints(RunSpec).items()}
 
 
-def parse_run_spec(text: str) -> RunSpec:
-    """Parse the flat one-key-per-line format; '#' starts a comment."""
+def parse_run_spec(text: str, flags: typing.Mapping[str, str] = {}) -> RunSpec:
+    """Parse the flat one-key-per-line format ('#' starts a comment), then
+    `flags`, key -> value text taken whole, which override the text."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,6 +188,8 @@ def parse_run_spec(text: str) -> RunSpec:
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown run spec key {key!r}")
         values[key] = _PARSERS[key](key, value)
+    for key, value in flags.items():
+        values[key] = _PARSERS[key](key, value.strip())
     for f in fields(RunSpec):
         if f.default is MISSING and f.name not in values:
             raise ConfigError(f"run spec must set {f.name!r}")
@@ -277,8 +280,7 @@ def build_graph(spec: RunSpec) -> Graph:
     """The spec's graph: generated from its kind, seed and parameters, or
     read from graph_file."""
     if spec.graph == "file":
-        with open(spec.graph_file, encoding="utf-8") as fh:
-            return read_graph(fh)
+        return read_graph(io.StringIO(read_text(spec.graph_file)))
     return generate_graph(spec.graph, seed=spec.graph_seed, **{
         name: getattr(spec, name) for name in GENERATORS[spec.graph][0]})
 
@@ -391,18 +393,21 @@ def prepare(spec: RunSpec) -> Plan:
     validate_run_spec(spec)
     g = build_graph(spec)
     _check_byzantine(spec.byzantine, g.n)
+    script = spec.script_file and io.StringIO(read_text(spec.script_file))
+    return _plan(spec, g, script, spec.script_file)
+
+
+def _plan(spec: RunSpec, g: Graph, script: typing.Iterable[str] | None,
+          source: str | None) -> Plan:
+    """What spec's trials share on g; `source` names the script's lines."""
     algo = get_algorithm(spec.algorithm)
     byz = frozenset(spec.byzantine)
     tracked = spec.algorithm == "byzantine" or spec.check_invariants
-    script = None
-    if spec.script_file:
-        with open(spec.script_file, encoding="utf-8") as fh:
-            script = _load_script(fh, spec.script_file, g.n, algo, byz)
     return Plan(
         graph=g,
         algorithm=algo,
         strategies=_strategy_map(spec),
-        script=script,
+        script=_load_script(script, source, g.n, algo, byz) if script else None,
         zones=(safe_zone(g, byz, 1), safe_zone(g, byz, 2)) if tracked else None,
         move_ceiling=spec.move_ceiling or default_move_ceiling(g.n),
         round_ceiling=spec.round_ceiling or default_round_ceiling(g),
@@ -737,18 +742,12 @@ def reference_replay() -> ReplayReport:
     compare its trace and color ledger with the stored ones line by line;
     the final configuration must also be stable with settled set {1, 3}."""
     g = make_graph(4, REFERENCE_EDGES)
-    algo = get_algorithm("anonymous")
     script = [line.split()[1] for line in REFERENCE_TRACE.splitlines()[1:]]
     # the plan carries the graph and the script; the spec only what a
     # trial reads besides them
     spec = RunSpec(algorithm="anonymous", graph="file", daemon="scripted",
                    init="all_bot", instrument=True)
-    plan = Plan(graph=g, algorithm=algo, strategies={},
-                script=_load_script(script, "reference trace", g.n, algo,
-                                    frozenset()),
-                zones=(safe_zone(g, (), 1), safe_zone(g, (), 2)),
-                move_ceiling=default_move_ceiling(g.n),
-                round_ceiling=default_round_ceiling(g))
+    plan = _plan(spec, g, script, "reference trace")
     buf = io.StringIO()
     outcome = run_trial(spec, 0, trace_to=buf, plan=plan)
     trace = buf.getvalue()
@@ -756,7 +755,7 @@ def reference_replay() -> ReplayReport:
     write_ledger_csv([outcome.ledger], ledger)
     problems = (_line_mismatches("trace", trace, REFERENCE_TRACE)
                 + _line_mismatches("ledger", ledger.getvalue(), REFERENCE_LEDGER))
-    if not is_stable(algo, g, outcome.final):
+    if not is_stable(plan.algorithm, g, outcome.final):
         problems.append("final configuration is not stable")
     settled = locally_alone_set(g, outcome.final)
     if settled != frozenset({1, 3}):

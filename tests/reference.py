@@ -30,7 +30,9 @@
   node indices from its cursor, modulo n.
 - `WholeConfigurationLedger` and `whole_configuration_ledger`: the color
   ledger as it read a before/after configuration pair per transition,
-  walking every node for the fresh-up set and the "up since" stamps and
+  walking every node for the fresh-up set and the "up since" stamps,
+  keeping each color's taint set (its members that moved under another
+  color while it lived) where the ledger reads success off its stamps, and
   rescanning the locally alone set whenever a color dies; it replays a
   trace through `apply_transition`, not through the stepper.
 
@@ -349,7 +351,8 @@ class WholeConfigurationLedger:
     index; a try-withdrawal takes the index since when its node has been
     continuously up), which colors still have possible withdrawal moves,
     and, at each color's death, whether some member it never
-    shared with another color ended up settled.
+    shared with another color ended up settled: a member is shared once it
+    moves under another color while this one lives (`tainted`).
 
     Possible withdrawal moves are read from `activable`, the activable map of
     the run, which the caller brings up to date before recording each
@@ -367,11 +370,14 @@ class WholeConfigurationLedger:
             0 if up else None for up in initial.s]
         self.fresh_sets: dict[int, frozenset[int]] = {}
         self.records: dict[int, ColorRecord] = {}
+        #: each color's members that moved under another color while it lived
+        self.tainted: dict[int, set[int]] = {}
         self.move_colors: list[tuple[int, ...]] = []
         a0 = frozenset(u for u in range(g.n) if initial.s[u])
         if a0:
             self.fresh_sets[0] = a0
             self.records[0] = ColorRecord(0, a0)
+            self.tainted[0] = set()
         self._scan_possible_moves(initial)
 
     def record(self, cfg_before: Configuration, moves: tuple[Move, ...],
@@ -393,6 +399,7 @@ class WholeConfigurationLedger:
                     "candidate set")
             self.fresh_sets[i] = fresh
             self.records[i] = ColorRecord(i, fresh)
+            self.tainted[i] = set()
 
         colors = []
         for node, rule in moves:
@@ -417,7 +424,7 @@ class WholeConfigurationLedger:
             for other in self.records.values():
                 if (other.died is None and other.color != color
                         and node in other.members):
-                    other.tainted.add(node)
+                    self.tainted[other.color].add(node)
         self.move_colors.append(tuple(colors))
 
         for u in range(self.g.n):
@@ -453,7 +460,8 @@ class WholeConfigurationLedger:
                 if settled is None:
                     settled = locally_alone_set(self.g, cfg)
                 record.success = any(
-                    u in settled for u in record.members - record.tainted)
+                    u in settled
+                    for u in record.members - self.tainted[record.color])
 
     def all_dead(self) -> bool:
         return all(r.died is not None for r in self.records.values())

@@ -229,6 +229,24 @@ def test_recandidacy_taints_older_colors():
     assert ledger.all_dead()
 
 
+def test_settled_member_that_rejoined_under_a_new_color_does_not_count():
+    # node 0 of color 0 drops, comes back alone as color 2 and settles; when
+    # color 0 dies, node 0 is its only settled member, but it shares node 0
+    # with color 2, so color 0 failed
+    g = make_graph(4, [(0, 1), (2, 3)])
+    ledger, _ = scripted_ledger(ANON, g, Configuration((True,) * 4), [
+        [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, 1)],
+        [(0, Rule.CANDIDACY, None)],
+        [(2, Rule.TRY_WITHDRAW, 1), (3, Rule.TRY_WITHDRAW, 1)],
+    ])
+    zero, two = ledger.records[0], ledger.records[2]
+    assert two.members == frozenset({0})
+    assert two.died == 2 and two.success is True
+    assert zero.died == 3 and zero.success is False
+    assert ledger.move_colors == [(0, 0), (2,), (0, 0)]
+    assert ledger.all_dead()
+
+
 def test_ledger_incremental_matches_trace_replay():
     g = erdos_renyi(8, 0.35, seed=5)
     from mislab.harness import RunSpec

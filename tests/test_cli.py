@@ -335,3 +335,64 @@ def test_invariant_violation_names_the_trial_and_exits_3(monkeypatch, capsys):
     assert main(argv[1:]) == 3
     again = capsys.readouterr().err.splitlines()[0]
     assert again.endswith(message[message.index(f"trial {trial} "):])
+
+
+def test_a_flag_value_is_taken_whole(tmp_path, monkeypatch, capsys):
+    """'#' in a flag value is part of it, not a comment."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "4", "--out", "res#1.csv"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["res#1.csv"]
+    assert "wrote res#1.csv" in capsys.readouterr().err
+
+
+def test_a_flag_value_cannot_set_another_key(capsys):
+    """A newline in a flag value does not start another spec line."""
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "4", "--init", "random\nalgorithm = byzantine"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown initial preset 'random\\nalgorithm = byzantine'")
+
+
+@pytest.mark.parametrize("flags, keys, name", [
+    (["--out", "r.txt", "--trace-out", "r.txt"], "out and trace_out", "r.txt"),
+    (["--instrument", "true", "--out", "{out}/q.txt", "--ledger-out", "./q.txt"],
+     "out and ledger_out", "q.txt"),
+])
+def test_two_outputs_on_one_path_exit_2_before_any_trial(
+        flags, keys, name, tmp_path, monkeypatch, capsys):
+    """Paths compare as the run would write them: under $MISLAB_OUT, with
+    './' dropped."""
+    out = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MISLAB_OUT", str(out))
+    trials = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: trials.append(args))
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "4", *(flag.format(out=out) for flag in flags)]) == 2
+    assert capsys.readouterr().err == f"error: {keys} both write {out / name}\n"
+    assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, kind", [
+    (["trial", "{file}"], "spec"),
+    (["trial", "--algorithm", "anonymous", "--graph", "file",
+      "--graph-file", "{file}"], "graph"),
+    (["oracle", "{file}"], "graph"),
+    (["trial", "--algorithm", "anonymous", "--graph", "ring", "--n", "4",
+      "--daemon", "scripted", "--script-file", "{file}"], "script"),
+])
+def test_an_input_file_that_is_not_utf8_exits_2(command, kind, tmp_path,
+                                                capsys):
+    target = tmp_path / "input.txt"
+    target.write_bytes({
+        "spec": b"algorithm = anonymous\ngraph = ring\nn = 4 \xff\n",
+        "graph": b"2 1\n0 \xff1\n",
+        "script": b"0:candidacy\xff\n",
+    }[kind])
+    assert main([arg.format(file=target) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {target}: not UTF-8 text at byte ")
+    assert captured.out == ""
