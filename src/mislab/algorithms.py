@@ -18,15 +18,22 @@ guard over the stepper's lists (s, x, deg, up, u), where up[u] is the number
 of u's neighbors with s = 1: O(1) per evaluation. The guards of each rule
 set are mutually exclusive, so it returns u's one enabled rule, or None.
 
-A move is one call, `step(g, s, x, u, rule, rng) -> (new_s, new_x, draw)`:
-it reads the current s and x lists, draws its own Bernoulli from `rng` when
-the rule is the algorithm's `random_rule` (draw None otherwise), and returns
-u's next state. The stepper calls it once per honest mover, in ascending
-node order, so a seed still fixes one draw per probabilistic move in that
-order.
+A transition is one call, `step(g, state, nodes, activable, strategies,
+rng) -> (rules, draws, new_s, new_x)`, over the ascending list of its
+movers. One loop reads each mover's rule from the activable map, checks
+the order and the membership of the list, and computes every mover's next
+state from the current `state.s` and `state.x`, writing none: a mover on
+the algorithm's `random_rule` draws its Bernoulli from `rng`, and a faulty
+mover's move is its strategy's `act`, each at its node's place in
+ascending order, so a seed still fixes one draw per probabilistic move in
+that order. A list that is empty, not strictly ascending or names a node
+without a rule gives None; the stepper then has `validate_move_set` name
+the violation. The stepper calls it once per transition.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .engine import Rule
 from .errors import EngineError, known_kind
@@ -36,6 +43,7 @@ from .graphs import Graph
 # guards and commands compare against and return module globals
 _REFRESH, _TRY_CANDIDACY, _WITHDRAW = Rule.REFRESH, Rule.TRY_CANDIDACY, Rule.WITHDRAW
 _CANDIDACY, _TRY_WITHDRAW = Rule.CANDIDACY, Rule.TRY_WITHDRAW
+_BYZ = Rule.BYZ
 
 
 def candidacy_probability(g: Graph, x, u: int) -> float:
@@ -69,16 +77,43 @@ class ByzantineMIS:
             return None if up[u] else _TRY_CANDIDACY
         return _WITHDRAW if up[u] else None
 
-    def step(self, g: Graph, s, x, u: int, rule: Rule,
-             rng) -> tuple[bool, int, int | None]:
-        if rule is _TRY_CANDIDACY:
-            draw = rng.bernoulli(candidacy_probability(g, x, u))
-            return (True if draw == 1 else s[u]), x[u], draw
-        if rule is _REFRESH:
-            return s[u], len(g.adjacency[u]), None
-        if rule is _WITHDRAW:
-            return False, x[u], None
-        raise EngineError(f"rule {rule.value} does not belong to {self.name}")
+    def step(self, g: Graph, state, nodes: Sequence[int],
+             activable: dict[int, Rule], strategies: dict, rng):
+        """(rules, draws, new_s, new_x) of the movers `nodes`, or None for
+        a bad list (module docstring)."""
+        if not nodes:
+            return None
+        s, x, adjacency, bernoulli = state.s, state.x, g.adjacency, rng.bernoulli
+        rules, draws, new_s, new_x = [], [], [], []
+        prev = -1
+        for u in nodes:
+            rule = activable.get(u)
+            if rule is None or u <= prev:
+                return None
+            prev = u
+            if rule is _TRY_CANDIDACY:
+                draw = bernoulli(candidacy_probability(g, x, u))
+                new_s.append(True if draw == 1 else s[u])
+                new_x.append(x[u])
+            elif rule is _REFRESH:
+                draw = None
+                new_s.append(s[u])
+                new_x.append(len(adjacency[u]))
+            elif rule is _WITHDRAW:
+                draw = None
+                new_s.append(False)
+                new_x.append(x[u])
+            elif rule is _BYZ:
+                draw = None
+                su, xu = strategies[u].act(g, state, u, rng)
+                new_s.append(su)
+                new_x.append(xu)
+            else:
+                raise EngineError(
+                    f"rule {rule.value} does not belong to {self.name}")
+            rules.append(rule)
+            draws.append(draw)
+        return rules, draws, new_s, new_x
 
 
 class AnonymousMIS:
@@ -96,14 +131,35 @@ class AnonymousMIS:
             return _TRY_WITHDRAW if up[u] else None
         return None if up[u] else _CANDIDACY
 
-    def step(self, g: Graph, s, x, u: int, rule: Rule,
-             rng) -> tuple[bool, None, int | None]:
-        if rule is _TRY_WITHDRAW:
-            draw = rng.bernoulli(0.5)
-            return (False if draw == 1 else s[u]), None, draw
-        if rule is _CANDIDACY:
-            return True, None, None
-        raise EngineError(f"rule {rule.value} does not belong to {self.name}")
+    def step(self, g: Graph, state, nodes: Sequence[int],
+             activable: dict[int, Rule], strategies: dict, rng):
+        """(rules, draws, new_s, None) of the movers `nodes`, or None for a
+        bad list (module docstring); a faulty mover's x is dropped."""
+        if not nodes:
+            return None
+        s, bernoulli = state.s, rng.bernoulli
+        rules, draws, new_s = [], [], []
+        prev = -1
+        for u in nodes:
+            rule = activable.get(u)
+            if rule is None or u <= prev:
+                return None
+            prev = u
+            if rule is _TRY_WITHDRAW:
+                draw = bernoulli(0.5)
+                new_s.append(False if draw == 1 else s[u])
+            elif rule is _CANDIDACY:
+                draw = None
+                new_s.append(True)
+            elif rule is _BYZ:
+                draw = None
+                new_s.append(strategies[u].act(g, state, u, rng)[0])
+            else:
+                raise EngineError(
+                    f"rule {rule.value} does not belong to {self.name}")
+            rules.append(rule)
+            draws.append(draw)
+        return rules, draws, new_s, None
 
 
 ALGORITHMS = {

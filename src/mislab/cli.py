@@ -142,38 +142,45 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("spec", nargs="?", help="run spec file (key = value lines)")
+    for f in fields(RunSpec):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
+
+
+#: subcommand -> (its function, its help line, what adds its arguments)
+_COMMANDS = {
+    "trial": (cmd_trial, "run seeded trials from a run spec", _run_arguments),
+    "sweep": (cmd_sweep, "run a size sweep and emit aggregates", _run_arguments),
+    "replay": (cmd_replay, "check the built-in scripted reference execution",
+               lambda p: p.add_argument("--trace-out", dest="trace_out")),
+    "oracle": (cmd_oracle, "enumerate all maximal independent sets of a graph file",
+               lambda p: p.add_argument("graph_file")),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given the command line `argv`, only the
+    subcommands it names get their arguments: parsing it reaches no other
+    subcommand's parser, and the help and error texts stay those of the
+    full parser."""
     parser = argparse.ArgumentParser(
         prog="mislab",
         description="Simulation lab for randomized self-stabilizing "
                     "maximal-independent-set algorithms.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, func, text in (
-            ("trial", cmd_trial, "run seeded trials from a run spec"),
-            ("sweep", cmd_sweep, "run a size sweep and emit aggregates")):
-        p_run = sub.add_parser(name, help=text)
-        p_run.set_defaults(func=func)
-        p_run.add_argument("spec", nargs="?", help="run spec file (key = value lines)")
-        for f in fields(RunSpec):
-            p_run.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
-
-    p_replay = sub.add_parser(
-        "replay", help="check the built-in scripted reference execution")
-    p_replay.add_argument("--trace-out", dest="trace_out")
-    p_replay.set_defaults(func=cmd_replay)
-
-    p_oracle = sub.add_parser(
-        "oracle", help="enumerate all maximal independent sets of a graph file")
-    p_oracle.add_argument("graph_file")
-    p_oracle.set_defaults(func=cmd_oracle)
-
+    for name, (func, text, add_arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=text)
+        p_command.set_defaults(func=func)
+        if argv is None or name in argv:
+            add_arguments(p_command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ScriptError, OSError) as exc:

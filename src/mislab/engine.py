@@ -141,7 +141,10 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     raises at once; the first node that is not activable is only noted and
     raised after the pass, so an order violation anywhere in the list is
     reported before any node that is not activable.
-    Violations are engine errors: daemons must only emit valid sets.
+    Violations are engine errors: daemons must only emit valid sets. The
+    algorithms' `step` makes the same checks as it runs and only reports
+    a bad list; the stepper then calls this function, which words every
+    move-set error.
     """
     if not nodes:
         raise EngineError("move set must be nonempty")
@@ -210,8 +213,9 @@ class FairnessAges:
     """The age of u: consecutive transitions, up to now, that u has spent
     activable without being activated; 0 while u is not activable.
 
-    Kept as "activable since" stamps only: a node that moves or newly
-    becomes activable is written, and an activable node's age is
+    Kept as "activable since" stamps only, which `Activity.transition`
+    writes as it counts a transition: a node that moves or newly becomes
+    activable is stamped, and an activable node's age is
     transitions - since[u]. Readers use the stamps directly: an activable
     u has age >= a iff since[u] <= transitions - a.
     """
@@ -222,16 +226,6 @@ class FairnessAges:
         #: activable; meaningful only while u is activable
         self.since = [0] * n
         self._activable = activable
-
-    def advance(self, moved: Iterable[int], entered: Iterable[int]) -> None:
-        """Count one transition after which the movers and the newly
-        activable nodes have age 0."""
-        self.transitions = now = self.transitions + 1
-        since = self.since
-        for u in moved:
-            since[u] = now
-        for u in entered:
-            since[u] = now
 
     def oldest(self) -> int:
         """The largest age; only activable nodes can have a nonzero one."""
@@ -247,10 +241,10 @@ class Activity:
     would execute, the round tracker and the fairness ages. `flags` is the
     activable set as a bytearray, flags[u] = 1 iff u is in the map, which
     the singleton daemon searches at C level.
-    An algorithm's `step` is handed the `s` and `x` lists; strategies and
-    daemons read the state through the stepper's own `.s` and `.x`; a
-    `Configuration` is built only on request (`snapshot`). `strategies`
-    maps each faulty node to its behavior.
+    The algorithm's `step`, strategies and daemons read the state through
+    the stepper's own `.s` and `.x`; a `Configuration` is built only on
+    request (`snapshot`). `strategies` maps each faulty node to its
+    behavior.
 
     Every guard reads only s[u], x[u], deg[u] and whether up[u] > 0. After
     one scan of every guard for the initial configuration, `transition`
@@ -289,41 +283,40 @@ class Activity:
             list[tuple[int, Rule]], tuple[int | None, ...], bool]:
         """Activate the chosen nodes, listed in ascending order, on the
         current state and account the transition. Every node's rule is read
-        from the activable map before any state is written.
+        from the activable map and every next state computed before any
+        state is written.
 
         Returns the executed (node, rule) pairs, their draws, and whether
         the transition closed a round; the new state is the stepper's own.
-        An honest move costs one `step` call on the algorithm, which draws
-        its own Bernoulli; a faulty node's move is its strategy's `act`.
+        The whole transition is one `step` call on the algorithm, which
+        draws the Bernoullis and runs the faulty nodes' strategies.
         """
-        g, step, strategies = self._g, self._algo.step, self._strategies
-        activable = self.activable
-        validate_move_set(g, nodes, activable)
-        moves = [(u, activable[u]) for u in nodes]
-        s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
+        g, activable = self._g, self.activable
         # every next state is computed against the current one before any
         # is written: simultaneous activation
-        draws: list[int | None] = []
-        nexts = []
-        for node, rule in moves:
-            if rule is _BYZ:
-                new_s, new_x = strategies[node].act(g, self, node, rng)
-                draw = None
-            else:
-                new_s, new_x, draw = step(g, s, x, node, rule, rng)
-            draws.append(draw)
-            nexts.append((new_s, new_x))
+        stepped = self._algo.step(g, self, nodes, activable, self._strategies,
+                                  rng)
+        if stepped is None:
+            validate_move_set(g, nodes, activable)
+        rules, draws, new_s, new_x = stepped
+        s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
+        ages = self.ages
+        ages.transitions = now = ages.transitions + 1
+        since = ages.since
 
         # a guard input changed at a mover whose s or x changed, and at a
         # neighbor of a flipped mover whose up crossed zero: guards read up
         # only as "some neighbor is up". A mover that changed nothing keeps
-        # its guard, unless a flipped neighbor already touched it
+        # its guard, unless a flipped neighbor already touched it. Every
+        # mover has age 0 after the transition
         self.touched = touched = set()
-        for node, (new_s, new_x) in zip(nodes, nexts):
-            if new_s != s[node]:
-                s[node] = new_s
+        for node, ns, nx in zip(nodes, new_s,
+                                repeat(None) if new_x is None else new_x):
+            since[node] = now
+            if ns != s[node]:
+                s[node] = ns
                 touched.add(node)
-                if new_s:
+                if ns:
                     for v in adjacency[node]:
                         if not up[v]:
                             touched.add(v)
@@ -333,32 +326,37 @@ class Activity:
                         up[v] -= 1
                         if not up[v]:
                             touched.add(v)
-            if x is not None and new_x is not None and new_x != x[node]:
-                x[node] = new_x
+            if nx is not None and nx != x[node]:
+                x[node] = nx
                 touched.add(node)
 
         # only the touched nodes can change activability, and a flag changes
-        # only where a node enters or leaves the map
+        # only where a node enters or leaves the map; an entering node has
+        # age 0
         guard, byz, flags = self._algo.enabled_rules, self._byz, self.flags
-        left, entered = [], []
+        left = []
         for u in touched:
             if u in byz:
                 continue
             rule = guard(s, x, deg, up, u)
             if rule is not None:
                 if u not in activable:
-                    entered.append(u)
+                    since[u] = now
                     flags[u] = 1
                 activable[u] = rule
             elif activable.pop(u, None) is not None:
                 left.append(u)
                 flags[u] = 0
-        self.ages.advance(nodes, entered)
         ended = self.tracker.advance(nodes, left, activable)
-        return moves, tuple(draws), ended
+        return list(zip(nodes, rules)), tuple(draws), ended
 
 
 _ONE, _ZERO = b"10"
+
+#: (rule value, draw) -> the ":rule:draw" end of a trace entry; keyed by the
+#: value because hashing a Rule runs `Enum.__hash__` in Python
+_ENTRY_SUFFIX = {(rule.value, draw): f":{rule.value}:{'-' if draw is None else draw}"
+                 for rule in Rule for draw in (None, 0, 1)}
 
 
 class TraceWriter:
@@ -369,17 +367,19 @@ class TraceWriter:
 
     A transition writes state only at its movers, so the encoded s and x are
     kept between lines and only the movers' entries are re-encoded. The
-    comma-joined x text is kept too, and joined again only on a line where
-    some mover's x text changed: a line costs O(|movers|) plus a copy of the
-    s bytes, and one join of the kept x text when an x changed. `record`
-    reads those entries from `state`, the run's live `Activity` (its `.s`
-    and `.x`).
+    x values are kept as numbers beside their text, so a mover's x is
+    turned into text only when it changed, and the comma-joined x text is
+    joined again only on such a line: a line costs O(|movers|) plus a copy
+    of the s bytes, and one join of the kept x text when an x changed.
+    `record` reads those entries from `state`, the run's live `Activity`
+    (its `.s` and `.x`).
     """
 
     def __init__(self, fh: IO[str], initial: Configuration):
         self._fh = fh
         self._index = 0
         self._s = bytearray(_ONE if v else _ZERO for v in initial.s)
+        self._x_num = None if initial.x is None else list(initial.x)
         self._x = None if initial.x is None else list(map(str, initial.x))
         self._x_line = None if self._x is None else self._join_x()
         fh.write(f"0 - {self._fields()}\n")
@@ -387,19 +387,19 @@ class TraceWriter:
     def record(self, moves: Sequence[tuple[int, Rule]],
                draws: tuple[int | None, ...], state) -> None:
         self._index += 1
-        s, x, s_text, x_text = state.s, state.x, self._s, self._x
-        one, zero = _ONE, _ZERO
+        s, x, s_text = state.s, state.x, self._s
+        x_num, x_text = self._x_num, self._x
+        one, zero, suffix = _ONE, _ZERO, _ENTRY_SUFFIX
         entries = []
         x_changed = False
         for (node, rule), d in zip(moves, draws):
             s_text[node] = one if s[node] else zero
-            if x_text is not None:
-                text = str(x[node])
-                if text != x_text[node]:
-                    x_text[node] = text
-                    x_changed = True
+            if x_num is not None and x[node] != x_num[node]:
+                x_num[node] = v = x[node]
+                x_text[node] = str(v)
+                x_changed = True
             # _value_ is Rule.value without the enum descriptor's cost
-            entries.append(f"{node}:{rule._value_}:{'-' if d is None else d}")
+            entries.append(f"{node}{suffix[rule._value_, d]}")
         if x_changed:
             self._x_line = self._join_x()
         self._fh.write(f"{self._index} {','.join(entries)} {self._fields()}\n")

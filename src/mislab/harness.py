@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import operator
+import re
 import statistics
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -172,13 +173,23 @@ def _value_parser(annotation):
 _PARSERS = {key: _value_parser(annotation)
             for key, annotation in typing.get_type_hints(RunSpec).items()}
 
+#: a '#' that opens a comment: at the start of a line or after whitespace,
+#: so a value such as "g#1.txt" keeps its '#'
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
+def _uncommented(line: str) -> str:
+    """line without its comment, stripped."""
+    return _COMMENT.split(line, 1)[0].strip()
+
 
 def parse_run_spec(text: str, flags: typing.Mapping[str, str] = {}) -> RunSpec:
-    """Parse the flat one-key-per-line format ('#' starts a comment), then
-    `flags`, key -> value text taken whole, which override the text."""
+    """Parse the flat one-key-per-line format ('#' at the start of a line or
+    after whitespace starts a comment), then `flags`, key -> value text
+    taken whole, which override the text."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _uncommented(raw)
         if not line:
             continue
         if "=" not in line:
@@ -322,7 +333,7 @@ def _load_script(lines: typing.Iterable[str], source: str, n: int, algo,
     faulty = {Rule.BYZ.value: Rule.BYZ}
     script = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _uncommented(raw)
         if not line:
             continue
         where = f"{source} line {lineno}"

@@ -10,8 +10,9 @@
   influence, recomputed from a whole configuration.
 - `PAPER_COMMANDS` and `paper_move`: each algorithm's commands in the
   paper's two-call form over a whole configuration, `rule_probability` and
-  then `apply` given the draw. The engine's fused `step` (one call that
-  draws its own Bernoulli) must agree with them.
+  then `apply` given the draw. The engine's batched `step` (one call per
+  transition that draws its own Bernoullis), given a one-move list
+  (`step_one`), must agree with them.
 - `ordered_move_set_error`: the stepper's move-set checks made one after
   another, order first and then membership, giving the message of the
   first violation; the one-pass check must name the same.
@@ -225,13 +226,22 @@ def forced_draws(draws):
     return stream
 
 
+def step_one(algo, g, state, u, rule, rng, strategies=None):
+    """u's move by `rule` through the engine's `step`, as a one-move list
+    whose activable map gives u that rule: (new_s, new_x, draw)."""
+    rules, draws, new_s, new_x = algo.step(g, state, [u], {u: rule},
+                                           strategies or {}, rng)
+    assert rules == [rule]
+    return new_s[0], None if new_x is None else new_x[0], draws[0]
+
+
 def move(algo, g, cfg, u, rule, draw=None):
     """u's move by `rule` in cfg through the engine's `step`, fed `draw`
     (if any) as its Bernoulli outcome and checked against the paper-form
     commands: (new_s, new_x, draw)."""
     state = counted_state(g, cfg)
     forced = () if draw is None else (draw,)
-    got = algo.step(g, state.s, state.x, u, rule, forced_draws(forced))
+    got = step_one(algo, g, state, u, rule, forced_draws(forced))
     assert got == paper_move(algo, g, cfg, u, rule, forced_draws(forced)), (u, cfg)
     return got
 

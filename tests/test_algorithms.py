@@ -6,10 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mislab.algorithms import candidacy_probability, get_algorithm
+from mislab.byzantine import make_strategy
 from mislab.engine import Configuration, RngStream, Rule
 from mislab.errors import EngineError, ScriptError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
-from reference import counted_state, enabled, forced_draws, move, paper_move, paper_rules
+from reference import (
+    counted_state,
+    enabled,
+    forced_draws,
+    move,
+    paper_move,
+    paper_rules,
+    step_one,
+)
 
 ANON = get_algorithm("anonymous")
 BYZ = get_algorithm("byzantine")
@@ -175,6 +184,10 @@ class _Recorded:
         self.probabilities.append(p)
         return self.rng.bernoulli(p)
 
+    def __getattr__(self, name):
+        # a strategy's draws other than Bernoullis, from the stream itself
+        return getattr(self.rng, name)
+
 
 def _stream_state(rng):
     """Where a draw stream stands: the outcomes a FixedDraws has left, and
@@ -187,9 +200,10 @@ def _stream_state(rng):
 def test_step_matches_the_paper_form_commands(seed, data):
     """Any state, any rule of either algorithm (those of the other rule set
     and the faulty-node marker included), a seeded or a scripted draw
-    stream: `step` returns what `rule_probability`, a Bernoulli draw and
-    `apply` give, draws at the same probability, and leaves its stream
-    where they leave theirs."""
+    stream: `step` on a one-move list returns what `rule_probability`, a
+    Bernoulli draw and `apply` give, or for the faulty-node marker what the
+    node's strategy gives, draws at the same probability, and leaves its
+    stream where they leave theirs."""
     g = erdos_renyi(7, 0.4, seed=seed)
     algo = data.draw(st.sampled_from([BYZ, ANON]))
     s = tuple(data.draw(st.lists(st.booleans(), min_size=7, max_size=7)))
@@ -205,9 +219,13 @@ def test_step_matches_the_paper_form_commands(seed, data):
         outcomes = data.draw(st.lists(st.integers(0, 1), max_size=2))
         streams = forced_draws(outcomes), forced_draws(outcomes)
     stepped, paper = _Recorded(streams[0]), _Recorded(streams[1])
-    got = _outcome(lambda: algo.step(g, list(s), None if x is None else list(x),
-                                     u, rule, stepped))
-    expected = _outcome(lambda: paper_move(algo, g, cfg, u, rule, paper))
+    strategy = make_strategy("uniform_random", 50)
+    got = _outcome(lambda: step_one(algo, g, counted_state(g, cfg), u, rule,
+                                    stepped, {u: strategy}))
+    if rule is Rule.BYZ:
+        expected = (*strategy.act(g, cfg, u, paper), None)
+    else:
+        expected = _outcome(lambda: paper_move(algo, g, cfg, u, rule, paper))
     assert got == expected
     assert stepped.probabilities == paper.probabilities
     assert _stream_state(streams[0]) == _stream_state(streams[1])

@@ -11,7 +11,7 @@ import pytest
 import mislab
 from mislab import harness
 from mislab.algorithms import AnonymousMIS
-from mislab.cli import main
+from mislab.cli import build_parser, main
 from mislab.daemons import DAEMON_KINDS
 from mislab.engine import Rule, derive_seed
 from mislab.graphs import erdos_renyi, ring, write_graph
@@ -33,6 +33,30 @@ def spec_file(tmp_path):
     target = tmp_path / "run.spec"
     target.write_text(ANON_SPEC, encoding="utf-8")
     return target
+
+
+def _parse_output(parser, argv, capsys):
+    """What parsing argv with parser prints and how it exits: (exit code,
+    stdout, stderr)."""
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["trial", "--help"], ["sweep", "-h"],
+    ["replay", "--help"], ["oracle", "-h"], ["trial", "--bogus", "1"],
+    ["sweep", "a.spec", "b.spec"], ["replay", "--n", "3"], ["oracle"],
+    ["nosuch"], ["--bogus", "trial", "--n", "3"], ["trial", "--n"],
+])
+def test_a_parser_with_only_the_named_subcommands_reads_as_the_full_one(
+        argv, capsys):
+    """main builds the arguments of the subcommands its command line names
+    only; help, usage and error texts and exit codes are the full
+    parser's, byte for byte."""
+    assert _parse_output(build_parser(argv), argv, capsys) == _parse_output(
+        build_parser(), argv, capsys)
 
 
 def test_trial_to_stdout(spec_file, capsys):

@@ -793,10 +793,13 @@ def _plant_rising_withdrawal(monkeypatch):
             return Rule.TRY_WITHDRAW
         return guard(self, s, x, deg, up, u)
 
-    def rising_step(self, g, s, x, u, rule, rng):
-        if rule is Rule.TRY_WITHDRAW and not s[u]:
-            return True, None, rng.bernoulli(0.5)
-        return step(self, g, s, x, u, rule, rng)
+    def rising_step(self, g, state, nodes, activable, strategies, rng):
+        stepped = step(self, g, state, nodes, activable, strategies, rng)
+        if stepped is not None:
+            rules, _, new_s, _ = stepped
+            new_s[:] = [True if rule is Rule.TRY_WITHDRAW and not state.s[u] else v
+                        for u, rule, v in zip(nodes, rules, new_s)]
+        return stepped
 
     def rising_apply(self, g, cfg, u, rule, draw):
         if rule is Rule.TRY_WITHDRAW and not cfg.s[u]:
@@ -813,11 +816,16 @@ def _plant_stuck_candidacy(monkeypatch):
     a candidacy mover; in the engine's `step` and the paper-form command
     alike."""
     step, apply = AnonymousMIS.step, PaperAnonymousCommands.apply
-    monkeypatch.setattr(
-        AnonymousMIS, "step",
-        lambda self, g, s, x, u, rule, rng: (
-            (False, None, None) if rule is Rule.CANDIDACY
-            else step(self, g, s, x, u, rule, rng)))
+
+    def stuck_step(self, g, state, nodes, activable, strategies, rng):
+        stepped = step(self, g, state, nodes, activable, strategies, rng)
+        if stepped is not None:
+            rules, _, new_s, _ = stepped
+            new_s[:] = [False if rule is Rule.CANDIDACY else v
+                        for rule, v in zip(rules, new_s)]
+        return stepped
+
+    monkeypatch.setattr(AnonymousMIS, "step", stuck_step)
     monkeypatch.setattr(
         PaperAnonymousCommands, "apply",
         lambda self, g, cfg, u, rule, draw: (

@@ -14,7 +14,8 @@ from mislab.algorithms import ALGORITHMS
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.cli import _spec_from_args, build_parser, main
 from mislab.daemons import DAEMON_KINDS
-from mislab.engine import INITIAL_PRESETS
+from mislab.engine import INITIAL_PRESETS, Rule
+from mislab.errors import ConfigError
 from mislab.graphs import GENERATORS, GRAPH_KINDS
 from mislab.harness import RunSpec, canonical_text, parse_run_spec
 
@@ -28,8 +29,10 @@ SPEC_FLAGS = (
     "--trace-out", "--ledger-out",
 )
 
-_NAMES = st.text(alphabet="abcxyz_./0123456789", min_size=1, max_size=8).filter(
-    lambda t: t != "None")
+#: file names a spec can hold: a '#' inside a name is part of it, since only
+#: one at the start of a line or after whitespace starts a comment
+_NAMES = st.text(alphabet="abcxyz_./#0123456789", min_size=1, max_size=8).filter(
+    lambda t: t != "None" and not t.startswith("#"))
 _COUNTS = st.integers(1, 10**6)
 
 
@@ -202,6 +205,26 @@ def test_aliasing_seeds_are_config_errors(flags, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["trial", *BASE, "--graph-seed", "0",
                  "--master-seed", str(2**64 - 1)]) == 0
+
+
+def test_a_hash_inside_a_value_is_part_of_it():
+    """'#' starts a comment at the start of a line or after whitespace
+    only, so a file name holding one survives the spec's canonical text."""
+    spec = parse_run_spec("# a run\nalgorithm = anonymous # the coin one\n"
+                          "graph = file\ngraph_file = g#1.txt\t# its graph\n")
+    assert spec.algorithm == "anonymous" and spec.graph_file == "g#1.txt"
+    assert parse_run_spec(canonical_text(spec)) == spec
+
+
+def test_a_script_line_keeps_a_comment_only_after_whitespace():
+    algo = ALGORITHMS["anonymous"]
+    script = harness._load_script(
+        ["# all down\n", "0:candidacy # node 0 rises\n"], "steps.txt", 2, algo,
+        frozenset())
+    assert script == (((0, Rule.CANDIDACY, None),),)
+    with pytest.raises(ConfigError,
+                       match="steps.txt line 1: node 0 has no rule 'candidacy#1'"):
+        harness._load_script(["0:candidacy#1\n"], "steps.txt", 2, algo, frozenset())
 
 
 @pytest.mark.parametrize("script, where", [

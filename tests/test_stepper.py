@@ -9,8 +9,9 @@ from dataclasses import replace
 import pytest
 
 from mislab.algorithms import ByzantineMIS
-from mislab.engine import INITIAL_PRESETS
-from mislab.harness import RunSpec, run_trial
+from mislab.engine import INITIAL_PRESETS, FixedDraws, RngStream, Rule, derive_seed
+from mislab.harness import RunSpec, prepare, run_trial
+from reference import Move, apply_transition, traced_trial
 
 UNSCRIPTED = ("synchronous", "aged_fair", "random_subset", "singleton",
               "conflict_greedy")
@@ -73,8 +74,9 @@ def test_script_draws_follow_their_moves_in_any_listed_order(tmp_path):
 
 def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
     """An aged_fair Byzantine grid trial with invariants on makes one `step`
-    call per honest move, and evaluates guards only where a move changed a
-    guard input: 439 times at this seed."""
+    call per transition, however many nodes move in it, and evaluates
+    guards only where a move changed a guard input: 439 times at this
+    seed."""
     calls = Counter()
 
     def counting(name, fn):
@@ -94,5 +96,34 @@ def test_call_budget_of_a_fair_byzantine_grid_trial(monkeypatch):
     honest = sum(count for rule, count in record.moves_by_rule.items()
                  if rule != "byz")
     assert honest == 380
-    assert calls["step"] == honest
+    assert calls["step"] == record.transitions
     assert calls["enabled_rules"] == 439
+
+
+@pytest.mark.parametrize("script", [None, "0:candidacy?:1,1:byz,2:candidacy?\n"])
+def test_a_faulty_mover_draws_at_its_place_in_a_transition(tmp_path, script):
+    """A uniform_random faulty node between two honest try-candidacy movers
+    of one transition, under the synchronous daemon and under a script that
+    forces node 0's draw and leaves node 2's to the stream: the one `step`
+    call of the transition draws for node 0, then node 1's strategy, then
+    node 2, as the per-move paper-form commands do."""
+    spec = RunSpec(algorithm="byzantine", graph="path", n=3, init="all_bot",
+                   byzantine=(1,), strategies=((1, "uniform_random", None),),
+                   hold_rounds=1)
+    seed = derive_seed(spec.master_seed, 0)
+    rng = RngStream(seed)
+    if script is not None:
+        path = tmp_path / "script.txt"
+        path.write_text(script, encoding="utf-8")
+        spec = replace(spec, daemon="scripted", script_file=str(path))
+        rng = FixedDraws(seed)
+        rng.forced.extend((1, None))
+    outcome, trace = traced_trial(spec, 0)
+    (step,) = trace.steps
+    assert step.moves == (Move(0, Rule.TRY_CANDIDACY), Move(1, Rule.BYZ),
+                          Move(2, Rule.TRY_CANDIDACY))
+    plan = prepare(spec)
+    after, draws = apply_transition(plan.algorithm, plan.graph, trace.initial,
+                                    step.moves, rng, plan.strategies)
+    assert step.draws == draws and draws[1] is None and draws[2] in (0, 1)
+    assert step.config == after == outcome.final
