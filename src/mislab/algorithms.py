@@ -105,7 +105,7 @@ class ByzantineMIS:
                 new_x.append(x[u])
             elif rule is _BYZ:
                 draw = None
-                su, xu = strategies[u].act(g, state, u, rng)
+                su, xu = strategies[u].act(state, u, rng)
                 new_s.append(su)
                 new_x.append(xu)
             else:
@@ -153,7 +153,7 @@ class AnonymousMIS:
                 new_s.append(True)
             elif rule is _BYZ:
                 draw = None
-                new_s.append(strategies[u].act(g, state, u, rng)[0])
+                new_s.append(strategies[u].act(state, u, rng)[0])
             else:
                 raise EngineError(
                     f"rule {rule.value} does not belong to {self.name}")

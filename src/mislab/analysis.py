@@ -193,17 +193,17 @@ class ColorLedger:
     ended up settled": a member moves under another color only by a
     candidacy after going down, and that candidacy moves its stamp off.
 
-    It reads the live stepper (`engine.Activity`): `s`, `up` and the
-    activable map. A transition writes state only at its movers, so the
-    fresh-up set is the movers now up with no "up since" stamp, and stamps
-    change only at movers. A transition costs O(|movers|), one pass over
-    the activable map, and the members of each color that dies.
+    It reads the live stepper (`engine.Activity`): its graph `g`, `s`, `up`
+    and the activable map; a stepper that keeps x is refused. A transition
+    writes state only at its movers, so the fresh-up set is the movers now
+    up with no "up since" stamp, and stamps change only at movers. A
+    transition costs O(|movers|), one pass over the activable map, and the
+    members of each color that dies.
     """
 
-    def __init__(self, g: Graph, algo, activity: Activity):
-        if algo.uses_x:
+    def __init__(self, activity: Activity):
+        if activity.x is not None:
             raise ConfigError("color instrumentation applies to anonymous runs only")
-        self.g = g
         self._activity = activity
         self.index = 0
         s = activity.s
@@ -212,7 +212,7 @@ class ColorLedger:
         #: the records of colors that have not died, by color
         self._live: dict[int, ColorRecord] = {}
         self.move_colors: list[tuple[int, ...]] = []
-        a0 = frozenset(u for u in range(g.n) if s[u])
+        a0 = frozenset(u for u, up in enumerate(s) if up)
         if a0:
             self.records[0] = self._live[0] = ColorRecord(0, a0)
         self._scan_possible_moves()
@@ -236,7 +236,7 @@ class ColorLedger:
                 f"transition {i}: fresh-up set {sorted(fresh)} does not match "
                 f"candidacy movers {sorted(candidates)}")
         if fresh:
-            if not is_candidate_set(self.g, self._activity, fresh):
+            if not is_candidate_set(self._activity.g, self._activity, fresh):
                 raise InvariantViolation(
                     f"transition {i}: fresh-up set {sorted(fresh)} is not a "
                     "candidate set")

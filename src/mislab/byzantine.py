@@ -1,23 +1,22 @@
 """Behaviors for Byzantine nodes.
 
 A faulty node never runs algorithm rules; when the daemon activates it, its
-strategy rewrites the node's own s (and x) arbitrarily. Strategies only read
-local state, so they stay within the model's information access.
+strategy rewrites the node's own s (and x) arbitrarily. A strategy gets the
+run's stepper (`engine.Activity`) and reads only the node's own `.s` and
+`.x`, so it stays within the model's information access.
 """
 
 from __future__ import annotations
 
-from .engine import Configuration
 from .errors import known_kind
-from .graphs import Graph
 
 #: x values are capped machine integers; the candidacy formula only ever puts
 #: them in a probability denominator, so any cap is safe.
 DEFAULT_X_CAP = 2**32 - 1
 
 
-def _x_of(cfg: Configuration, u: int) -> int | None:
-    return cfg.x[u] if cfg.x is not None else None
+def _x_of(state, u: int) -> int | None:
+    return state.x[u] if state.x is not None else None
 
 
 class Strategy:
@@ -30,37 +29,37 @@ class Strategy:
 class Silent(Strategy):
     """Keeps its state unchanged; disruption by pure scheduling pressure."""
 
-    def act(self, g: Graph, cfg: Configuration, u: int, rng):
-        return cfg.s[u], _x_of(cfg, u)
+    def act(self, state, u: int, rng):
+        return state.s[u], _x_of(state, u)
 
 
 class AlwaysTop(Strategy):
     """Claims set membership forever, pinning neighbors out of candidacy."""
 
-    def act(self, g: Graph, cfg: Configuration, u: int, rng):
-        return True, _x_of(cfg, u)
+    def act(self, state, u: int, rng):
+        return True, _x_of(state, u)
 
 
 class Oscillate(Strategy):
     """Toggles its s-flag on every activation."""
 
-    def act(self, g: Graph, cfg: Configuration, u: int, rng):
-        return (not cfg.s[u]), _x_of(cfg, u)
+    def act(self, state, u: int, rng):
+        return (not state.s[u]), _x_of(state, u)
 
 
 class DegreeLiar(Strategy):
     """Advertises a huge degree to depress neighbors' candidacy probability."""
 
-    def act(self, g: Graph, cfg: Configuration, u: int, rng):
+    def act(self, state, u: int, rng):
         return False, self.x_cap
 
 
 class UniformRandom(Strategy):
     """Fresh uniform s and x on every activation."""
 
-    def act(self, g: Graph, cfg: Configuration, u: int, rng):
+    def act(self, state, u: int, rng):
         s = rng.random() < 0.5
-        x = rng.randint(0, self.x_cap) if cfg.x is not None else None
+        x = rng.randint(0, self.x_cap) if state.x is not None else None
         return s, x
 
 

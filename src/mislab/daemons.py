@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algorithms import ALGORITHMS
-from .engine import Activity, FairnessAges, FixedDraws, RngStream, Rule
+from .engine import Activity, FixedDraws, RngStream, Rule
 from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
 
@@ -30,11 +29,12 @@ class Daemon:
     stream = RngStream
 
     def select(self, g: Graph, cfg: Activity, activable: dict[int, Rule],
-               ages: FairnessAges, rng) -> list[int]:
+               rng) -> list[int]:
         """The nodes to activate in the next transition: a nonempty list of
         keys of `activable`, in strictly ascending order, which the stepper
         takes as it is and rejects otherwise. `cfg` is the run's live
-        stepper (its `.s`, `.x` and `.flags`), `rng` the trial's stream."""
+        stepper (its `.s`, `.x`, `.flags` and fairness stamps `.since` and
+        `.transitions`), `rng` the trial's stream."""
         raise NotImplementedError
 
 
@@ -43,7 +43,7 @@ class SynchronousDaemon(Daemon):
 
     fair_bound = 1
 
-    def select(self, g, cfg, activable, ages, rng):
+    def select(self, g, cfg, activable, rng):
         return sorted(activable)
 
 
@@ -55,10 +55,10 @@ class AgedFairDaemon(Daemon):
             raise ConfigError(f"fairness bound must be >= 1, got {fairness}")
         self.fair_bound = fairness
 
-    def select(self, g, cfg, activable, ages, rng):
+    def select(self, g, cfg, activable, rng):
         # an activable u has age >= F - 1 iff since[u] <= transitions - (F - 1);
         # an overdue node draws nothing
-        since, due = ages.since, ages.transitions - (self.fair_bound - 1)
+        since, due = cfg.since, cfg.transitions - (self.fair_bound - 1)
         nodes = sorted(activable)
         chosen = [u for u in nodes if since[u] <= due or rng.random() < 0.5]
         if not chosen:
@@ -74,7 +74,7 @@ class RandomSubsetDaemon(Daemon):
             raise ConfigError(f"density must be in (0,1], got {density}")
         self.density = density
 
-    def select(self, g, cfg, activable, ages, rng):
+    def select(self, g, cfg, activable, rng):
         nodes = sorted(activable)
         for _ in range(10_000):
             chosen = [u for u in nodes if rng.random() < self.density]
@@ -94,7 +94,7 @@ class SingletonDaemon(Daemon):
     def __init__(self):
         self._cursor = 0
 
-    def select(self, g, cfg, activable, ages, rng):
+    def select(self, g, cfg, activable, rng):
         flags, cursor = cfg.flags, self._cursor
         u = flags.find(1, cursor)
         if u < 0:
@@ -109,7 +109,7 @@ class ConflictGreedyDaemon(Daemon):
     """Prefers adjacent activable nodes with equal s-values, to force candidacy
     collisions and simultaneous withdrawals, then pads randomly."""
 
-    def select(self, g, cfg, activable, ages, rng):
+    def select(self, g, cfg, activable, rng):
         # a core node draws nothing, the others draw in ascending order
         s, adjacency, nodes = cfg.s, g.adjacency, sorted(activable)
         chosen = [u for u in nodes
@@ -120,45 +120,40 @@ class ConflictGreedyDaemon(Daemon):
         return chosen
 
 
-#: the rules whose command draws a Bernoulli, one per algorithm
-_DRAWING = frozenset(algo.random_rule for algo in ALGORITHMS.values())
+#: one scripted transition as the script loader emits it: its nodes in
+#: ascending order, the rule of each, and the draws of its coin moves in
+#: node order, None for a draw the stream makes
+ScriptStep = tuple[tuple[int, ...], tuple[Rule, ...], tuple[int | None, ...]]
 
 
 class ScriptedDaemon(Daemon):
-    """Replays an explicit list of move sets, each a list of (node, rule,
-    draw) entries; fails if a scripted rule is not the one the activable map
-    holds for its node. An entry listed twice in one set counts once. The
-    trial's stream is a `FixedDraws`, fed each set's draws in ascending node
-    order; a None draw comes from the stream.
+    """Replays an explicit list of move sets, each a `ScriptStep`; fails if
+    a scripted rule is not the one the activable map holds for its node.
+    The trial's stream is a `FixedDraws`, fed each set's draws.
     """
 
     stream = FixedDraws
 
-    def __init__(self, script: Sequence[Sequence[tuple[int, Rule, int | None]]] | None):
+    def __init__(self, script: Sequence[ScriptStep] | None):
         if script is None:
             raise ConfigError("scripted daemon needs a script")
-        self._script = []
-        for step in script:
-            entries = sorted(dict.fromkeys(step), key=lambda e: e[0])
-            self._script.append((
-                [(node, rule) for node, rule, _ in entries],
-                [d for _, rule, d in entries if rule in _DRAWING]))
+        self._script = script
         self._next = 0
 
-    def select(self, g, cfg, activable, ages, rng):
+    def select(self, g, cfg, activable, rng):
         if self._next >= len(self._script):
             raise ScriptError("scripted daemon ran out of transitions")
-        moves, draws = self._script[self._next]
+        nodes, rules, draws = self._script[self._next]
         self._next += 1
-        for node, rule in moves:
+        for node, rule in zip(nodes, rules):
             if activable.get(node) is not rule:
                 raise ScriptError(
                     f"scripted move ({node},{rule.value}) not enabled "
                     f"at transition {self._next}")
-        if not moves:
+        if not nodes:
             raise ScriptError(f"scripted transition {self._next} is empty")
         rng.forced.extend(draws)
-        return [node for node, _ in moves]
+        return list(nodes)
 
 
 #: kind -> factory (n, fairness, density, script) of a fresh daemon

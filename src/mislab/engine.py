@@ -209,38 +209,18 @@ class RoundTracker:
         return self.rounds_completed + (1 if self.transitions_in_round else 0)
 
 
-class FairnessAges:
-    """The age of u: consecutive transitions, up to now, that u has spent
-    activable without being activated; 0 while u is not activable.
-
-    Kept as "activable since" stamps only, which `Activity.transition`
-    writes as it counts a transition: a node that moves or newly becomes
-    activable is stamped, and an activable node's age is
-    transitions - since[u]. Readers use the stamps directly: an activable
-    u has age >= a iff since[u] <= transitions - a.
-    """
-
-    def __init__(self, n: int, activable: dict[int, Rule]):
-        self.transitions = 0
-        #: since[u]: the transition after which u last moved or became
-        #: activable; meaningful only while u is activable
-        self.since = [0] * n
-        self._activable = activable
-
-    def oldest(self) -> int:
-        """The largest age; only activable nodes can have a nonzero one."""
-        return self.transitions - min(map(self.since.__getitem__, self._activable),
-                                      default=self.transitions)
-
-
 class Activity:
     """The transition stepper every run drives. It owns the run's state as
     plain lists: `s`, `x` (None when the algorithm keeps none), `deg`, and
     `up`, where up[u] is the number of u's neighbors with s = 1. It also
     owns the activable map, which holds the one rule each activable node
-    would execute, the round tracker and the fairness ages. `flags` is the
-    activable set as a bytearray, flags[u] = 1 iff u is in the map, which
-    the singleton daemon searches at C level.
+    would execute, and the round tracker. `flags` is the activable set as a
+    bytearray, flags[u] = 1 iff u is in the map, which the singleton daemon
+    searches at C level. u's age, the transitions it has spent activable
+    without being activated, is kept as a stamp: `transitions` counts the
+    transitions so far and since[u] is the one after which u last moved or
+    became activable, so an activable u has age transitions - since[u],
+    >= a iff since[u] <= transitions - a; off the map its age is 0.
     The algorithm's `step`, strategies and daemons read the state through
     the stepper's own `.s` and `.x`; a `Configuration` is built only on
     request (`snapshot`). `strategies` maps each faulty node to its
@@ -260,7 +240,7 @@ class Activity:
     def __init__(self, algo, g: Graph, cfg: Configuration,
                  strategies: dict | None = None):
         self._algo = algo
-        self._g = g
+        self.g = g
         self._strategies = strategies or {}
         self._byz = frozenset(self._strategies)
         self.s, self.x, self.deg, self.up = _counted(g, cfg)
@@ -272,7 +252,13 @@ class Activity:
         #: guards it re-evaluated
         self.touched: set[int] = set()
         self.tracker = RoundTracker(self.activable)
-        self.ages = FairnessAges(g.n, self.activable)
+        self.transitions = 0
+        self.since = [0] * g.n
+
+    def oldest_age(self) -> int:
+        """The largest age; only activable nodes can have a nonzero one."""
+        return self.transitions - min(map(self.since.__getitem__, self.activable),
+                                      default=self.transitions)
 
     def snapshot(self) -> Configuration:
         """The current state as an immutable configuration: O(n)."""
@@ -291,7 +277,7 @@ class Activity:
         The whole transition is one `step` call on the algorithm, which
         draws the Bernoullis and runs the faulty nodes' strategies.
         """
-        g, activable = self._g, self.activable
+        g, activable = self.g, self.activable
         # every next state is computed against the current one before any
         # is written: simultaneous activation
         stepped = self._algo.step(g, self, nodes, activable, self._strategies,
@@ -300,9 +286,8 @@ class Activity:
             validate_move_set(g, nodes, activable)
         rules, draws, new_s, new_x = stepped
         s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
-        ages = self.ages
-        ages.transitions = now = ages.transitions + 1
-        since = ages.since
+        self.transitions = now = self.transitions + 1
+        since = self.since
 
         # a guard input changed at a mover whose s or x changed, and at a
         # neighbor of a flipped mover whose up crossed zero: guards read up

@@ -26,7 +26,7 @@ from .analysis import (
     locally_alone_set,
     write_ledger_csv,
 )
-from .daemons import DAEMON_KINDS, make_daemon
+from .daemons import DAEMON_KINDS, ScriptStep, make_daemon
 from .engine import (
     INITIAL_PRESETS,
     Activity,
@@ -225,6 +225,15 @@ def validate_run_spec(spec: RunSpec) -> None:
             if name not in sized and getattr(spec, name) is None:
                 raise ConfigError(
                     f"graph kind {spec.graph!r} is missing parameter {name!r}")
+    # a file name must read back from the spec's canonical text as itself
+    for key in ("graph_file", "script_file"):
+        name = getattr(spec, key)
+        if name and (name != name.strip() or len(name.splitlines()) > 1
+                     or _COMMENT.search(name)):
+            raise ConfigError(
+                f"{key}: {name!r} cannot be written in a run spec: it may "
+                "hold no line break, no whitespace at either end and no '#' "
+                "at its start or after whitespace")
     known_kind(spec.daemon, DAEMON_KINDS, "daemon kind")
     if (spec.daemon == "scripted") != bool(spec.script_file):
         raise ConfigError("daemon = scripted and script_file go together")
@@ -316,9 +325,6 @@ def legitimacy_round_bound(g: Graph) -> int:
 #: a script entry's draw field: "-", or no field at all, means none
 _DRAWS = {"-": None, "0": 0, "1": 1}
 
-#: one transition of a script: its (node, rule, draw) entries
-ScriptStep = tuple[tuple[int, Rule, int | None], ...]
-
 
 def _load_script(lines: typing.Iterable[str], source: str, n: int, algo,
                  byzantine: frozenset[int]) -> tuple[ScriptStep, ...]:
@@ -327,8 +333,10 @@ def _load_script(lines: typing.Iterable[str], source: str, n: int, algo,
     field is one. Every move names a node of the graph and a rule that node
     can have: one of algo's rules for an honest node, `byz` for a faulty
     one. Only algo's random rule takes a 0/1 draw. A node listed twice in a
-    line must name the same move both times. Errors name `source` and the
-    line."""
+    line must name the same move both times, and counts once. Each set is
+    emitted as the scripted daemon replays it (`ScriptStep`): the nodes
+    ascending, their rules, and a draw per random-rule move, None where the
+    script gives none. Errors name `source` and the line."""
     honest = {rule.value: rule for rule in algo.rules}
     faulty = {Rule.BYZ.value: Rule.BYZ}
     script = []
@@ -360,7 +368,11 @@ def _load_script(lines: typing.Iterable[str], source: str, n: int, algo,
             if step.setdefault(node, entry) != entry:
                 raise ConfigError(
                     f"{where}: node {node} is listed twice with different moves")
-        script.append(tuple(step.values()))
+        entries = sorted(step.values())
+        script.append((tuple(node for node, _, _ in entries),
+                       tuple(rule for _, rule, _ in entries),
+                       tuple(d for _, rule, d in entries
+                             if rule is algo.random_rule)))
     return tuple(script)
 
 
@@ -455,9 +467,9 @@ def run_trial(spec: RunSpec, trial_index: int,
     fair_bound = daemon.fair_bound
 
     activity = Activity(algo, g, cfg, plan.strategies)
-    activable, tracker, ages = activity.activable, activity.tracker, activity.ages
+    activable, tracker = activity.activable, activity.tracker
     x, deg = activity.x, activity.deg
-    ledger = ColorLedger(g, algo, activity) if spec.instrument else None
+    ledger = ColorLedger(activity) if spec.instrument else None
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
     # legitimacy and the monotone set: without faulty nodes that set is the
     # settled set of the whole graph, with them the safe alone set
@@ -496,7 +508,7 @@ def run_trial(spec: RunSpec, trial_index: int,
                 ceiling_hit = True
             break
 
-        nodes = daemon.select(g, activity, activable, ages, rng)
+        nodes = daemon.select(g, activity, activable, rng)
         moves, draws, ended = activity.transition(nodes, rng)
         lost = safe.update(activity, activity.touched) if safe is not None else None
         moves_total += len(moves)
@@ -508,7 +520,7 @@ def run_trial(spec: RunSpec, trial_index: int,
             if lost:
                 raise InvariantViolation(f"{monotone} shrank: lost {lost}")
             if fair_bound is not None:
-                worst = ages.oldest()
+                worst = activity.oldest_age()
                 if worst > fair_bound - 1:
                     raise InvariantViolation(
                         f"fairness bound {fair_bound} violated: a node waited "
@@ -547,7 +559,7 @@ def run_trial(spec: RunSpec, trial_index: int,
         seed=seed,
         moves=moves_reported,
         moves_by_rule=moves_by_rule,
-        transitions=ages.transitions,
+        transitions=activity.transitions,
         rounds=rounds_reported,
         converged=converged,
         criterion=criterion,

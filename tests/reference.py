@@ -22,11 +22,10 @@
   the node's enabled one, `byz` exactly on the faulty nodes. It is computed
   through the paper-form commands and written into a fresh copy of the s
   (and x) vector.
-- `fairness_ages`: plain per-node ages as the "activable since" stamps
-  that daemons read.
 - `activable_flags` and `daemon_view`: the stepper's activable flags built
-  from an activable map, and what a daemon reads of a stepper (s, x and
-  those flags) over a whole configuration.
+  from an activable map, and what a daemon reads of a stepper over a whole
+  configuration: s, x, those flags, and plain per-node ages as the
+  "activable since" stamps `since` and `transitions`.
 - `singleton_pick`: the singleton daemon's round-robin pick as a walk over
   node indices from its cursor, modulo n.
 - `WholeConfigurationLedger` and `whole_configuration_ledger`: the color
@@ -45,8 +44,8 @@ It also holds the tools that read an execution in memory:
   the stepper's activable flags are the indicator of its activable map.
 - `forced_draws`: a stream whose Bernoulli draws are the given outcomes.
 - `scripted_ledger`: a stepper and a color ledger driven over a
-  hand-made configuration by (node, rule, draw) steps, through a scripted
-  daemon.
+  hand-made configuration by (node, rule, draw) steps, loaded as a script
+  file's lines are and replayed by a scripted daemon.
 """
 
 import contextlib
@@ -65,14 +64,13 @@ from mislab.daemons import ScriptedDaemon
 from mislab.engine import (
     Activity,
     Configuration,
-    FairnessAges,
     FixedDraws,
     Rule,
     activable_map,
 )
 from mislab.errors import ConfigError, EngineError, InvariantViolation
 from mislab.graphs import Graph, safe_zone
-from mislab.harness import run_trial
+from mislab.harness import _load_script, run_trial
 
 
 class Move(NamedTuple):
@@ -246,18 +244,6 @@ def move(algo, g, cfg, u, rule, draw=None):
     return got
 
 
-def fairness_ages(ages, activable):
-    """Plain per-node ages (0 off the activable map) as the stamps a
-    `FairnessAges` keeps, which read back as the same ages."""
-    stamps = FairnessAges(len(ages), activable)
-    stamps.transitions = max(ages, default=0)
-    stamps.since = [stamps.transitions - age for age in ages]
-    assert [stamps.transitions - since if u in activable else 0
-            for u, since in enumerate(stamps.since)] == [
-        ages[u] if u in activable else 0 for u in range(len(ages))]
-    return stamps
-
-
 def activable_flags(n, activable):
     """The indicator of the activable map's keys, one byte per node."""
     flags = bytearray(n)
@@ -267,16 +253,24 @@ def activable_flags(n, activable):
 
 
 class DaemonView(NamedTuple):
-    """What a daemon reads of a stepper: its s and x, and its flags."""
+    """What a daemon reads of a stepper: its s and x, its flags, and its
+    fairness stamps."""
 
     s: tuple
     x: tuple | None
     flags: bytearray
+    since: list[int]
+    transitions: int
 
 
-def daemon_view(cfg, activable):
-    """cfg and its activable map as a daemon reads a stepper."""
-    return DaemonView(cfg.s, cfg.x, activable_flags(len(cfg.s), activable))
+def daemon_view(cfg, activable, ages=None):
+    """cfg and its activable map as a daemon reads a stepper; `ages` are
+    plain per-node ages (0 where not given, and read as 0 off the map),
+    kept as the stepper keeps them, "activable since" stamps."""
+    ages = ages or [0] * len(cfg.s)
+    transitions = max(ages, default=0)
+    return DaemonView(cfg.s, cfg.x, activable_flags(len(cfg.s), activable),
+                      [transitions - age for age in ages], transitions)
 
 
 def singleton_pick(n, activable, cursor):
@@ -342,7 +336,7 @@ def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
     draws = []
     for node, rule in ordered:
         if rule is Rule.BYZ:
-            new_s, new_x = byz_strategies[node].act(g, cfg, node, rng)
+            new_s, new_x = byz_strategies[node].act(cfg, node, rng)
             draws.append(None)
         else:
             new_s, new_x, draw = paper_move(algo, g, cfg, node, rule, rng)
@@ -571,16 +565,18 @@ def traced_trial(spec, trial, **kwargs):
 
 def scripted_ledger(algo, g, cfg, steps):
     """Drive a stepper and a color ledger from cfg through `steps`, each a
-    list of (node, rule, draw) entries in any order, replayed by a scripted
-    daemon, which checks every rule and forces the draws: (ledger, Trace)."""
-    daemon = ScriptedDaemon(steps)
+    nonempty list of (node, rule, draw) entries in any order, loaded as the
+    lines of a script file and replayed by a scripted daemon, which checks
+    every rule and forces the draws: (ledger, Trace)."""
+    lines = [",".join(f"{node}:{rule.value}:{'-' if d is None else d}"
+                      for node, rule, d in step) for step in steps]
+    daemon = ScriptedDaemon(_load_script(lines, "steps", g.n, algo, frozenset()))
     rng = daemon.stream(0)
     with recording() as traces:
         activity = Activity(algo, g, cfg)
-        ledger = ColorLedger(g, algo, activity)
+        ledger = ColorLedger(activity)
         for _ in steps:
-            nodes = daemon.select(g, activity, activity.activable,
-                                  activity.ages, rng)
+            nodes = daemon.select(g, activity, activity.activable, rng)
             moves, _, _ = activity.transition(nodes, rng)
             ledger.record(moves)
     return ledger, traces[0]

@@ -223,7 +223,7 @@ def test_step_matches_the_paper_form_commands(seed, data):
     got = _outcome(lambda: step_one(algo, g, counted_state(g, cfg), u, rule,
                                     stepped, {u: strategy}))
     if rule is Rule.BYZ:
-        expected = (*strategy.act(g, cfg, u, paper), None)
+        expected = (*strategy.act(cfg, u, paper), None)
     else:
         expected = _outcome(lambda: paper_move(algo, g, cfg, u, rule, paper))
     assert got == expected

@@ -162,9 +162,10 @@ def test_candidate_sets_of_figure_configuration():
 
 def test_ledger_rejects_counter_algorithms():
     byz = get_algorithm("byzantine")
-    with pytest.raises(ConfigError):
-        g = make_graph(1, [])
-        ColorLedger(g, byz, Activity(byz, g, Configuration((False,), (0,))))
+    activity = Activity(byz, make_graph(1, []), Configuration((False,), (0,)))
+    with pytest.raises(ConfigError, match="^color instrumentation applies to "
+                                          "anonymous runs only$"):
+        ColorLedger(activity)
 
 
 def test_initial_up_nodes_form_color_zero():

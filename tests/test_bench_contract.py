@@ -9,6 +9,7 @@ wrapper, that check and the traced mode, so a change that breaks the
 interface fails here and not only in the benchmark.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -72,6 +73,32 @@ def test_verify_mode_sees_every_trial_of_a_sweep(captured):
     assert len(captured) == sum(row.trials for row in rows) == 4
     assert [spec.n for spec, _ in captured] == [8, 8, 16, 16]
     assert _all_ok(captured)
+
+
+def test_the_counts_the_benchmark_divides_by_are_the_trace_moves_and_lines(captured):
+    """perfbench/child.py reports each trial's moves as
+    sum(record.moves_by_rule.values()) and its transitions as
+    record.transitions, and perfbench/run.py divides the wall time by their
+    sums (us_per_move, us_per_transition). Both count the whole run the
+    trace records, the confirmation window of hold_rounds included, which
+    `record.moves`, the count at first legitimacy, leaves out."""
+    import child
+
+    spec = RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
+                   daemon="aged_fair", byzantine=(0, 20),
+                   strategies=((0, "oscillate", None), (20, "degree_liar", None)),
+                   hold_rounds=2, trials=3)
+    trace = io.StringIO()
+    outcomes = run_trials(spec, trace_to=trace)
+    # every trial's trace opens with its line 0, which holds no move
+    lines = [line for line in trace.getvalue().splitlines()
+             if not line.startswith("0 - ")]
+    checked = [child._check_outcome(s, outcome) for s, outcome in captured]
+    assert len(checked) == spec.trials
+    assert sum(c["transitions"] for c in checked) == len(lines)
+    assert sum(c["moves"] for c in checked) == sum(
+        len(line.split()[1].split(",")) for line in lines)
+    assert sum(c["moves"] for c in checked) > sum(o.record.moves for o in outcomes)
 
 
 @pytest.mark.parametrize("workload", ["ring-singleton", "grid-byzantine"])

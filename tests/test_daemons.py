@@ -15,8 +15,8 @@ from mislab.engine import (
 )
 from mislab.errors import ConfigError, EngineError, ScriptError
 from mislab.graphs import make_graph, ring
-from mislab.harness import RunSpec, run_trial
-from reference import activable_flags, daemon_view, fairness_ages, singleton_pick
+from mislab.harness import RunSpec, _load_script, run_trial
+from reference import activable_flags, daemon_view, singleton_pick
 
 ANON = get_algorithm("anonymous")
 EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -27,9 +27,7 @@ def select(daemon, g, cfg, ages=None, seed=0):
     the stamps a run keeps, cfg comes with the flags of its activable map,
     and the stream is of the daemon's own type."""
     act = activable_map(ANON, g, cfg)
-    return daemon.select(g, daemon_view(cfg, act), act,
-                         fairness_ages(ages or [0] * g.n, act),
-                         daemon.stream(seed))
+    return daemon.select(g, daemon_view(cfg, act, ages), act, daemon.stream(seed))
 
 
 def test_synchronous_selects_every_activable_node():
@@ -62,8 +60,7 @@ def test_random_subset_validity_and_density_check():
     daemon = make_daemon("random_subset", 8, density=0.3)
     act = activable_map(ANON, g, cfg)
     for seed in range(20):
-        nodes = daemon.select(g, cfg, act, fairness_ages([0] * 8, act),
-                              RngStream(seed))
+        nodes = daemon.select(g, cfg, act, RngStream(seed))
         assert nodes
         assert nodes == sorted(set(nodes)) and set(nodes) <= set(act)
     with pytest.raises(ConfigError):
@@ -90,7 +87,7 @@ def _singleton_at(n, cursor):
 def _pick(daemon, n, activable):
     cfg = Configuration((False,) * n)
     return daemon.select(make_graph(n, []), daemon_view(cfg, activable),
-                         activable, None, None)
+                         activable, None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,8 +143,7 @@ def test_singleton_walks_the_stepper_flags_with_an_always_activable_faulty_node(
         assert activity.flags[faulty] == 1
         assert activity.activable[faulty] is Rule.BYZ
         expected, cursor = singleton_pick(g.n, activity.activable, cursor)
-        assert daemon.select(g, activity, activity.activable, activity.ages,
-                             rng) == [expected]
+        assert daemon.select(g, activity, activity.activable, rng) == [expected]
         activity.transition([expected], rng)
 
 
@@ -167,37 +163,30 @@ def test_conflict_greedy_pads_when_no_conflicts():
         assert select(make_daemon("conflict_greedy", 2), g, cfg, seed=seed)
 
 
+def scripted(*lines):
+    """A scripted daemon on EXAMPLE replaying script-file `lines`, loaded
+    as a scripted trial loads them."""
+    return make_daemon("scripted", 4, script=_load_script(
+        lines, "steps.txt", 4, ANON, frozenset()))
+
+
 def test_scripted_daemon_replays_moves():
-    daemon = make_daemon("scripted", 4, script=[
-        [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, None)],
-    ])
+    daemon = scripted("0:withdrawal?:1,1:withdrawal?")
     cfg = Configuration((True,) * 4)
     assert select(daemon, EXAMPLE, cfg) == [0, 1]
 
 
-def test_scripted_daemon_sorts_by_node_and_collapses_repeats():
-    daemon = make_daemon("scripted", 4, script=[
-        [(2, Rule.TRY_WITHDRAW, 0), (0, Rule.TRY_WITHDRAW, 1),
-         (2, Rule.TRY_WITHDRAW, 0)],
-    ])
-    assert select(daemon, EXAMPLE, Configuration((True,) * 4)) == [0, 2]
-
-
 def test_scripted_daemon_feeds_its_draws_in_node_order():
     # node 3 has no draw: it is queued as None, which the stream draws
-    daemon = make_daemon("scripted", 4, script=[
-        [(3, Rule.TRY_WITHDRAW, None), (2, Rule.TRY_WITHDRAW, 0),
-         (0, Rule.TRY_WITHDRAW, 1)],
-    ])
+    daemon = scripted("3:withdrawal?,2:withdrawal?:0,0:withdrawal?:1")
     cfg = Configuration((True,) * 4)
     stream = daemon.stream(0)
-    daemon.select(EXAMPLE, cfg, activable_map(ANON, EXAMPLE, cfg),
-                  fairness_ages([0] * 4, {}), stream)
+    daemon.select(EXAMPLE, cfg, activable_map(ANON, EXAMPLE, cfg), stream)
     assert list(stream.forced) == [1, 0, None]
 
 
 def test_scripted_daemon_rejects_disabled_moves():
-    daemon = make_daemon("scripted", 4, script=[[(0, Rule.TRY_WITHDRAW, None)]])
+    daemon = scripted("0:withdrawal?")
     with pytest.raises(ScriptError):
         select(daemon, EXAMPLE, Configuration((False,) * 4))
 

@@ -116,7 +116,7 @@ def test_unsorted_move_set_is_rejected():
     with pytest.raises(EngineError, match="^move set is not sorted by node$"):
         activity.transition([1, 0], RngStream(0))
     assert activity.snapshot() == all_bot(4)
-    assert activity.ages.transitions == 0
+    assert activity.transitions == 0
 
 
 @pytest.mark.parametrize("nodes, message", [

@@ -67,7 +67,6 @@ from reference import (
     closed_neighbourhood,
     counted_state,
     daemon_view,
-    fairness_ages,
     forced_draws,
     paper_rules,
     safe_alone_set,
@@ -113,6 +112,13 @@ class AgeList(list):
 
     def oldest(self) -> int:
         return max(self, default=0)
+
+    def advance(self, before, moved, after) -> None:
+        """Age every node by one transition: 0 for a mover or a node off the
+        map before or after it, one more for any other node."""
+        for u in range(len(self)):
+            self[u] = (self[u] + 1 if u not in moved and u in before
+                       and u in after else 0)
 
 
 def _check_step_invariants(g, algo, byz, cfg, tracker, ages, fair_bound,
@@ -190,8 +196,8 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
                 ceiling_hit = True
             break
 
-        nodes = daemon.select(g, daemon_view(cfg, activable), activable,
-                              fairness_ages(ages, activable), rng)
+        nodes = daemon.select(g, daemon_view(cfg, activable, ages), activable,
+                              rng)
         moves = [Move(u, activable[u]) for u in nodes]
         new_cfg, draws = apply_transition(algo, g, cfg, moves, rng, strategies)
         new_activable = activable_map(algo, g, new_cfg, byz)
@@ -202,13 +208,7 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
         moves_total += len(sorted_moves)
         for m in sorted_moves:
             moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
-        for u in range(g.n):
-            if u in moved:
-                ages[u] = 0
-            elif u in activable and u in new_activable:
-                ages[u] += 1
-            else:
-                ages[u] = 0
+        ages.advance(activable, moved, new_activable)
         if spec.check_invariants:
             _check_step_invariants(g, algo, byz, new_cfg, tracker, ages,
                                    daemon.fair_bound, prev_settled, prev_safe)
@@ -335,6 +335,43 @@ def test_long_runs_match_whole_graph_reference(algorithm, daemon):
     ):
         _assert_matches_reference(spec, 0)
         _assert_tracker_matches_whole_graph(spec, 0)
+
+
+@pytest.mark.parametrize("spec", [
+    RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
+            daemon="aged_fair", fairness=6, byzantine=(0, 20),
+            strategies=((0, "oscillate", None), (20, "degree_liar", None)),
+            master_seed=5, trials=3, hold_rounds=2),
+    RunSpec(algorithm="anonymous", graph="erdos_renyi", n=40, p=0.1,
+            graph_seed=2, daemon="aged_fair", fairness=8, master_seed=6,
+            trials=3),
+], ids=["byzantine", "anonymous"])
+def test_stepper_stamps_read_as_plain_ages(spec):
+    """After every transition of seeded aged_fair trials, the stepper's
+    "activable since" stamps give each activable node the age the
+    reference keeps per node, and `oldest_age` the largest of those."""
+    transition = Activity.transition
+    plain: dict = {}
+    oldest = []
+
+    def checking(self, nodes, rng):
+        ages = plain.setdefault(self, AgeList([0] * self.g.n))
+        before = set(self.activable)
+        out = transition(self, nodes, rng)
+        ages.advance(before, set(nodes), self.activable)
+        assert {u: self.transitions - self.since[u] for u in self.activable} \
+            == {u: ages[u] for u in self.activable}
+        assert self.oldest_age() == ages.oldest()
+        oldest.append(ages.oldest())
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Activity, "transition", checking)
+        for trial in range(spec.trials):
+            run_trial(spec, trial)
+    assert len(plain) == spec.trials
+    # some node waited, so the stamps were read at nonzero ages
+    assert max(oldest) > 0
 
 
 def _assert_tracker_matches_whole_graph(spec: RunSpec, trial: int) -> None:

@@ -216,12 +216,70 @@ def test_a_hash_inside_a_value_is_part_of_it():
     assert parse_run_spec(canonical_text(spec)) == spec
 
 
+#: file names canonical text cannot carry: each reads back as another value
+#: or as none
+UNWRITABLE_NAMES = {"space-hash": "g #1.txt", "tab-hash": "g\t#1.txt",
+                    "leading-hash": "#g.txt", "leading-space": " g.txt",
+                    "trailing-space": "g.txt ", "line-feed": "g\n.txt",
+                    "carriage-return": "g\r.txt", "trailing-line-feed": "g.txt\n"}
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_NAMES.values(), ids=UNWRITABLE_NAMES)
+@pytest.mark.parametrize("key, params", [
+    ("graph_file", {"graph": "file"}),
+    ("script_file", {"graph": "ring", "n": 4, "daemon": "scripted"}),
+], ids=["graph_file", "script_file"])
+def test_a_file_name_canonical_text_cannot_carry_is_refused(key, params, name):
+    spec = RunSpec(algorithm="anonymous", **params, **{key: name})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        harness.validate_run_spec(spec)
+    # and a name that it can carry reads back as itself
+    spec = RunSpec(algorithm="anonymous", **params, **{key: "g#1.txt"})
+    harness.validate_run_spec(spec)
+    assert parse_run_spec(canonical_text(spec)) == spec
+
+
+@pytest.mark.parametrize("flags", [
+    ["--graph", "file", "--graph-file", "g #1.txt"],
+    ["--graph", "file", "--graph-file", "#g.txt"],
+    ["--graph", "ring", "--n", "4", "--daemon", "scripted",
+     "--script-file", "s #1.txt"],
+    ["--graph", "ring", "--n", "4", "--daemon", "scripted",
+     "--script-file", "s\n1.txt"],
+])
+def test_trial_with_an_unwritable_file_name_exits_2(flags, capsys):
+    assert main(["trial", "--algorithm", "anonymous", *flags]) == 2
+    key = flags[-2][2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+def test_script_loader_sorts_by_node_and_collapses_repeats():
+    """A loaded move set is the scripted daemon's replay form: its nodes
+    ascending, their rules, and a draw for each coin move only, '-' or no
+    draw queued as None; an identical repeated entry counts once."""
+    script = harness._load_script(
+        ["2:withdrawal?:0, 0:withdrawal?:1, 3:candidacy, 2:withdrawal?:0, "
+         "1:withdrawal?:-, 4:withdrawal?\n"], "steps.txt", 5,
+        ALGORITHMS["anonymous"], frozenset())
+    assert script == (((0, 1, 2, 3, 4),
+                       (Rule.TRY_WITHDRAW, Rule.TRY_WITHDRAW, Rule.TRY_WITHDRAW,
+                        Rule.CANDIDACY, Rule.TRY_WITHDRAW),
+                       (1, None, 0, None)),)
+    byzantine = harness._load_script(
+        ["1:refresh,0:byz,2:candidacy?:1,3:withdrawal"], "steps.txt", 4,
+        ALGORITHMS["byzantine"], frozenset({0}))
+    assert byzantine == (((0, 1, 2, 3),
+                          (Rule.BYZ, Rule.REFRESH, Rule.TRY_CANDIDACY,
+                           Rule.WITHDRAW),
+                          (1,)),)
+
+
 def test_a_script_line_keeps_a_comment_only_after_whitespace():
     algo = ALGORITHMS["anonymous"]
     script = harness._load_script(
         ["# all down\n", "0:candidacy # node 0 rises\n"], "steps.txt", 2, algo,
         frozenset())
-    assert script == (((0, Rule.CANDIDACY, None),),)
+    assert script == (((0,), (Rule.CANDIDACY,), ()),)
     with pytest.raises(ConfigError,
                        match="steps.txt line 1: node 0 has no rule 'candidacy#1'"):
         harness._load_script(["0:candidacy#1\n"], "steps.txt", 2, algo, frozenset())

@@ -10,32 +10,29 @@ BYZ = get_algorithm("byzantine")
 
 
 def test_silent_keeps_state():
-    g = path(2)
     cfg = Configuration((True, False), (7, 1))
-    assert make_strategy("silent").act(g, cfg, 0, RngStream(1)) == (True, 7)
+    assert make_strategy("silent").act(cfg, 0, RngStream(1)) == (True, 7)
 
 
 def test_always_top_sets_flag_only():
-    g = path(2)
     cfg = Configuration((False, False), (7, 1))
-    assert make_strategy("always_top").act(g, cfg, 0, RngStream(1)) == (True, 7)
+    assert make_strategy("always_top").act(cfg, 0, RngStream(1)) == (True, 7)
 
 
 def test_oscillate_toggles_each_activation():
-    g = path(2)
     strategy = make_strategy("oscillate")
     cfg = Configuration((False, False), (1, 1))
-    s1, _ = strategy.act(g, cfg, 0, RngStream(1))
+    s1, _ = strategy.act(cfg, 0, RngStream(1))
     assert s1 is True
     cfg2 = Configuration((True, False), (1, 1))
-    s2, _ = strategy.act(g, cfg2, 0, RngStream(1))
+    s2, _ = strategy.act(cfg2, 0, RngStream(1))
     assert s2 is False
 
 
 def test_degree_liar_advertises_cap():
     g = path(2)
     cfg = Configuration((False, False), (1, 1))
-    s, x = make_strategy("degree_liar", x_cap=10**6).act(g, cfg, 0, RngStream(1))
+    s, x = make_strategy("degree_liar", x_cap=10**6).act(cfg, 0, RngStream(1))
     assert (s, x) == (False, 10**6)
     # the lie lands in the neighbor's candidacy probability
     lied = Configuration((False, False), (10**6, 1))
@@ -43,23 +40,21 @@ def test_degree_liar_advertises_cap():
 
 
 def test_uniform_random_ranges():
-    g = path(2)
     strategy = make_strategy("uniform_random", x_cap=9)
     rng = RngStream(11)
     cfg = Configuration((False, False), (1, 1))
     seen_s = set()
     for _ in range(64):
-        s, x = strategy.act(g, cfg, 0, rng)
+        s, x = strategy.act(cfg, 0, rng)
         seen_s.add(s)
         assert 0 <= x <= 9
     assert seen_s == {True, False}
 
 
 def test_strategies_without_x_leave_it_none():
-    g = path(2)
     cfg = Configuration((False, False))
     for kind in ("silent", "always_top", "oscillate", "uniform_random"):
-        _, x = make_strategy(kind).act(g, cfg, 0, RngStream(2))
+        _, x = make_strategy(kind).act(cfg, 0, RngStream(2))
         assert x is None
 
 
