@@ -1,6 +1,8 @@
 """Correctness predicates, a brute-force enumeration oracle, and the color
 ledger that attributes every move of an anonymous run to the batch of
-simultaneous candidacies it descends from."""
+simultaneous candidacies it descends from. The ledger takes each transition
+as the stepper returns it, its movers and their rules, and numbers it from
+the stepper's `transitions`."""
 
 from __future__ import annotations
 
@@ -38,21 +40,12 @@ def is_legitimate(g: Graph, byz: frozenset[int], cfg: Configuration) -> bool:
     beyond direct Byzantine influence (distance > 1), is a maximal
     independent set of (distance-2 safe zone) union itself.
 
-    Concretely: (i) independent in G, and (ii) every ground-set node outside
-    it has a neighbor inside it.
+    Concretely: (i) independent in G, which locally alone nodes always are,
+    and (ii) every ground-set node outside it has a neighbor inside it.
     """
-    zone1, zone2 = safe_zone(g, byz, 1), safe_zone(g, byz, 2)
-    s = cfg.s
-    alone = frozenset(
-        u for u in zone1
-        if s[u] and not any(s[v] for v in g.adjacency[u])
-    )
-    if not is_independent(g, alone):
-        return False
-    for u in zone2:
-        if u not in alone and not any(v in alone for v in g.adjacency[u]):
-            return False
-    return True
+    alone = locally_alone_set(g, cfg) & safe_zone(g, byz, 1)
+    return all(u in alone or any(v in alone for v in g.adjacency[u])
+               for u in safe_zone(g, byz, 2))
 
 
 class SafeAloneTracker:
@@ -193,19 +186,19 @@ class ColorLedger:
     ended up settled": a member moves under another color only by a
     candidacy after going down, and that candidacy moves its stamp off.
 
-    It reads the live stepper (`engine.Activity`): its graph `g`, `s`, `up`
-    and the activable map; a stepper that keeps x is refused. A transition
-    writes state only at its movers, so the fresh-up set is the movers now
-    up with no "up since" stamp, and stamps change only at movers. A
-    transition costs O(|movers|), one pass over the activable map, and the
-    members of each color that dies.
+    It reads the live stepper (`engine.Activity`): its graph `g`, `s`, `up`,
+    the activable map, and `transitions`, which numbers the transition; a
+    stepper that keeps x is refused. A transition writes state only at its
+    movers, so the fresh-up set is the movers now up with no "up since"
+    stamp, and stamps change only at movers. A transition costs
+    O(|movers|), one pass over the activable map, and the members of each
+    color that dies.
     """
 
     def __init__(self, activity: Activity):
         if activity.x is not None:
             raise ConfigError("color instrumentation applies to anonymous runs only")
         self._activity = activity
-        self.index = 0
         s = activity.s
         self._top_since = [0 if up else None for up in s]
         self.records: dict[int, ColorRecord] = {}
@@ -222,28 +215,28 @@ class ColorLedger:
         """Each color's members: the nodes that came up at its index."""
         return {color: r.members for color, r in self.records.items()}
 
-    def record(self, moves: Sequence[tuple[int, Rule]]) -> None:
+    def record(self, nodes: Sequence[int], rules: Sequence[Rule]) -> None:
         """Account one executed transition, read after the stepper applied
-        it: its node-sorted (node, rule) pairs, as `Activity.transition`
+        it: its node-sorted movers and their rules, as `Activity.transition`
         returns them."""
-        self.index += 1
-        i = self.index
-        s, top_since = self._activity.s, self._top_since
-        fresh = frozenset(u for u, _ in moves if s[u] and top_since[u] is None)
-        candidates = frozenset(u for u, rule in moves if rule is _CANDIDACY)
+        activity, top_since = self._activity, self._top_since
+        s, i = activity.s, activity.transitions
+        fresh = frozenset(u for u in nodes if s[u] and top_since[u] is None)
+        candidates = frozenset(u for u, rule in zip(nodes, rules)
+                               if rule is _CANDIDACY)
         if fresh != candidates:
             raise InvariantViolation(
                 f"transition {i}: fresh-up set {sorted(fresh)} does not match "
                 f"candidacy movers {sorted(candidates)}")
         if fresh:
-            if not is_candidate_set(self._activity.g, self._activity, fresh):
+            if not is_candidate_set(activity.g, activity, fresh):
                 raise InvariantViolation(
                     f"transition {i}: fresh-up set {sorted(fresh)} is not a "
                     "candidate set")
             self.records[i] = self._live[i] = ColorRecord(i, fresh)
 
         colors = []
-        for node, rule in moves:
+        for node, rule in zip(nodes, rules):
             if rule is _CANDIDACY:
                 color = i
             elif rule is _WITHDRAW:
@@ -264,7 +257,7 @@ class ColorLedger:
             colors.append(color)
         self.move_colors.append(tuple(colors))
 
-        for u, _ in moves:
+        for u in nodes:
             if not s[u]:
                 top_since[u] = None
             elif top_since[u] is None:
@@ -274,15 +267,15 @@ class ColorLedger:
     def _scan_possible_moves(self) -> None:
         """Recompute which colors still have possible withdrawal moves, then
         settle the accounts of colors that just lost their last one."""
-        activable, top_since, live = (
-            self._activity.activable, self._top_since, self._live)
+        activity, top_since, live = self._activity, self._top_since, self._live
+        activable, i = activity.activable, activity.transitions
         possible = {top_since[u] for u, rule in activable.items()
                     if rule is _WITHDRAW}
         if not possible.issubset(live):
             # name the lowest node whose possible withdrawal has no live color
             u = min(u for u, rule in activable.items()
                     if rule is _WITHDRAW and top_since[u] not in live)
-            i, color = self.index, top_since[u]
+            color = top_since[u]
             record = self.records.get(color)
             if record is None:
                 raise InvariantViolation(
@@ -291,10 +284,10 @@ class ColorLedger:
             raise InvariantViolation(
                 f"index {i}: color {color} died at {record.died} but "
                 f"node {u} can still move with it")
-        up = self._activity.up
+        up = activity.up
         for color in [c for c in live if c not in possible]:
             record = live.pop(color)
-            record.died = self.index
+            record.died = i
             record.success = any(top_since[u] == color and not up[u]
                                  for u in record.members)
 

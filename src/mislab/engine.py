@@ -15,7 +15,11 @@ Semantics fixed here, shared by every run:
     initial configuration, and after each transition re-evaluates only the
     guards of the nodes whose s, x or up > 0 changed (`Activity`): a mover
     whose s or x changed, and a neighbor of a flipped mover whose count of
-    up neighbors crossed zero; nothing for a mover that kept its state.
+    up neighbors crossed zero; nothing for a mover that kept its state;
+  - `Activity.transition` returns the movers' rules and draws as the
+    algorithm's `step` built them, and `Activity.transitions` is the one
+    count of transitions: the trace writer and the color ledger number
+    theirs from it.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ class FixedDraws(RngStream):
         return super().bernoulli(p) if draw is None else draw
 
 
-#: the faulty-node marker as a module global, read per move
+#: the faulty-node marker as a module global, read per node by `_scan`
 _BYZ = Rule.BYZ
 
 
@@ -137,10 +141,8 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     enabled, a faulty node runs its strategy and an honest node an
     algorithm rule, whichever nodes are chosen.
 
-    One pass checks order and membership together. An order violation
-    raises at once; the first node that is not activable is only noted and
-    raised after the pass, so an order violation anywhere in the list is
-    reported before any node that is not activable.
+    The order is checked first and then membership, so an order violation
+    anywhere in the list is reported before any node that is not activable.
     Violations are engine errors: daemons must only emit valid sets. The
     algorithms' `step` makes the same checks as it runs and only reports
     a bad list; the stepper then calls this function, which words every
@@ -148,20 +150,16 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     """
     if not nodes:
         raise EngineError("move set must be nonempty")
-    prev, missing = nodes[0] - 1, None
-    for u in nodes:
-        if u <= prev:
-            if u < prev:
-                raise EngineError("move set is not sorted by node")
+    for prev, u in zip(nodes, nodes[1:]):
+        if u < prev:
+            raise EngineError("move set is not sorted by node")
+        if u == prev:
             raise EngineError(f"move set targets node {u} twice")
-        if u not in activable and missing is None:
-            missing = u
-        prev = u
-    if missing is not None:
-        if not 0 <= missing < g.n:
-            raise EngineError(
-                f"move on node {missing} outside graph of size {g.n}")
-        raise EngineError(f"move on node {missing}, which is not activable")
+    for u in nodes:
+        if u not in activable:
+            if not 0 <= u < g.n:
+                raise EngineError(f"move on node {u} outside graph of size {g.n}")
+            raise EngineError(f"move on node {u}, which is not activable")
 
 
 def is_stable(algo, g: Graph, cfg: Configuration) -> bool:
@@ -266,16 +264,18 @@ class Activity:
                              None if self.x is None else tuple(self.x))
 
     def transition(self, nodes: Sequence[int], rng) -> tuple[
-            list[tuple[int, Rule]], tuple[int | None, ...], bool]:
+            list[Rule], list[int | None], bool]:
         """Activate the chosen nodes, listed in ascending order, on the
         current state and account the transition. Every node's rule is read
         from the activable map and every next state computed before any
         state is written.
 
-        Returns the executed (node, rule) pairs, their draws, and whether
-        the transition closed a round; the new state is the stepper's own.
-        The whole transition is one `step` call on the algorithm, which
-        draws the Bernoullis and runs the faulty nodes' strategies.
+        Returns the movers' rules and draws, in the order of `nodes`, as
+        the algorithm's `step` built them, and whether the transition closed
+        a round; the new state is the stepper's own, and `transitions`
+        numbers the transition. The whole transition is one `step` call on
+        the algorithm, which draws the Bernoullis and runs the faulty nodes'
+        strategies.
         """
         g, activable = self.g, self.activable
         # every next state is computed against the current one before any
@@ -333,7 +333,7 @@ class Activity:
                 left.append(u)
                 flags[u] = 0
         ended = self.tracker.advance(nodes, left, activable)
-        return list(zip(nodes, rules)), tuple(draws), ended
+        return rules, draws, ended
 
 
 _ONE, _ZERO = b"10"
@@ -356,28 +356,28 @@ class TraceWriter:
     turned into text only when it changed, and the comma-joined x text is
     joined again only on such a line: a line costs O(|movers|) plus a copy
     of the s bytes, and one join of the kept x text when an x changed.
-    `record` reads those entries from `state`, the run's live `Activity`
-    (its `.s` and `.x`).
+    `record` takes the movers and their rules and draws, as
+    `Activity.transition` returns them, and reads the state from `state`,
+    the run's live `Activity`: its `.s` and `.x`, and `.transitions`, which
+    numbers the line.
     """
 
     def __init__(self, fh: IO[str], initial: Configuration):
         self._fh = fh
-        self._index = 0
         self._s = bytearray(_ONE if v else _ZERO for v in initial.s)
         self._x_num = None if initial.x is None else list(initial.x)
         self._x = None if initial.x is None else list(map(str, initial.x))
         self._x_line = None if self._x is None else self._join_x()
         fh.write(f"0 - {self._fields()}\n")
 
-    def record(self, moves: Sequence[tuple[int, Rule]],
-               draws: tuple[int | None, ...], state) -> None:
-        self._index += 1
+    def record(self, nodes: Sequence[int], rules: Sequence[Rule],
+               draws: Sequence[int | None], state) -> None:
         s, x, s_text = state.s, state.x, self._s
         x_num, x_text = self._x_num, self._x
         one, zero, suffix = _ONE, _ZERO, _ENTRY_SUFFIX
         entries = []
         x_changed = False
-        for (node, rule), d in zip(moves, draws):
+        for node, rule, d in zip(nodes, rules, draws):
             s_text[node] = one if s[node] else zero
             if x_num is not None and x[node] != x_num[node]:
                 x_num[node] = v = x[node]
@@ -387,7 +387,8 @@ class TraceWriter:
             entries.append(f"{node}{suffix[rule._value_, d]}")
         if x_changed:
             self._x_line = self._join_x()
-        self._fh.write(f"{self._index} {','.join(entries)} {self._fields()}\n")
+        self._fh.write(
+            f"{state.transitions} {','.join(entries)} {self._fields()}\n")
 
     def _join_x(self) -> str:
         return ",".join(self._x)

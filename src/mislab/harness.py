@@ -228,6 +228,9 @@ def validate_run_spec(spec: RunSpec) -> None:
     # a file name must read back from the spec's canonical text as itself
     for key in ("graph_file", "script_file"):
         name = getattr(spec, key)
+        if name == "None":
+            raise ConfigError(f"{key}: 'None' cannot be written in a run spec: "
+                              "canonical text writes an unset name as None")
         if name and (name != name.strip() or len(name.splitlines()) > 1
                      or _COMMENT.search(name)):
             raise ConfigError(
@@ -509,10 +512,10 @@ def run_trial(spec: RunSpec, trial_index: int,
             break
 
         nodes = daemon.select(g, activity, activable, rng)
-        moves, draws, ended = activity.transition(nodes, rng)
+        rules, draws, ended = activity.transition(nodes, rng)
         lost = safe.update(activity, activity.touched) if safe is not None else None
-        moves_total += len(moves)
-        for _, rule in moves:
+        moves_total += len(nodes)
+        for rule in rules:
             name = rule._value_  # Rule.value without the enum descriptor's cost
             moves_by_rule[name] = moves_by_rule.get(name, 0) + 1
 
@@ -536,9 +539,9 @@ def run_trial(spec: RunSpec, trial_index: int,
                             f"node {u} has x={x[u]} != deg={deg[u]} "
                             "after the first round")
         if ledger is not None:
-            ledger.record(moves)
+            ledger.record(nodes, rules)
         if writer is not None:
-            writer.record(moves, draws, activity)
+            writer.record(nodes, rules, draws, activity)
 
     cfg = activity.snapshot()
 

@@ -15,7 +15,8 @@
   (`step_one`), must agree with them.
 - `ordered_move_set_error`: the stepper's move-set checks made one after
   another, order first and then membership, giving the message of the
-  first violation; the one-pass check must name the same.
+  first violation; `validate_move_set` must name the same, and the stepper
+  must refuse exactly the lists it refuses.
 - `Move` and `apply_transition`: one transition on a whole immutable
   configuration, given as (node, rule) moves and checked by
   `check_move_set` against a full `activable_map` scan: every rule must be
@@ -539,14 +540,14 @@ def recording():
         traces.append(self.recorded)
 
     def recording_transition(self, nodes, rng):
-        moves, draws, ended = transition(self, nodes, rng)
+        rules, draws, ended = transition(self, nodes, rng)
         assert self.flags == activable_flags(len(self.s), self.activable)
         trace = self.recorded
-        trace.steps.append(TraceStep(tuple(Move(*m) for m in moves), draws,
-                                     self.snapshot()))
+        trace.steps.append(TraceStep(tuple(map(Move, nodes, rules)),
+                                     tuple(draws), self.snapshot()))
         if ended:
             trace.round_ends.append(len(trace.steps))
-        return moves, draws, ended
+        return rules, draws, ended
 
     Activity.__init__, Activity.transition = recording_init, recording_transition
     try:
@@ -577,6 +578,6 @@ def scripted_ledger(algo, g, cfg, steps):
         ledger = ColorLedger(activity)
         for _ in steps:
             nodes = daemon.select(g, activity, activity.activable, rng)
-            moves, _, _ = activity.transition(nodes, rng)
-            ledger.record(moves)
+            rules, _, _ = activity.transition(nodes, rng)
+            ledger.record(nodes, rules)
     return ledger, traces[0]

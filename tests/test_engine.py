@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mislab.algorithms import get_algorithm
@@ -155,8 +155,9 @@ def test_stepper_takes_only_activable_nodes_once(nodes, message):
     ([-1], "move on node -1 outside graph of size 4"),
 ])
 def test_move_check_messages_keep_their_precedence(nodes, message):
-    """The one-pass check names the violation the ordered checks name: an
-    unsorted list holding a non-activable node is "not sorted"."""
+    """The check names the first violation in precedence order, order before
+    membership: an unsorted list holding a non-activable node is "not
+    sorted"."""
     activable = {3: Rule.CANDIDACY}
     assert ordered_move_set_error(EXAMPLE, nodes, activable) == message
     if message is None:
@@ -179,6 +180,33 @@ def test_one_pass_move_check_names_the_first_ordered_violation(activable, nodes)
         assert str(exc) == message
     else:
         assert message is None
+
+
+@pytest.mark.parametrize("algo", [ANON, BYZ], ids=["anonymous", "byzantine"])
+@settings(max_examples=300, deadline=None)
+@given(faulty=st.integers(0, 5), s=st.lists(st.booleans(), min_size=6, max_size=6),
+       x=st.lists(st.integers(0, 7), min_size=6, max_size=6),
+       nodes=st.lists(st.integers(-2, 8), min_size=1, max_size=7))
+@example(faulty=0, s=[False] * 6, x=[0] * 6, nodes=[])
+def test_stepper_refuses_exactly_the_lists_the_ordered_checks_refuse(
+        algo, faulty, s, x, nodes):
+    """The stepper's in-loop checks and the ordered checks are two
+    statements of one rule: a transition succeeds iff the ordered checks
+    find no violation, and otherwise raises their message and leaves the
+    state, the activable map and the transition count as they were."""
+    g = path(6)
+    cfg = Configuration(tuple(s), tuple(x) if algo.uses_x else None)
+    activity = Activity(algo, g, cfg, {faulty: make_strategy("oscillate")})
+    before = (activity.snapshot(), dict(activity.activable), activity.transitions)
+    message = ordered_move_set_error(g, nodes, activity.activable)
+    if message is None:
+        activity.transition(nodes, RngStream(0))
+        assert activity.transitions == 1
+    else:
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            activity.transition(nodes, RngStream(0))
+        assert (activity.snapshot(), activity.activable,
+                activity.transitions) == before
 
 
 def test_byz_move_requires_strategy_binding():
@@ -209,13 +237,13 @@ def test_chosen_nodes_run_their_own_rule_whatever_the_choice():
         for nodes in itertools.combinations(range(4), k):
             activity = Activity(BYZ, EXAMPLE, cfg, strategies)
             assert activity.activable == activable
-            moves, draws, _ = activity.transition(list(nodes), RngStream(k))
-            assert moves == [(u, activable[u]) for u in nodes]
+            rules, draws, _ = activity.transition(list(nodes), RngStream(k))
+            assert rules == [activable[u] for u in nodes]
             after, expected_draws = apply_transition(
-                BYZ, EXAMPLE, cfg, [Move(*m) for m in moves], RngStream(k),
+                BYZ, EXAMPLE, cfg, list(map(Move, nodes, rules)), RngStream(k),
                 strategies)
             assert activity.snapshot() == after
-            assert draws == expected_draws
+            assert tuple(draws) == expected_draws
 
 
 def test_synchronous_rounds_are_single_transitions():
@@ -453,7 +481,7 @@ def test_trace_includes_x_vector():
     activity = Activity(BYZ, g, cfg)
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
-    moves, draws, _ = activity.transition([0], RngStream(0))
-    assert moves == [(0, Rule.REFRESH)]
-    writer.record(moves, draws, activity)
+    rules, draws, _ = activity.transition([0], RngStream(0))
+    assert rules == [Rule.REFRESH]
+    writer.record([0], rules, draws, activity)
     assert buf.getvalue().splitlines() == ["0 - 00 5,1", "1 0:refresh:- 00 1,1"]

@@ -487,9 +487,9 @@ def test_a_transition_evaluates_guards_only_where_state_changed(
         return original(self, s, x, deg, up, u)
 
     monkeypatch.setattr(type(algo), "enabled_rules", counting)
-    executed, _, _ = activity.transition([u for u, _ in moves],
-                                         forced_draws(draws))
-    assert executed == moves
+    nodes = [u for u, _ in moves]
+    rules, _, _ = activity.transition(nodes, forced_draws(draws))
+    assert list(zip(nodes, rules)) == moves
     assert activity.touched == touched
     assert sorted(calls) == sorted(touched - set(strategies))
     _assert_counted_state(activity, algo, _PATH3, frozenset(strategies))

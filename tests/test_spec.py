@@ -224,17 +224,34 @@ UNWRITABLE_NAMES = {"space-hash": "g #1.txt", "tab-hash": "g\t#1.txt",
                     "carriage-return": "g\r.txt", "trailing-line-feed": "g.txt\n"}
 
 
-@pytest.mark.parametrize("name", UNWRITABLE_NAMES.values(), ids=UNWRITABLE_NAMES)
-@pytest.mark.parametrize("key, params", [
+#: each file-name key, with the spec parameters that make it required
+FILE_KEYS = pytest.mark.parametrize("key, params", [
     ("graph_file", {"graph": "file"}),
     ("script_file", {"graph": "ring", "n": 4, "daemon": "scripted"}),
 ], ids=["graph_file", "script_file"])
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_NAMES.values(), ids=UNWRITABLE_NAMES)
+@FILE_KEYS
 def test_a_file_name_canonical_text_cannot_carry_is_refused(key, params, name):
     spec = RunSpec(algorithm="anonymous", **params, **{key: name})
     with pytest.raises(ConfigError, match=f"^{key}: "):
         harness.validate_run_spec(spec)
     # and a name that it can carry reads back as itself
     spec = RunSpec(algorithm="anonymous", **params, **{key: "g#1.txt"})
+    harness.validate_run_spec(spec)
+    assert parse_run_spec(canonical_text(spec)) == spec
+
+
+@FILE_KEYS
+def test_a_file_name_of_none_is_refused(key, params):
+    """Canonical text writes an unset name as None, so a name of exactly
+    None would read back as unset; a name that only holds it is kept."""
+    spec = RunSpec(algorithm="anonymous", **params, **{key: "None"})
+    with pytest.raises(ConfigError, match=(
+            f"^{key}: 'None' .* canonical text writes an unset name as None$")):
+        harness.validate_run_spec(spec)
+    spec = RunSpec(algorithm="anonymous", **params, **{key: "None.txt"})
     harness.validate_run_spec(spec)
     assert parse_run_spec(canonical_text(spec)) == spec
 

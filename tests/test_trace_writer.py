@@ -4,6 +4,7 @@ line: after line 0, `TraceWriter` re-encodes the movers' entries only."""
 
 import io
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -153,13 +154,15 @@ def test_writer_joins_x_only_on_lines_where_an_x_changed(monkeypatch):
     0 and again only on a line whose x field differs from the one before."""
     joins = []
     join_x = TraceWriter._join_x
+    buf = io.StringIO()
 
     def counting(self):
-        joins.append(self._index)
+        # a join is made before its line is written: numbered by the lines
+        # already written
+        joins.append(buf.getvalue().count("\n"))
         return join_x(self)
 
     monkeypatch.setattr(TraceWriter, "_join_x", counting)
-    buf = io.StringIO()
     spec = RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
                    daemon="aged_fair", byzantine=(0, 20),
                    strategies=((0, "oscillate", None), (20, "degree_liar", None)),
@@ -177,8 +180,9 @@ def test_writer_rewrites_only_movers():
     cfg = engine.Configuration((False, False, False), (7, 8, 9))
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
-    writer.record(((1, Rule.REFRESH),), (None,),
-                  engine.Configuration((True, True, True), (0, 1, 2)))
+    writer.record([1], [Rule.REFRESH], [None],
+                  SimpleNamespace(s=(True, True, True), x=(0, 1, 2),
+                                  transitions=1))
     assert buf.getvalue().splitlines() == ["0 - 000 7,8,9", "1 1:refresh:- 010 7,1,9"]
 
 
