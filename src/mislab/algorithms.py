@@ -35,15 +35,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .engine import Rule
+from .engine import BYZ, CANDIDACY, REFRESH, TRY_CANDIDACY, TRY_WITHDRAW, WITHDRAW
 from .errors import EngineError, known_kind
 from .graphs import Graph
-
-# reading an Enum member off its class costs ten times a global read, so the
-# guards and commands compare against and return module globals
-_REFRESH, _TRY_CANDIDACY, _WITHDRAW = Rule.REFRESH, Rule.TRY_CANDIDACY, Rule.WITHDRAW
-_CANDIDACY, _TRY_WITHDRAW = Rule.CANDIDACY, Rule.TRY_WITHDRAW
-_BYZ = Rule.BYZ
 
 
 def candidacy_probability(g: Graph, x, u: int) -> float:
@@ -66,19 +60,19 @@ class ByzantineMIS:
     name = "byzantine"
     uses_x = True
     #: every rule of the algorithm, as a script file may name them
-    rules = (_REFRESH, _TRY_CANDIDACY, _WITHDRAW)
+    rules = (REFRESH, TRY_CANDIDACY, WITHDRAW)
     #: the one rule whose command draws a Bernoulli
-    random_rule = _TRY_CANDIDACY
+    random_rule = TRY_CANDIDACY
 
-    def enabled_rules(self, s, x, deg, up, u: int) -> Rule | None:
+    def enabled_rules(self, s, x, deg, up, u: int) -> str | None:
         if x[u] != deg[u]:
-            return _REFRESH
+            return REFRESH
         if not s[u]:
-            return None if up[u] else _TRY_CANDIDACY
-        return _WITHDRAW if up[u] else None
+            return None if up[u] else TRY_CANDIDACY
+        return WITHDRAW if up[u] else None
 
     def step(self, g: Graph, state, nodes: Sequence[int],
-             activable: dict[int, Rule], strategies: dict, rng):
+             activable: dict[int, str], strategies: dict, rng):
         """(rules, draws, new_s, new_x) of the movers `nodes`, or None for
         a bad list (module docstring)."""
         if not nodes:
@@ -91,26 +85,26 @@ class ByzantineMIS:
             if rule is None or u <= prev:
                 return None
             prev = u
-            if rule is _TRY_CANDIDACY:
+            if rule is TRY_CANDIDACY:
                 draw = bernoulli(candidacy_probability(g, x, u))
                 new_s.append(True if draw == 1 else s[u])
                 new_x.append(x[u])
-            elif rule is _REFRESH:
+            elif rule is REFRESH:
                 draw = None
                 new_s.append(s[u])
                 new_x.append(len(adjacency[u]))
-            elif rule is _WITHDRAW:
+            elif rule is WITHDRAW:
                 draw = None
                 new_s.append(False)
                 new_x.append(x[u])
-            elif rule is _BYZ:
+            elif rule is BYZ:
                 draw = None
                 su, xu = strategies[u].act(state, u, rng)
                 new_s.append(su)
                 new_x.append(xu)
             else:
                 raise EngineError(
-                    f"rule {rule.value} does not belong to {self.name}")
+                    f"rule {rule} does not belong to {self.name}")
             rules.append(rule)
             draws.append(draw)
         return rules, draws, new_s, new_x
@@ -122,17 +116,17 @@ class AnonymousMIS:
     name = "anonymous"
     uses_x = False
     #: every rule of the algorithm, as a script file may name them
-    rules = (_CANDIDACY, _TRY_WITHDRAW)
+    rules = (CANDIDACY, TRY_WITHDRAW)
     #: the one rule whose command draws a Bernoulli
-    random_rule = _TRY_WITHDRAW
+    random_rule = TRY_WITHDRAW
 
-    def enabled_rules(self, s, x, deg, up, u: int) -> Rule | None:
+    def enabled_rules(self, s, x, deg, up, u: int) -> str | None:
         if s[u]:
-            return _TRY_WITHDRAW if up[u] else None
-        return None if up[u] else _CANDIDACY
+            return TRY_WITHDRAW if up[u] else None
+        return None if up[u] else CANDIDACY
 
     def step(self, g: Graph, state, nodes: Sequence[int],
-             activable: dict[int, Rule], strategies: dict, rng):
+             activable: dict[int, str], strategies: dict, rng):
         """(rules, draws, new_s, None) of the movers `nodes`, or None for a
         bad list (module docstring); a faulty mover's x is dropped."""
         if not nodes:
@@ -145,18 +139,18 @@ class AnonymousMIS:
             if rule is None or u <= prev:
                 return None
             prev = u
-            if rule is _TRY_WITHDRAW:
+            if rule is TRY_WITHDRAW:
                 draw = bernoulli(0.5)
                 new_s.append(False if draw == 1 else s[u])
-            elif rule is _CANDIDACY:
+            elif rule is CANDIDACY:
                 draw = None
                 new_s.append(True)
-            elif rule is _BYZ:
+            elif rule is BYZ:
                 draw = None
                 new_s.append(strategies[u].act(state, u, rng)[0])
             else:
                 raise EngineError(
-                    f"rule {rule.value} does not belong to {self.name}")
+                    f"rule {rule} does not belong to {self.name}")
             rules.append(rule)
             draws.append(draw)
         return rules, draws, new_s, None

@@ -10,7 +10,7 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .engine import Activity, Configuration, Rule
+from .engine import CANDIDACY, TRY_WITHDRAW, Activity, Configuration
 from .errors import ConfigError, InvariantViolation
 from .graphs import Graph, safe_zone
 
@@ -169,10 +169,6 @@ class ColorRecord:
         return len(self.members)
 
 
-# reading an Enum member off its class costs ten times a global read
-_CANDIDACY, _WITHDRAW = Rule.CANDIDACY, Rule.TRY_WITHDRAW
-
-
 class ColorLedger:
     """Instrumentation for anonymous runs.
 
@@ -215,7 +211,7 @@ class ColorLedger:
         """Each color's members: the nodes that came up at its index."""
         return {color: r.members for color, r in self.records.items()}
 
-    def record(self, nodes: Sequence[int], rules: Sequence[Rule]) -> None:
+    def record(self, nodes: Sequence[int], rules: Sequence[str]) -> None:
         """Account one executed transition, read after the stepper applied
         it: its node-sorted movers and their rules, as `Activity.transition`
         returns them."""
@@ -223,7 +219,7 @@ class ColorLedger:
         s, i = activity.s, activity.transitions
         fresh = frozenset(u for u in nodes if s[u] and top_since[u] is None)
         candidates = frozenset(u for u, rule in zip(nodes, rules)
-                               if rule is _CANDIDACY)
+                               if rule is CANDIDACY)
         if fresh != candidates:
             raise InvariantViolation(
                 f"transition {i}: fresh-up set {sorted(fresh)} does not match "
@@ -237,9 +233,9 @@ class ColorLedger:
 
         colors = []
         for node, rule in zip(nodes, rules):
-            if rule is _CANDIDACY:
+            if rule is CANDIDACY:
                 color = i
-            elif rule is _WITHDRAW:
+            elif rule is TRY_WITHDRAW:
                 color = top_since[node]
                 if color is None:
                     raise InvariantViolation(
@@ -253,7 +249,7 @@ class ColorLedger:
                 record.withdrawal_moves += 1
             else:
                 raise InvariantViolation(
-                    f"transition {i}: rule {rule.value} has no color")
+                    f"transition {i}: rule {rule} has no color")
             colors.append(color)
         self.move_colors.append(tuple(colors))
 
@@ -270,11 +266,11 @@ class ColorLedger:
         activity, top_since, live = self._activity, self._top_since, self._live
         activable, i = activity.activable, activity.transitions
         possible = {top_since[u] for u, rule in activable.items()
-                    if rule is _WITHDRAW}
+                    if rule is TRY_WITHDRAW}
         if not possible.issubset(live):
             # name the lowest node whose possible withdrawal has no live color
             u = min(u for u, rule in activable.items()
-                    if rule is _WITHDRAW and top_since[u] not in live)
+                    if rule is TRY_WITHDRAW and top_since[u] not in live)
             color = top_since[u]
             record = self.records.get(color)
             if record is None:

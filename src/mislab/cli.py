@@ -2,8 +2,9 @@
 
 Subcommands: trial, sweep, replay, oracle. Every run-spec key is mirrored by
 a flag, whose value is taken whole; flags override values read from a spec
-file. Relative output paths resolve against $MISLAB_OUT when it is set. stdout carries data only; status
-lines, "wrote <path>" among them, go to stderr.
+file. Relative output paths resolve against $MISLAB_OUT when it is set.
+stdout carries data only; status lines, "wrote <path>" among them, go to
+stderr.
 
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
 (reported with the spec hash, trial and seed, and a command that reruns it).

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .engine import Activity, FixedDraws, RngStream, Rule
+from .engine import Activity, FixedDraws, RngStream
 from .errors import ConfigError, EngineError, ScriptError, known_kind
 from .graphs import Graph
 
@@ -28,7 +28,7 @@ class Daemon:
     fair_bound: int | None = None
     stream = RngStream
 
-    def select(self, g: Graph, cfg: Activity, activable: dict[int, Rule],
+    def select(self, g: Graph, cfg: Activity, activable: dict[int, str],
                rng) -> list[int]:
         """The nodes to activate in the next transition: a nonempty list of
         keys of `activable`, in strictly ascending order, which the stepper
@@ -123,7 +123,7 @@ class ConflictGreedyDaemon(Daemon):
 #: one scripted transition as the script loader emits it: its nodes in
 #: ascending order, the rule of each, and the draws of its coin moves in
 #: node order, None for a draw the stream makes
-ScriptStep = tuple[tuple[int, ...], tuple[Rule, ...], tuple[int | None, ...]]
+ScriptStep = tuple[tuple[int, ...], tuple[str, ...], tuple[int | None, ...]]
 
 
 class ScriptedDaemon(Daemon):
@@ -148,7 +148,7 @@ class ScriptedDaemon(Daemon):
         for node, rule in zip(nodes, rules):
             if activable.get(node) is not rule:
                 raise ScriptError(
-                    f"scripted move ({node},{rule.value}) not enabled "
+                    f"scripted move ({node},{rule}) not enabled "
                     f"at transition {self._next}")
         if not nodes:
             raise ScriptError(f"scripted transition {self._next} is empty")

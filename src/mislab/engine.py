@@ -3,8 +3,7 @@
 Semantics fixed here, shared by every run:
   - a daemon picks a nonempty set of activable nodes, and each executes the
     one rule the activable map holds for it: the guards of each rule set are
-    mutually exclusive, and a faulty node's entry is `Rule.BYZ`, its
-    strategy;
+    mutually exclusive, and a faulty node's entry is `BYZ`, its strategy;
   - guards are evaluated against the pre-transition configuration, and every
     mover's next state is computed before any is written (simultaneous
     activation);
@@ -24,7 +23,6 @@ Semantics fixed here, shared by every run:
 
 from __future__ import annotations
 
-import enum
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -37,15 +35,12 @@ from .graphs import Graph
 _MASK64 = (1 << 64) - 1
 
 
-class Rule(enum.Enum):
-    """Rule identifiers across both algorithms, plus the faulty-node marker."""
-
-    REFRESH = "refresh"
-    TRY_CANDIDACY = "candidacy?"
-    WITHDRAW = "withdrawal"
-    CANDIDACY = "candidacy"
-    TRY_WITHDRAW = "withdrawal?"
-    BYZ = "byz"
+#: the rules of both algorithms, plus the faulty-node marker, as traces and
+#: scripts name them; code compares rules with `is`, so a name read from
+#: outside is mapped to its constant first
+REFRESH, TRY_CANDIDACY, WITHDRAW = "refresh", "candidacy?", "withdrawal"
+CANDIDACY, TRY_WITHDRAW, BYZ = "candidacy", "withdrawal?", "byz"
+RULES = (REFRESH, TRY_CANDIDACY, WITHDRAW, CANDIDACY, TRY_WITHDRAW, BYZ)
 
 
 @dataclass(frozen=True)
@@ -93,10 +88,6 @@ class FixedDraws(RngStream):
         return super().bernoulli(p) if draw is None else draw
 
 
-#: the faulty-node marker as a module global, read per node by `_scan`
-_BYZ = Rule.BYZ
-
-
 def _counted(g: Graph, cfg: Configuration) -> tuple[
         list, list[int] | None, list[int], list[int]]:
     """cfg as the lists every guard reads: (s, x, deg, up), where up[u] is
@@ -108,12 +99,12 @@ def _counted(g: Graph, cfg: Configuration) -> tuple[
             list(map(sum, map(map, repeat(s.__getitem__), adjacency))))
 
 
-def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, Rule]:
+def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, str]:
     guard = algo.enabled_rules
     out = {}
     for u in range(len(s)):
         if u in byz:
-            out[u] = _BYZ
+            out[u] = BYZ
         else:
             rule = guard(s, x, deg, up, u)
             if rule is not None:
@@ -122,9 +113,9 @@ def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, Rule]:
 
 
 def activable_map(algo, g: Graph, cfg: Configuration,
-                  byz: frozenset[int] = frozenset()) -> dict[int, Rule]:
+                  byz: frozenset[int] = frozenset()) -> dict[int, str]:
     """The enabled rule of each activable node; a faulty node is always
-    activable, with `Rule.BYZ`.
+    activable, with `BYZ`.
 
     A full scan of every guard: a run scans its initial configuration once
     and then keeps the map current itself (`Activity`).
@@ -133,7 +124,7 @@ def activable_map(algo, g: Graph, cfg: Configuration,
 
 
 def validate_move_set(g: Graph, nodes: Sequence[int],
-                      activable: dict[int, Rule]) -> None:
+                      activable: dict[int, str]) -> None:
     """Check a daemon's choice against the activable map of the current
     configuration: a nonempty list of activable nodes in strictly ascending
     order, as every daemon returns them; the stepper does not sort. Each
@@ -264,7 +255,7 @@ class Activity:
                              None if self.x is None else tuple(self.x))
 
     def transition(self, nodes: Sequence[int], rng) -> tuple[
-            list[Rule], list[int | None], bool]:
+            list[str], list[int | None], bool]:
         """Activate the chosen nodes, listed in ascending order, on the
         current state and account the transition. Every node's rule is read
         from the activable map and every next state computed before any
@@ -338,10 +329,9 @@ class Activity:
 
 _ONE, _ZERO = b"10"
 
-#: (rule value, draw) -> the ":rule:draw" end of a trace entry; keyed by the
-#: value because hashing a Rule runs `Enum.__hash__` in Python
-_ENTRY_SUFFIX = {(rule.value, draw): f":{rule.value}:{'-' if draw is None else draw}"
-                 for rule in Rule for draw in (None, 0, 1)}
+#: (rule, draw) -> the ":rule:draw" end of a trace entry
+_ENTRY_SUFFIX = {(rule, draw): f":{rule}:{'-' if draw is None else draw}"
+                 for rule in RULES for draw in (None, 0, 1)}
 
 
 class TraceWriter:
@@ -370,7 +360,7 @@ class TraceWriter:
         self._x_line = None if self._x is None else self._join_x()
         fh.write(f"0 - {self._fields()}\n")
 
-    def record(self, nodes: Sequence[int], rules: Sequence[Rule],
+    def record(self, nodes: Sequence[int], rules: Sequence[str],
                draws: Sequence[int | None], state) -> None:
         s, x, s_text = state.s, state.x, self._s
         x_num, x_text = self._x_num, self._x
@@ -383,8 +373,7 @@ class TraceWriter:
                 x_num[node] = v = x[node]
                 x_text[node] = str(v)
                 x_changed = True
-            # _value_ is Rule.value without the enum descriptor's cost
-            entries.append(f"{node}{suffix[rule._value_, d]}")
+            entries.append(f"{node}{suffix[rule, d]}")
         if x_changed:
             self._x_line = self._join_x()
         self._fh.write(

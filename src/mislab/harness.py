@@ -28,10 +28,10 @@ from .analysis import (
 )
 from .daemons import DAEMON_KINDS, ScriptStep, make_daemon
 from .engine import (
+    BYZ,
     INITIAL_PRESETS,
     Activity,
     Configuration,
-    Rule,
     TraceWriter,
     derive_seed,
     initial_configuration,
@@ -100,9 +100,9 @@ class RunSpec:
 class TrialRecord:
     """Outcome of one trial.
 
-    moves/rounds are the counts at convergence (first legitimacy hit for
-    Byzantine runs); moves_by_rule and transitions tally the whole run,
-    which only differs when a confirmation window extends it.
+    moves/rounds are the counts at convergence, the first legitimate
+    configuration; moves_by_rule and transitions tally the whole run, which
+    only differs when a confirmation window extends it.
     """
 
     trial: int
@@ -340,8 +340,9 @@ def _load_script(lines: typing.Iterable[str], source: str, n: int, algo,
     emitted as the scripted daemon replays it (`ScriptStep`): the nodes
     ascending, their rules, and a draw per random-rule move, None where the
     script gives none. Errors name `source` and the line."""
-    honest = {rule.value: rule for rule in algo.rules}
-    faulty = {Rule.BYZ.value: Rule.BYZ}
+    # a name read from the file is mapped to the engine's own object
+    honest = {rule: rule for rule in algo.rules}
+    faulty = {BYZ: BYZ}
     script = []
     for lineno, raw in enumerate(lines, start=1):
         line = _uncommented(raw)
@@ -445,10 +446,12 @@ def run_trial(spec: RunSpec, trial_index: int,
               plan: Plan | None = None) -> TrialOutcome:
     """Run one seeded trial to convergence or a ceiling.
 
-    Anonymous runs stop at the first stable configuration; Byzantine-tolerant
-    runs stop at the first legitimate one (optionally confirmed for
-    hold_rounds further rounds, where the first hit remains the reported
-    convergence time, since legitimacy persists once reached).
+    A trial converges at its first legitimate configuration: legitimate
+    around the faulty nodes for the Byzantine algorithm, stable for the
+    anonymous one. It runs hold_rounds further rounds to confirm that,
+    which only a Byzantine run can do, since no transition follows
+    stability; the first hit remains the reported convergence time, since
+    legitimacy persists once reached.
 
     trace_to receives the execution, encoded as each transition happens.
     The trial draws from a stream of the daemon's `stream` type, seeded by
@@ -459,7 +462,6 @@ def run_trial(spec: RunSpec, trial_index: int,
         plan = prepare(spec)
     g, algo = plan.graph, plan.algorithm
     byz = frozenset(spec.byzantine)
-    byz_runs = spec.algorithm == "byzantine"
     seed = derive_seed(spec.master_seed, trial_index)
     daemon = make_daemon(spec.daemon, g.n, fairness=spec.fairness,
                          density=spec.density, script=plan.script)
@@ -474,41 +476,37 @@ def run_trial(spec: RunSpec, trial_index: int,
     x, deg = activity.x, activity.deg
     ledger = ColorLedger(activity) if spec.instrument else None
     writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
-    # legitimacy and the monotone set: without faulty nodes that set is the
-    # settled set of the whole graph, with them the safe alone set
+    # the monotone set, and a Byzantine run's legitimacy: without faulty
+    # nodes that set is the settled set of the whole graph, with them the
+    # safe alone set; an anonymous run's legitimacy is its stability
     safe = (SafeAloneTracker(g, activity, *plan.zones)
             if plan.zones is not None else None)
     monotone = "safe alone set" if byz else "settled set"
+    if spec.algorithm == "byzantine":
+        criterion, legitimate = "legitimate", lambda: safe.legitimate
+    else:
+        criterion, legitimate = "stable", lambda: not activable
 
     moves_total = 0
     moves_by_rule: dict[str, int] = {}
     first_hit: tuple[int, int] | None = None  # (moves, rounds) at first legitimacy
     hit_completed_rounds = 0
-    converged = False
     ceiling_hit = False
 
     while True:
-        if byz_runs:
-            if safe.legitimate:
-                if first_hit is None:
-                    first_hit = (moves_total, tracker.rounds_elapsed)
-                    hit_completed_rounds = tracker.rounds_completed
-                if tracker.rounds_completed - hit_completed_rounds >= spec.hold_rounds:
-                    converged = True
-                    break
-            elif first_hit is not None:
-                raise InvariantViolation(
-                    "legitimacy was lost after being reached")
+        if legitimate():
+            if first_hit is None:
+                first_hit = (moves_total, tracker.rounds_elapsed)
+                hit_completed_rounds = tracker.rounds_completed
+            if tracker.rounds_completed - hit_completed_rounds >= spec.hold_rounds:
+                break
+        elif first_hit is not None:
+            raise InvariantViolation("legitimacy was lost after being reached")
         if not activable:
-            # an anonymous run is stable; a Byzantine run that stalls has
-            # converged only if it reached legitimacy
-            converged = not byz_runs or first_hit is not None
             break
         if moves_total >= move_ceiling or tracker.rounds_completed >= round_ceiling:
-            if byz_runs and first_hit is not None:
-                converged = True  # ceiling merely cut the confirmation window
-            else:
-                ceiling_hit = True
+            # a ceiling after the first hit merely cuts the confirmation window
+            ceiling_hit = first_hit is None
             break
 
         nodes = daemon.select(g, activity, activable, rng)
@@ -516,8 +514,7 @@ def run_trial(spec: RunSpec, trial_index: int,
         lost = safe.update(activity, activity.touched) if safe is not None else None
         moves_total += len(nodes)
         for rule in rules:
-            name = rule._value_  # Rule.value without the enum descriptor's cost
-            moves_by_rule[name] = moves_by_rule.get(name, 0) + 1
+            moves_by_rule[rule] = moves_by_rule.get(rule, 0) + 1
 
         if spec.check_invariants:
             if lost:
@@ -544,29 +541,20 @@ def run_trial(spec: RunSpec, trial_index: int,
             writer.record(nodes, rules, draws, activity)
 
     cfg = activity.snapshot()
-
-    if byz_runs:
-        criterion = "legitimate"
-        set_size = len(safe.alone)
-        moves_reported, rounds_reported = (
-            first_hit if (converged and first_hit is not None)
-            else (moves_total, tracker.rounds_elapsed))
-    else:
-        # the settled nodes are those with s[u] and up[u] = 0: s[u] > up[u]
-        criterion = "stable"
-        set_size = sum(map(operator.gt, activity.s, activity.up))
-        moves_reported, rounds_reported = moves_total, tracker.rounds_elapsed
-
+    moves, rounds = first_hit or (moves_total, tracker.rounds_elapsed)
     record = TrialRecord(
         trial=trial_index,
         seed=seed,
-        moves=moves_reported,
+        moves=moves,
         moves_by_rule=moves_by_rule,
         transitions=activity.transitions,
-        rounds=rounds_reported,
-        converged=converged,
+        rounds=rounds,
+        converged=first_hit is not None,
         criterion=criterion,
-        set_size=set_size,
+        # the safe alone set; without faulty nodes it is the settled set,
+        # the nodes with s[u] and up[u] = 0: s[u] > up[u]
+        set_size=(len(safe.alone) if safe is not None
+                  else sum(map(operator.gt, activity.s, activity.up))),
         ceiling_hit=ceiling_hit,
     )
     return TrialOutcome(record=record, final=cfg, graph=g, ledger=ledger)

@@ -63,10 +63,15 @@ from mislab.analysis import (
 )
 from mislab.daemons import ScriptedDaemon
 from mislab.engine import (
+    BYZ,
+    CANDIDACY,
+    REFRESH,
+    TRY_CANDIDACY,
+    TRY_WITHDRAW,
+    WITHDRAW,
     Activity,
     Configuration,
     FixedDraws,
-    Rule,
     activable_map,
 )
 from mislab.errors import ConfigError, EngineError, InvariantViolation
@@ -78,7 +83,7 @@ class Move(NamedTuple):
     """One move of the paper-form stepper: a node and the rule it runs."""
 
     node: int
-    rule: Rule
+    rule: str
 
 
 def pairwise_erdos_renyi_edges(n, p, seed):
@@ -96,13 +101,13 @@ def pairwise_erdos_renyi_edges(n, p, seed):
 #: over (s[u], whether x[u] is u's degree, whether some neighbor is up)
 PAPER_GUARDS = {
     "byzantine": (
-        (Rule.REFRESH, lambda s_u, x_ok, up: not x_ok),
-        (Rule.TRY_CANDIDACY, lambda s_u, x_ok, up: x_ok and not s_u and not up),
-        (Rule.WITHDRAW, lambda s_u, x_ok, up: x_ok and s_u and up),
+        (REFRESH, lambda s_u, x_ok, up: not x_ok),
+        (TRY_CANDIDACY, lambda s_u, x_ok, up: x_ok and not s_u and not up),
+        (WITHDRAW, lambda s_u, x_ok, up: x_ok and s_u and up),
     ),
     "anonymous": (
-        (Rule.CANDIDACY, lambda s_u, x_ok, up: not s_u and not up),
-        (Rule.TRY_WITHDRAW, lambda s_u, x_ok, up: s_u and up),
+        (CANDIDACY, lambda s_u, x_ok, up: not s_u and not up),
+        (TRY_WITHDRAW, lambda s_u, x_ok, up: s_u and up),
     ),
 }
 
@@ -163,21 +168,21 @@ class PaperByzantineCommands:
     name = "byzantine"
 
     def rule_probability(self, g: Graph, cfg: Configuration, u: int,
-                         rule: Rule) -> float | None:
-        if rule is Rule.TRY_CANDIDACY:
+                         rule: str) -> float | None:
+        if rule is TRY_CANDIDACY:
             # 1 / (1 + max x over the closed neighborhood N[u])
             return 1.0 / (1.0 + max(cfg.x[v] for v in (u, *g.adjacency[u])))
         return None
 
-    def apply(self, g: Graph, cfg: Configuration, u: int, rule: Rule,
+    def apply(self, g: Graph, cfg: Configuration, u: int, rule: str,
               draw: int | None) -> tuple[bool, int]:
-        if rule is Rule.REFRESH:
+        if rule is REFRESH:
             return cfg.s[u], g.degree(u)
-        if rule is Rule.TRY_CANDIDACY:
+        if rule is TRY_CANDIDACY:
             return (True if draw == 1 else cfg.s[u]), cfg.x[u]
-        if rule is Rule.WITHDRAW:
+        if rule is WITHDRAW:
             return False, cfg.x[u]
-        raise EngineError(f"rule {rule.value} does not belong to {self.name}")
+        raise EngineError(f"rule {rule} does not belong to {self.name}")
 
 
 class PaperAnonymousCommands:
@@ -186,18 +191,18 @@ class PaperAnonymousCommands:
     name = "anonymous"
 
     def rule_probability(self, g: Graph, cfg: Configuration, u: int,
-                         rule: Rule) -> float | None:
-        if rule is Rule.TRY_WITHDRAW:
+                         rule: str) -> float | None:
+        if rule is TRY_WITHDRAW:
             return 0.5
         return None
 
-    def apply(self, g: Graph, cfg: Configuration, u: int, rule: Rule,
+    def apply(self, g: Graph, cfg: Configuration, u: int, rule: str,
               draw: int | None) -> tuple[bool, None]:
-        if rule is Rule.CANDIDACY:
+        if rule is CANDIDACY:
             return True, None
-        if rule is Rule.TRY_WITHDRAW:
+        if rule is TRY_WITHDRAW:
             return (False if draw == 1 else cfg.s[u]), None
-        raise EngineError(f"rule {rule.value} does not belong to {self.name}")
+        raise EngineError(f"rule {rule} does not belong to {self.name}")
 
 
 #: algorithm name -> its paper-form commands
@@ -315,13 +320,13 @@ def check_move_set(g, moves, activable, byz_strategies):
     for node, rule in moves:
         if not (0 <= node < g.n):
             raise EngineError(f"move on node {node} outside graph of size {g.n}")
-        if rule is Rule.BYZ:
+        if rule is BYZ:
             if node not in byz_strategies:
                 raise EngineError(f"byz move on non-faulty node {node}")
         elif node in byz_strategies:
             raise EngineError(f"faulty node {node} may not execute algorithm rules")
         elif activable.get(node) is not rule:
-            raise EngineError(f"rule {rule.value} not enabled on node {node}")
+            raise EngineError(f"rule {rule} not enabled on node {node}")
 
 
 def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
@@ -336,7 +341,7 @@ def apply_transition(algo, g, cfg, moves, rng, byz_strategies=None):
     x = list(cfg.x) if cfg.x is not None else None
     draws = []
     for node, rule in ordered:
-        if rule is Rule.BYZ:
+        if rule is BYZ:
             new_s, new_x = byz_strategies[node].act(cfg, node, rng)
             draws.append(None)
         else:
@@ -365,7 +370,7 @@ class WholeConfigurationLedger:
     """
 
     def __init__(self, g: Graph, algo, initial: Configuration,
-                 activable: dict[int, Rule]):
+                 activable: dict[int, str]):
         if algo.uses_x:
             raise ConfigError("color instrumentation applies to anonymous runs only")
         self.g = g
@@ -392,7 +397,7 @@ class WholeConfigurationLedger:
         i = self.index
         fresh = frozenset(
             u for u in range(self.g.n) if not cfg_before.s[u] and cfg_after.s[u])
-        candidates = frozenset(m.node for m in moves if m.rule is Rule.CANDIDACY)
+        candidates = frozenset(m.node for m in moves if m.rule is CANDIDACY)
         if fresh != candidates:
             raise InvariantViolation(
                 f"transition {i}: fresh-up set {sorted(fresh)} does not match "
@@ -408,9 +413,9 @@ class WholeConfigurationLedger:
 
         colors = []
         for node, rule in moves:
-            if rule is Rule.CANDIDACY:
+            if rule is CANDIDACY:
                 color = i
-            elif rule is Rule.TRY_WITHDRAW:
+            elif rule is TRY_WITHDRAW:
                 color = self._top_since[node]
                 if color is None:
                     raise InvariantViolation(
@@ -424,7 +429,7 @@ class WholeConfigurationLedger:
                 record.withdrawal_moves += 1
             else:
                 raise InvariantViolation(
-                    f"transition {i}: rule {rule.value} has no color")
+                    f"transition {i}: rule {rule} has no color")
             colors.append(color)
             for other in self.records.values():
                 if (other.died is None and other.color != color
@@ -446,7 +451,7 @@ class WholeConfigurationLedger:
         live: set[int] = set()
         activable = self._activable
         for u in sorted(activable):
-            if activable[u] is Rule.TRY_WITHDRAW:
+            if activable[u] is TRY_WITHDRAW:
                 color = self._top_since[u]
                 record = self.records.get(color)
                 if record is None:
@@ -569,7 +574,7 @@ def scripted_ledger(algo, g, cfg, steps):
     nonempty list of (node, rule, draw) entries in any order, loaded as the
     lines of a script file and replayed by a scripted daemon, which checks
     every rule and forces the draws: (ledger, Trace)."""
-    lines = [",".join(f"{node}:{rule.value}:{'-' if d is None else d}"
+    lines = [",".join(f"{node}:{rule}:{'-' if d is None else d}"
                       for node, rule, d in step) for step in steps]
     daemon = ScriptedDaemon(_load_script(lines, "steps", g.n, algo, frozenset()))
     rng = daemon.stream(0)

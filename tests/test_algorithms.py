@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 
 from mislab.algorithms import candidacy_probability, get_algorithm
 from mislab.byzantine import make_strategy
-from mislab.engine import Configuration, RngStream, Rule
+from mislab.engine import (
+    BYZ,
+    CANDIDACY,
+    REFRESH,
+    RULES,
+    TRY_CANDIDACY,
+    TRY_WITHDRAW,
+    WITHDRAW,
+    Configuration,
+    RngStream,
+)
 from mislab.errors import EngineError, ScriptError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
 from reference import (
@@ -21,26 +31,26 @@ from reference import (
 )
 
 ANON = get_algorithm("anonymous")
-BYZ = get_algorithm("byzantine")
+BYZANTINE = get_algorithm("byzantine")
 
 
 def test_refresh_guard_and_command():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     cfg = Configuration((False,) * 4, (0, 1, 1, 1))
-    assert enabled(BYZ, g, cfg, 0) == (Rule.REFRESH,)
-    assert move(BYZ, g, cfg, 0, Rule.REFRESH) == (False, 3, None)
+    assert enabled(BYZANTINE, g, cfg, 0) == (REFRESH,)
+    assert move(BYZANTINE, g, cfg, 0, REFRESH) == (False, 3, None)
 
 
 def test_refresh_guard_false_when_degree_matches():
     g = path(2)
     cfg = Configuration((False, False), (1, 1))
-    assert Rule.REFRESH not in enabled(BYZ, g, cfg, 0)
+    assert REFRESH not in enabled(BYZANTINE, g, cfg, 0)
 
 
 def test_refresh_guard_false_on_isolated_zero():
     g = make_graph(1, [])
     cfg = Configuration((False,), (0,))
-    assert enabled(BYZ, g, cfg, 0) == (Rule.TRY_CANDIDACY,)
+    assert enabled(BYZANTINE, g, cfg, 0) == (TRY_CANDIDACY,)
 
 
 def test_candidacy_probability_uses_neighborhood_max():
@@ -72,40 +82,40 @@ def test_candidacy_probability_with_lying_neighbor():
 def test_try_candidacy_guard():
     g = path(3)
     good = Configuration((False, False, False), (1, 2, 1))
-    assert enabled(BYZ, g, good, 1) == (Rule.TRY_CANDIDACY,)
+    assert enabled(BYZANTINE, g, good, 1) == (TRY_CANDIDACY,)
     top_neighbor = Configuration((True, False, False), (1, 2, 1))
-    assert enabled(BYZ, g, top_neighbor, 1) == ()
+    assert enabled(BYZANTINE, g, top_neighbor, 1) == ()
     wrong_x = Configuration((False, False, False), (1, 5, 1))
-    assert Rule.TRY_CANDIDACY not in enabled(BYZ, g, wrong_x, 1)
+    assert TRY_CANDIDACY not in enabled(BYZANTINE, g, wrong_x, 1)
 
 
 def test_try_candidacy_command_depends_on_draw():
     g = path(2)
     cfg = Configuration((False, False), (1, 1))
-    assert move(BYZ, g, cfg, 0, Rule.TRY_CANDIDACY, 1) == (True, 1, 1)
-    assert move(BYZ, g, cfg, 0, Rule.TRY_CANDIDACY, 0) == (False, 1, 0)
+    assert move(BYZANTINE, g, cfg, 0, TRY_CANDIDACY, 1) == (True, 1, 1)
+    assert move(BYZANTINE, g, cfg, 0, TRY_CANDIDACY, 0) == (False, 1, 0)
 
 
 def test_withdrawal_guard():
     g = path(2)
     both_top = Configuration((True, True), (1, 1))
-    assert enabled(BYZ, g, both_top, 0) == (Rule.WITHDRAW,)
-    assert enabled(BYZ, g, both_top, 1) == (Rule.WITHDRAW,)
+    assert enabled(BYZANTINE, g, both_top, 0) == (WITHDRAW,)
+    assert enabled(BYZANTINE, g, both_top, 1) == (WITHDRAW,)
     alone = Configuration((True, False), (1, 1))
-    assert enabled(BYZ, g, alone, 0) == ()
+    assert enabled(BYZANTINE, g, alone, 0) == ()
     wrong_x = Configuration((True, True), (0, 1))
-    assert enabled(BYZ, g, wrong_x, 0) == (Rule.REFRESH,)
+    assert enabled(BYZANTINE, g, wrong_x, 0) == (REFRESH,)
 
 
 def test_withdrawal_command():
     g = path(2)
     cfg = Configuration((True, True), (1, 1))
-    assert move(BYZ, g, cfg, 0, Rule.WITHDRAW) == (False, 1, None)
+    assert move(BYZANTINE, g, cfg, 0, WITHDRAW) == (False, 1, None)
 
 
 def test_anonymous_candidacy_guard():
     g = ring(4)
-    assert enabled(ANON, g, Configuration((False,) * 4), 0) == (Rule.CANDIDACY,)
+    assert enabled(ANON, g, Configuration((False,) * 4), 0) == (CANDIDACY,)
     with_top_neighbor = Configuration((False, True, False, False))
     assert enabled(ANON, g, with_top_neighbor, 0) == ()
     already_top = Configuration((True, False, False, False))
@@ -116,7 +126,7 @@ def test_anonymous_withdrawal_guard():
     g = ring(4)
     all_top = Configuration((True,) * 4)
     for u in range(4):
-        assert enabled(ANON, g, all_top, u) == (Rule.TRY_WITHDRAW,)
+        assert enabled(ANON, g, all_top, u) == (TRY_WITHDRAW,)
     alone = Configuration((True, False, True, False))
     assert enabled(ANON, g, alone, 0) == ()
 
@@ -124,10 +134,10 @@ def test_anonymous_withdrawal_guard():
 def test_anonymous_commands():
     g = ring(4)
     cfg = Configuration((True,) * 4)
-    assert move(ANON, g, cfg, 0, Rule.TRY_WITHDRAW, 1) == (False, None, 1)
-    assert move(ANON, g, cfg, 0, Rule.TRY_WITHDRAW, 0) == (True, None, 0)
+    assert move(ANON, g, cfg, 0, TRY_WITHDRAW, 1) == (False, None, 1)
+    assert move(ANON, g, cfg, 0, TRY_WITHDRAW, 0) == (True, None, 0)
     down = Configuration((False,) * 4)
-    assert move(ANON, g, down, 0, Rule.CANDIDACY) == (True, None, None)
+    assert move(ANON, g, down, 0, CANDIDACY) == (True, None, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +150,7 @@ def test_rule_exclusivity(seed, data):
     byz_cfg = Configuration(s, x)
     anon_cfg = Configuration(s)
     for u in range(7):
-        assert len(enabled(BYZ, g, byz_cfg, u)) <= 1
+        assert len(enabled(BYZANTINE, g, byz_cfg, u)) <= 1
         assert len(enabled(ANON, g, anon_cfg, u)) <= 1
 
 
@@ -154,7 +164,7 @@ def test_counted_guard_returns_the_one_rule_the_paper_guards_enable(g):
     near_degree = [(g.degree(u), g.degree(u) + 1) for u in range(g.n)]
     for s in itertools.product((False, True), repeat=g.n):
         cases = [(ANON, Configuration(s))] + [
-            (BYZ, Configuration(s, x)) for x in itertools.product(*near_degree)]
+            (BYZANTINE, Configuration(s, x)) for x in itertools.product(*near_degree)]
         for algo, cfg in cases:
             state = counted_state(g, cfg)
             for u in range(g.n):
@@ -205,13 +215,13 @@ def test_step_matches_the_paper_form_commands(seed, data):
     node's strategy gives, draws at the same probability, and leaves its
     stream where they leave theirs."""
     g = erdos_renyi(7, 0.4, seed=seed)
-    algo = data.draw(st.sampled_from([BYZ, ANON]))
+    algo = data.draw(st.sampled_from([BYZANTINE, ANON]))
     s = tuple(data.draw(st.lists(st.booleans(), min_size=7, max_size=7)))
     x = (tuple(data.draw(st.lists(st.integers(0, 10**6), min_size=7, max_size=7)))
          if algo.uses_x else None)
     cfg = Configuration(s, x)
     u = data.draw(st.integers(0, 6))
-    rule = data.draw(st.sampled_from(list(Rule)))
+    rule = data.draw(st.sampled_from(RULES))
     if data.draw(st.booleans()):
         stream_seed = data.draw(st.integers(0, 2**32))
         streams = RngStream(stream_seed), RngStream(stream_seed)
@@ -222,7 +232,7 @@ def test_step_matches_the_paper_form_commands(seed, data):
     strategy = make_strategy("uniform_random", 50)
     got = _outcome(lambda: step_one(algo, g, counted_state(g, cfg), u, rule,
                                     stepped, {u: strategy}))
-    if rule is Rule.BYZ:
+    if rule is BYZ:
         expected = (*strategy.act(cfg, u, paper), None)
     else:
         expected = _outcome(lambda: paper_move(algo, g, cfg, u, rule, paper))

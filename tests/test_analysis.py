@@ -11,7 +11,7 @@ from mislab.analysis import (
     is_legitimate,
     locally_alone_set,
 )
-from mislab.engine import Activity, Configuration, Rule
+from mislab.engine import CANDIDACY, TRY_WITHDRAW, Activity, Configuration
 from mislab.errors import ConfigError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
 from reference import safe_alone_set, scripted_ledger, traced_trial
@@ -172,8 +172,8 @@ def test_initial_up_nodes_form_color_zero():
     g = path(2)
     cfg = Configuration((True, True))
     ledger, _ = scripted_ledger(ANON, g, cfg, [
-        [(0, Rule.TRY_WITHDRAW, 0), (1, Rule.TRY_WITHDRAW, 0)],
-        [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, 0)],
+        [(0, TRY_WITHDRAW, 0), (1, TRY_WITHDRAW, 0)],
+        [(0, TRY_WITHDRAW, 1), (1, TRY_WITHDRAW, 0)],
     ])
     assert ledger.fresh_sets == {0: frozenset({0, 1})}
     # every withdrawal on a node up since the start carries color 0
@@ -186,7 +186,7 @@ def test_initial_up_nodes_form_color_zero():
 
 def test_first_wave_of_candidacies_is_color_one():
     ledger, _ = scripted_ledger(ANON, EXAMPLE, Configuration((False,) * 4),
-                                [[(u, Rule.CANDIDACY, None) for u in range(4)]])
+                                [[(u, CANDIDACY, None) for u in range(4)]])
     assert ledger.fresh_sets == {1: frozenset(range(4))}
     assert ledger.move_colors == [(1, 1, 1, 1)]
 
@@ -194,7 +194,7 @@ def test_first_wave_of_candidacies_is_color_one():
 def test_lone_candidacy_color_dies_instantly_and_succeeds():
     g = path(3)
     ledger, _ = scripted_ledger(ANON, g, Configuration((False,) * 3),
-                                [[(1, Rule.CANDIDACY, None)]])
+                                [[(1, CANDIDACY, None)]])
     record = ledger.records[1]
     assert record.died == 1
     assert record.withdrawal_moves == 0
@@ -205,9 +205,9 @@ def test_lone_candidacy_color_dies_instantly_and_succeeds():
 def test_failed_color_then_recandidacy_gets_new_color():
     g = path(2)
     ledger, _ = scripted_ledger(ANON, g, Configuration((True, True)), [
-        [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, 1)],  # both drop
-        [(0, Rule.CANDIDACY, None), (1, Rule.CANDIDACY, None)],  # fresh color 2
-        [(0, Rule.TRY_WITHDRAW, 1)],                             # node 0 yields
+        [(0, TRY_WITHDRAW, 1), (1, TRY_WITHDRAW, 1)],  # both drop
+        [(0, CANDIDACY, None), (1, CANDIDACY, None)],  # fresh color 2
+        [(0, TRY_WITHDRAW, 1)],                             # node 0 yields
     ])
     zero, two = ledger.records[0], ledger.records[2]
     assert zero.died == 1 and zero.success is False
@@ -221,8 +221,8 @@ def test_recandidacy_taints_older_colors():
     # only rest on members whose every move stayed color 0
     g = path(3)
     ledger, _ = scripted_ledger(ANON, g, Configuration((True, True, False)), [
-        [(1, Rule.TRY_WITHDRAW, 1)],            # 1 drops; 0 settles
-        [(2, Rule.CANDIDACY, None)],            # unrelated color 2 appears
+        [(1, TRY_WITHDRAW, 1)],            # 1 drops; 0 settles
+        [(2, CANDIDACY, None)],            # unrelated color 2 appears
     ])
     zero = ledger.records[0]
     assert zero.died == 1 and zero.success is True  # node 0 settled untainted
@@ -236,9 +236,9 @@ def test_settled_member_that_rejoined_under_a_new_color_does_not_count():
     # with color 2, so color 0 failed
     g = make_graph(4, [(0, 1), (2, 3)])
     ledger, _ = scripted_ledger(ANON, g, Configuration((True,) * 4), [
-        [(0, Rule.TRY_WITHDRAW, 1), (1, Rule.TRY_WITHDRAW, 1)],
-        [(0, Rule.CANDIDACY, None)],
-        [(2, Rule.TRY_WITHDRAW, 1), (3, Rule.TRY_WITHDRAW, 1)],
+        [(0, TRY_WITHDRAW, 1), (1, TRY_WITHDRAW, 1)],
+        [(0, CANDIDACY, None)],
+        [(2, TRY_WITHDRAW, 1), (3, TRY_WITHDRAW, 1)],
     ])
     zero, two = ledger.records[0], ledger.records[2]
     assert two.members == frozenset({0})

@@ -13,7 +13,7 @@ from mislab import harness
 from mislab.algorithms import AnonymousMIS
 from mislab.cli import build_parser, main
 from mislab.daemons import DAEMON_KINDS
-from mislab.engine import Rule, derive_seed
+from mislab.engine import CANDIDACY, derive_seed
 from mislab.graphs import erdos_renyi, ring, write_graph
 from mislab.harness import parse_run_spec, spec_hash
 
@@ -339,7 +339,7 @@ def test_invariant_violation_names_the_trial_and_exits_3(monkeypatch, capsys):
     original = AnonymousMIS.enabled_rules
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
-        lambda self, s, x, deg, up, u: (Rule.CANDIDACY if not s[u]
+        lambda self, s, x, deg, up, u: (CANDIDACY if not s[u]
                                         else original(self, s, x, deg, up, u)))
     flags = ["--algorithm", "anonymous", "--graph", "ring", "--n", "12",
              "--daemon", "random_subset", "--trials", "5", "--master-seed", "7"]

@@ -6,10 +6,10 @@ from mislab.algorithms import get_algorithm
 from mislab.byzantine import make_strategy
 from mislab.daemons import make_daemon
 from mislab.engine import (
+    BYZ,
     Activity,
     Configuration,
     RngStream,
-    Rule,
     activable_map,
     initial_configuration,
 )
@@ -141,7 +141,7 @@ def test_singleton_walks_the_stepper_flags_with_an_always_activable_faulty_node(
     for _ in range(60):
         assert activity.flags == activable_flags(g.n, activity.activable)
         assert activity.flags[faulty] == 1
-        assert activity.activable[faulty] is Rule.BYZ
+        assert activity.activable[faulty] is BYZ
         expected, cursor = singleton_pick(g.n, activity.activable, cursor)
         assert daemon.select(g, activity, activity.activable, rng) == [expected]
         activity.transition([expected], rng)

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 from mislab.algorithms import get_algorithm
 from mislab.byzantine import make_strategy
 from mislab.engine import (
+    BYZ,
+    CANDIDACY,
+    REFRESH,
+    TRY_CANDIDACY,
+    TRY_WITHDRAW,
+    WITHDRAW,
     Activity,
     Configuration,
     RngStream,
     RoundTracker,
-    Rule,
     TraceWriter,
     activable_map,
     derive_seed,
@@ -36,7 +41,7 @@ from reference import (
 )
 
 ANON = get_algorithm("anonymous")
-BYZ = get_algorithm("byzantine")
+BYZANTINE = get_algorithm("byzantine")
 
 # the four-node worked example: a-b, a-c, b-c, c-d as 0..3
 EXAMPLE = make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -49,7 +54,7 @@ def all_bot(n):
 def test_candidacy_enabled_everywhere_when_all_down():
     cfg = all_bot(4)
     for u in range(4):
-        assert enabled(ANON, EXAMPLE, cfg, u) == (Rule.CANDIDACY,)
+        assert enabled(ANON, EXAMPLE, cfg, u) == (CANDIDACY,)
 
 
 def test_final_example_config_has_no_enabled_rules():
@@ -61,13 +66,13 @@ def test_final_example_config_has_no_enabled_rules():
 def test_refresh_enabled_on_wrong_degree():
     g = path(3)
     cfg = Configuration((False,) * 3, (0, 5, 1))
-    assert Rule.REFRESH in enabled(BYZ, g, cfg, 1)
-    assert enabled(BYZ, g, cfg, 2) == (Rule.TRY_CANDIDACY,)
+    assert REFRESH in enabled(BYZANTINE, g, cfg, 1)
+    assert enabled(BYZANTINE, g, cfg, 2) == (TRY_CANDIDACY,)
 
 
 def test_all_candidacy_transition_reaches_all_top():
     cfg = all_bot(4)
-    moves = [Move(u, Rule.CANDIDACY) for u in range(4)]
+    moves = [Move(u, CANDIDACY) for u in range(4)]
     after, draws = apply_transition(ANON, EXAMPLE, cfg, moves, RngStream(1))
     assert after.s == (True, True, True, True)
     assert draws == (None, None, None, None)
@@ -76,7 +81,7 @@ def test_all_candidacy_transition_reaches_all_top():
 def test_refresh_changes_only_its_node():
     g = path(3)
     cfg = Configuration((True, False, True), (9, 9, 9))
-    after, _ = apply_transition(BYZ, g, cfg, [Move(1, Rule.REFRESH)], RngStream(1))
+    after, _ = apply_transition(BYZANTINE, g, cfg, [Move(1, REFRESH)], RngStream(1))
     assert after.x == (9, 2, 9)
     assert after.s == cfg.s
 
@@ -84,7 +89,7 @@ def test_refresh_changes_only_its_node():
 def test_failed_withdrawal_coin_keeps_state():
     cfg = Configuration((True, True, True, True))
     after, draws = apply_transition(
-        ANON, EXAMPLE, cfg, [Move(0, Rule.TRY_WITHDRAW)], forced_draws([0]))
+        ANON, EXAMPLE, cfg, [Move(0, TRY_WITHDRAW)], forced_draws([0]))
     assert after == cfg
     assert draws == (0,)
 
@@ -103,11 +108,11 @@ def test_move_set_validation():
         apply_transition(ANON, EXAMPLE, cfg, [], rng)
     with pytest.raises(EngineError):
         apply_transition(ANON, EXAMPLE, cfg,
-                         [Move(0, Rule.CANDIDACY), Move(0, Rule.TRY_WITHDRAW)], rng)
+                         [Move(0, CANDIDACY), Move(0, TRY_WITHDRAW)], rng)
     with pytest.raises(EngineError):
-        apply_transition(ANON, EXAMPLE, cfg, [Move(0, Rule.TRY_WITHDRAW)], rng)
+        apply_transition(ANON, EXAMPLE, cfg, [Move(0, TRY_WITHDRAW)], rng)
     with pytest.raises(EngineError):
-        apply_transition(ANON, EXAMPLE, cfg, [Move(0, Rule.BYZ)], rng)
+        apply_transition(ANON, EXAMPLE, cfg, [Move(0, BYZ)], rng)
 
 
 def test_unsorted_move_set_is_rejected():
@@ -129,7 +134,7 @@ def test_stepper_takes_only_activable_nodes_once(nodes, message):
     # only node 3, down with no up neighbor, is activable
     cfg = Configuration((False, True, False, False))
     activity = Activity(ANON, EXAMPLE, cfg)
-    assert activity.activable == {3: Rule.CANDIDACY}
+    assert activity.activable == {3: CANDIDACY}
     with pytest.raises(EngineError, match=f"^{message}$"):
         activity.transition(nodes, RngStream(0))
     assert activity.snapshot() == cfg
@@ -158,7 +163,7 @@ def test_move_check_messages_keep_their_precedence(nodes, message):
     """The check names the first violation in precedence order, order before
     membership: an unsorted list holding a non-activable node is "not
     sorted"."""
-    activable = {3: Rule.CANDIDACY}
+    activable = {3: CANDIDACY}
     assert ordered_move_set_error(EXAMPLE, nodes, activable) == message
     if message is None:
         validate_move_set(EXAMPLE, nodes, activable)
@@ -172,7 +177,7 @@ def test_move_check_messages_keep_their_precedence(nodes, message):
        nodes=st.lists(st.integers(-2, 8), max_size=6))
 def test_one_pass_move_check_names_the_first_ordered_violation(activable, nodes):
     g = make_graph(6, [])
-    activable = dict.fromkeys(activable, Rule.CANDIDACY)
+    activable = dict.fromkeys(activable, CANDIDACY)
     message = ordered_move_set_error(g, nodes, activable)
     try:
         validate_move_set(g, nodes, activable)
@@ -182,7 +187,7 @@ def test_one_pass_move_check_names_the_first_ordered_violation(activable, nodes)
         assert message is None
 
 
-@pytest.mark.parametrize("algo", [ANON, BYZ], ids=["anonymous", "byzantine"])
+@pytest.mark.parametrize("algo", [ANON, BYZANTINE], ids=["anonymous", "byzantine"])
 @settings(max_examples=300, deadline=None)
 @given(faulty=st.integers(0, 5), s=st.lists(st.booleans(), min_size=6, max_size=6),
        x=st.lists(st.integers(0, 7), min_size=6, max_size=6),
@@ -214,10 +219,10 @@ def test_byz_move_requires_strategy_binding():
     cfg = Configuration((False, False), (1, 1))
     strategies = {1: make_strategy("always_top")}
     after, _ = apply_transition(
-        BYZ, g, cfg, [Move(1, Rule.BYZ)], RngStream(3), strategies)
+        BYZANTINE, g, cfg, [Move(1, BYZ)], RngStream(3), strategies)
     assert after.s == (False, True)
     with pytest.raises(EngineError):
-        apply_transition(BYZ, g, cfg, [Move(1, Rule.TRY_CANDIDACY)],
+        apply_transition(BYZANTINE, g, cfg, [Move(1, TRY_CANDIDACY)],
                          RngStream(3), strategies)
 
 
@@ -229,18 +234,17 @@ def test_chosen_nodes_run_their_own_rule_whatever_the_choice():
     stepper's."""
     cfg = Configuration((True, True, False, False), (2, 5, 3, 1))
     strategies = {2: make_strategy("uniform_random")}
-    activable = {0: Rule.WITHDRAW, 1: Rule.REFRESH, 2: Rule.BYZ,
-                 3: Rule.TRY_CANDIDACY}
+    activable = {0: WITHDRAW, 1: REFRESH, 2: BYZ, 3: TRY_CANDIDACY}
     for u in (0, 1, 3):
-        assert paper_rules(BYZ, EXAMPLE, cfg, u) == (activable[u],)
+        assert paper_rules(BYZANTINE, EXAMPLE, cfg, u) == (activable[u],)
     for k in range(1, 5):
         for nodes in itertools.combinations(range(4), k):
-            activity = Activity(BYZ, EXAMPLE, cfg, strategies)
+            activity = Activity(BYZANTINE, EXAMPLE, cfg, strategies)
             assert activity.activable == activable
             rules, draws, _ = activity.transition(list(nodes), RngStream(k))
             assert rules == [activable[u] for u in nodes]
             after, expected_draws = apply_transition(
-                BYZ, EXAMPLE, cfg, list(map(Move, nodes, rules)), RngStream(k),
+                BYZANTINE, EXAMPLE, cfg, list(map(Move, nodes, rules)), RngStream(k),
                 strategies)
             assert activity.snapshot() == after
             assert tuple(draws) == expected_draws
@@ -314,12 +318,12 @@ def test_transition_locality(seed, data):
     s = tuple(data.draw(st.booleans()) for _ in range(8))
     x = tuple(data.draw(st.integers(min_value=0, max_value=9)) for _ in range(8))
     cfg = Configuration(s, x)
-    act = activable_map(BYZ, g, cfg)
+    act = activable_map(BYZANTINE, g, cfg)
     if not act:
         return
     nodes = data.draw(st.sets(st.sampled_from(sorted(act)), min_size=1))
     moves = [Move(u, act[u]) for u in nodes]
-    after, _ = apply_transition(BYZ, g, cfg, moves, RngStream(seed))
+    after, _ = apply_transition(BYZANTINE, g, cfg, moves, RngStream(seed))
     for u in range(8):
         if u not in nodes:
             assert after.s[u] == cfg.s[u]
@@ -334,7 +338,7 @@ def test_candidacy_draws_match_their_probability():
     hits = 0
     for seed in range(2000):
         after, _ = apply_transition(
-            BYZ, g, cfg, [Move(1, Rule.TRY_CANDIDACY)], RngStream(seed))
+            BYZANTINE, g, cfg, [Move(1, TRY_CANDIDACY)], RngStream(seed))
         hits += after.s[1]
     p = 0.25
     sigma = (2000 * p * (1 - p)) ** 0.5
@@ -347,7 +351,7 @@ def test_withdrawal_coin_is_fair():
     hits = 0
     for seed in range(2000):
         after, _ = apply_transition(
-            ANON, g, cfg, [Move(0, Rule.TRY_WITHDRAW)], RngStream(seed))
+            ANON, g, cfg, [Move(0, TRY_WITHDRAW)], RngStream(seed))
         hits += not after.s[0]
     sigma = (2000 * 0.25) ** 0.5
     assert abs(hits - 1000) < 4 * sigma
@@ -478,10 +482,10 @@ def test_trace_format(tmp_path):
 def test_trace_includes_x_vector():
     g = path(2)
     cfg = Configuration((False, False), (5, 1))
-    activity = Activity(BYZ, g, cfg)
+    activity = Activity(BYZANTINE, g, cfg)
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
     rules, draws, _ = activity.transition([0], RngStream(0))
-    assert rules == [Rule.REFRESH]
+    assert rules == [REFRESH]
     writer.record([0], rules, draws, activity)
     assert buf.getvalue().splitlines() == ["0 - 00 5,1", "1 0:refresh:- 00 1,1"]

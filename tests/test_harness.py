@@ -253,13 +253,26 @@ def test_round_ceiling_floor_keeps_edgeless_graphs_runnable():
 
 
 def test_hold_rounds_reports_first_hit():
-    base = RunSpec(algorithm="byzantine", graph="ring", n=10, init="random",
-                   daemon="synchronous", master_seed=41, byzantine=(0,),
-                   strategies=((0, "oscillate", None),))
-    plain = run_trial(base, 2).record
-    held = run_trial(replace(base, hold_rounds=3), 2).record
-    assert held.converged
-    assert (held.moves, held.rounds) == (plain.moves, plain.rounds)
+    """A confirmation window, or a round ceiling that cuts it short, leaves
+    a converged record at the first hit. An anonymous trial stops at
+    stability, so a window changes nothing in its record."""
+    byzantine = RunSpec(algorithm="byzantine", graph="ring", n=10,
+                        init="random", daemon="synchronous", master_seed=41,
+                        byzantine=(0,), strategies=((0, "oscillate", None),))
+    anonymous = replace(byzantine, algorithm="anonymous", byzantine=(),
+                        strategies=())
+    for base, cut in ((byzantine, False), (byzantine, True), (anonymous, False)):
+        plain = run_trial(base, 2).record
+        full = run_trial(replace(base, hold_rounds=3), 2).record
+        held = (run_trial(replace(base, hold_rounds=3,
+                                  round_ceiling=plain.rounds + 1), 2).record
+                if cut else full)
+        assert held.converged and not held.ceiling_hit
+        assert (held.moves, held.rounds) == (plain.moves, plain.rounds)
+        if cut:
+            assert plain.transitions < held.transitions < full.transitions
+        if base is anonymous:
+            assert held == plain
 
 
 def test_scripted_daemon_via_spec_file(tmp_path):
@@ -277,7 +290,7 @@ def test_scripted_daemon_via_spec_file(tmp_path):
 def _script_of(trace) -> str:
     """A trace's moves and draws as script lines."""
     return "".join(
-        ",".join(f"{node}:{rule.value}:{'-' if d is None else d}"
+        ",".join(f"{node}:{rule}:{'-' if d is None else d}"
                  for (node, rule), d in zip(step.moves, step.draws)) + "\n"
         for step in trace.steps)
 

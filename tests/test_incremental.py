@@ -36,11 +36,16 @@ from mislab.analysis import (
 from mislab.byzantine import STRATEGY_KINDS, make_strategy
 from mislab.daemons import DAEMON_KINDS, make_daemon
 from mislab.engine import (
+    BYZ,
+    CANDIDACY,
     INITIAL_PRESETS,
+    REFRESH,
+    TRY_CANDIDACY,
+    TRY_WITHDRAW,
+    WITHDRAW,
     Activity,
     Configuration,
     RngStream,
-    Rule,
     activable_map,
     derive_seed,
     initial_configuration,
@@ -207,7 +212,7 @@ def reference_trial(spec: RunSpec, trial_index: int) -> tuple[TrialRecord, Trace
         transitions += 1
         moves_total += len(sorted_moves)
         for m in sorted_moves:
-            moves_by_rule[m.rule.value] = moves_by_rule.get(m.rule.value, 0) + 1
+            moves_by_rule[m.rule] = moves_by_rule.get(m.rule, 0) + 1
         ages.advance(activable, moved, new_activable)
         if spec.check_invariants:
             _check_step_invariants(g, algo, byz, new_cfg, tracker, ages,
@@ -442,33 +447,33 @@ _PATH3 = generate_graph("path", n=3)
 
 @pytest.mark.parametrize("algorithm, s, x, strategies, moves, draws, touched", [
     pytest.param("anonymous", (True, True, False), None, {},
-                 [(0, Rule.TRY_WITHDRAW)], [0], set(), id="failed-try-withdrawal"),
+                 [(0, TRY_WITHDRAW)], [0], set(), id="failed-try-withdrawal"),
     pytest.param("byzantine", (False,) * 3, (1, 2, 1), {},
-                 [(1, Rule.TRY_CANDIDACY)], [0], set(), id="failed-try-candidacy"),
+                 [(1, TRY_CANDIDACY)], [0], set(), id="failed-try-candidacy"),
     pytest.param("byzantine", (False,) * 3, (1, 2, 1), {0: "silent"},
-                 [(0, Rule.BYZ)], [], set(), id="silent"),
+                 [(0, BYZ)], [], set(), id="silent"),
     pytest.param("byzantine", (False,) * 3, (1, 2, 1), {0: "degree_liar"},
-                 [(0, Rule.BYZ)], [], {0}, id="degree-liar-rewrites-x"),
+                 [(0, BYZ)], [], {0}, id="degree-liar-rewrites-x"),
     pytest.param("byzantine", (False,) * 3, (1, 0, 1), {},
-                 [(1, Rule.REFRESH)], [], {1}, id="refresh"),
+                 [(1, REFRESH)], [], {1}, id="refresh"),
     pytest.param("anonymous", (False,) * 3, None, {},
-                 [(1, Rule.CANDIDACY)], [], {0, 1, 2}, id="candidacy-flips-s"),
+                 [(1, CANDIDACY)], [], {0, 1, 2}, id="candidacy-flips-s"),
     pytest.param("byzantine", (True, True, False), (1, 2, 1), {},
-                 [(1, Rule.WITHDRAW)], [], {0, 1, 2}, id="withdrawal-flips-s"),
+                 [(1, WITHDRAW)], [], {0, 1, 2}, id="withdrawal-flips-s"),
     # up[1] moves 2 -> 1 or 1 -> 2: "some neighbor is up" holds throughout
     pytest.param("byzantine", (True, False, True), (1, 2, 1), {0: "oscillate"},
-                 [(0, Rule.BYZ)], [], {0}, id="fall-leaves-neighbor-up"),
+                 [(0, BYZ)], [], {0}, id="fall-leaves-neighbor-up"),
     pytest.param("anonymous", (False, False, True), None, {},
-                 [(0, Rule.CANDIDACY)], [], {0}, id="candidacy-next-to-up"),
+                 [(0, CANDIDACY)], [], {0}, id="candidacy-next-to-up"),
     pytest.param("byzantine", (False, False, True), (1, 2, 1), {},
-                 [(0, Rule.TRY_CANDIDACY)], [1], {0}, id="try-candidacy-next-to-up"),
+                 [(0, TRY_CANDIDACY)], [1], {0}, id="try-candidacy-next-to-up"),
     # two flips at node 1's neighbors: up[1] goes 1 -> 0 -> 1, crossing zero
     # twice, or 1 -> 2 -> 1, crossing none
     pytest.param("byzantine", (True, True, False), (1, 2, 1),
-                 {0: "oscillate", 2: "oscillate"}, [(0, Rule.BYZ), (2, Rule.BYZ)],
+                 {0: "oscillate", 2: "oscillate"}, [(0, BYZ), (2, BYZ)],
                  [], {0, 1, 2}, id="up-falls-to-zero-and-rises-back"),
     pytest.param("byzantine", (False, True, True), (1, 2, 1),
-                 {0: "oscillate", 2: "oscillate"}, [(0, Rule.BYZ), (2, Rule.BYZ)],
+                 {0: "oscillate", 2: "oscillate"}, [(0, BYZ), (2, BYZ)],
                  [], {0, 2}, id="up-rises-and-falls-back"),
 ])
 def test_a_transition_evaluates_guards_only_where_state_changed(
@@ -554,11 +559,11 @@ def _plant_eager_candidacy(monkeypatch):
     anonymous, byzantine = AnonymousMIS.enabled_rules, ByzantineMIS.enabled_rules
 
     def anonymous_eager(self, s, x, deg, up, u):
-        return Rule.CANDIDACY if not s[u] else anonymous(self, s, x, deg, up, u)
+        return CANDIDACY if not s[u] else anonymous(self, s, x, deg, up, u)
 
     def byzantine_eager(self, s, x, deg, up, u):
         if not s[u] and x[u] == deg[u]:
-            return Rule.TRY_CANDIDACY
+            return TRY_CANDIDACY
         return byzantine(self, s, x, deg, up, u)
 
     monkeypatch.setattr(AnonymousMIS, "enabled_rules", anonymous_eager)
@@ -665,7 +670,7 @@ def _scripted_from_synchronous(spec: RunSpec, trial: int, directory: str) -> Run
     path = os.path.join(directory, "script.txt")
     with open(path, "w", encoding="utf-8") as fh:
         for step in source.steps:
-            fh.write(",".join(f"{m.node}:{m.rule.value}" for m in step.moves) + "\n")
+            fh.write(",".join(f"{m.node}:{m.rule}" for m in step.moves) + "\n")
     return replace(spec, daemon="scripted", script_file=path)
 
 
@@ -677,7 +682,7 @@ def _assert_counted_state(activity, algo, g, byz) -> None:
     expected = {}
     for u in range(g.n):
         if u in byz:
-            expected[u] = Rule.BYZ
+            expected[u] = BYZ
             continue
         rule = algo.enabled_rules(activity.s, activity.x, activity.deg,
                                   activity.up, u)
@@ -804,7 +809,7 @@ def _plant_candidacy_next_to_up(monkeypatch):
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
         lambda self, s, x, deg, up, u: (
-            Rule.CANDIDACY if not s[u] else original(self, s, x, deg, up, u)))
+            CANDIDACY if not s[u] else original(self, s, x, deg, up, u)))
 
 
 def _plant_unchecked_candidacy_next_to_up(monkeypatch):
@@ -827,19 +832,19 @@ def _plant_rising_withdrawal(monkeypatch):
 
     def offering(self, s, x, deg, up, u):
         if not s[u] and up[u]:
-            return Rule.TRY_WITHDRAW
+            return TRY_WITHDRAW
         return guard(self, s, x, deg, up, u)
 
     def rising_step(self, g, state, nodes, activable, strategies, rng):
         stepped = step(self, g, state, nodes, activable, strategies, rng)
         if stepped is not None:
             rules, _, new_s, _ = stepped
-            new_s[:] = [True if rule is Rule.TRY_WITHDRAW and not state.s[u] else v
+            new_s[:] = [True if rule is TRY_WITHDRAW and not state.s[u] else v
                         for u, rule, v in zip(nodes, rules, new_s)]
         return stepped
 
     def rising_apply(self, g, cfg, u, rule, draw):
-        if rule is Rule.TRY_WITHDRAW and not cfg.s[u]:
+        if rule is TRY_WITHDRAW and not cfg.s[u]:
             return True, None
         return apply(self, g, cfg, u, rule, draw)
 
@@ -858,7 +863,7 @@ def _plant_stuck_candidacy(monkeypatch):
         stepped = step(self, g, state, nodes, activable, strategies, rng)
         if stepped is not None:
             rules, _, new_s, _ = stepped
-            new_s[:] = [False if rule is Rule.CANDIDACY else v
+            new_s[:] = [False if rule is CANDIDACY else v
                         for rule, v in zip(rules, new_s)]
         return stepped
 
@@ -866,7 +871,7 @@ def _plant_stuck_candidacy(monkeypatch):
     monkeypatch.setattr(
         PaperAnonymousCommands, "apply",
         lambda self, g, cfg, u, rule, draw: (
-            (False, None) if rule is Rule.CANDIDACY
+            (False, None) if rule is CANDIDACY
             else apply(self, g, cfg, u, rule, draw)))
 
 

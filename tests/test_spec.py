@@ -14,7 +14,15 @@ from mislab.algorithms import ALGORITHMS
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.cli import _spec_from_args, build_parser, main
 from mislab.daemons import DAEMON_KINDS
-from mislab.engine import INITIAL_PRESETS, Rule
+from mislab.engine import (
+    BYZ,
+    CANDIDACY,
+    INITIAL_PRESETS,
+    REFRESH,
+    TRY_CANDIDACY,
+    TRY_WITHDRAW,
+    WITHDRAW,
+)
 from mislab.errors import ConfigError
 from mislab.graphs import GENERATORS, GRAPH_KINDS
 from mislab.harness import RunSpec, canonical_text, parse_run_spec
@@ -273,21 +281,22 @@ def test_trial_with_an_unwritable_file_name_exits_2(flags, capsys):
 def test_script_loader_sorts_by_node_and_collapses_repeats():
     """A loaded move set is the scripted daemon's replay form: its nodes
     ascending, their rules, and a draw for each coin move only, '-' or no
-    draw queued as None; an identical repeated entry counts once."""
+    draw queued as None; an identical repeated entry counts once. Each rule
+    is the engine's own object, which the daemon compares with `is`."""
     script = harness._load_script(
         ["2:withdrawal?:0, 0:withdrawal?:1, 3:candidacy, 2:withdrawal?:0, "
          "1:withdrawal?:-, 4:withdrawal?\n"], "steps.txt", 5,
         ALGORITHMS["anonymous"], frozenset())
     assert script == (((0, 1, 2, 3, 4),
-                       (Rule.TRY_WITHDRAW, Rule.TRY_WITHDRAW, Rule.TRY_WITHDRAW,
-                        Rule.CANDIDACY, Rule.TRY_WITHDRAW),
+                       (TRY_WITHDRAW, TRY_WITHDRAW, TRY_WITHDRAW,
+                        CANDIDACY, TRY_WITHDRAW),
                        (1, None, 0, None)),)
+    assert script[0][1][0] is TRY_WITHDRAW
     byzantine = harness._load_script(
         ["1:refresh,0:byz,2:candidacy?:1,3:withdrawal"], "steps.txt", 4,
         ALGORITHMS["byzantine"], frozenset({0}))
     assert byzantine == (((0, 1, 2, 3),
-                          (Rule.BYZ, Rule.REFRESH, Rule.TRY_CANDIDACY,
-                           Rule.WITHDRAW),
+                          (BYZ, REFRESH, TRY_CANDIDACY, WITHDRAW),
                           (1,)),)
 
 
@@ -296,7 +305,7 @@ def test_a_script_line_keeps_a_comment_only_after_whitespace():
     script = harness._load_script(
         ["# all down\n", "0:candidacy # node 0 rises\n"], "steps.txt", 2, algo,
         frozenset())
-    assert script == (((0,), (Rule.CANDIDACY,), ()),)
+    assert script == (((0,), (CANDIDACY,), ()),)
     with pytest.raises(ConfigError,
                        match="steps.txt line 1: node 0 has no rule 'candidacy#1'"):
         harness._load_script(["0:candidacy#1\n"], "steps.txt", 2, algo, frozenset())

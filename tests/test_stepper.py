@@ -9,7 +9,14 @@ from dataclasses import replace
 import pytest
 
 from mislab.algorithms import ByzantineMIS
-from mislab.engine import INITIAL_PRESETS, FixedDraws, RngStream, Rule, derive_seed
+from mislab.engine import (
+    BYZ,
+    INITIAL_PRESETS,
+    TRY_CANDIDACY,
+    FixedDraws,
+    RngStream,
+    derive_seed,
+)
 from mislab.harness import RunSpec, prepare, run_trial
 from reference import Move, apply_transition, traced_trial
 
@@ -120,8 +127,8 @@ def test_a_faulty_mover_draws_at_its_place_in_a_transition(tmp_path, script):
         rng.forced.extend((1, None))
     outcome, trace = traced_trial(spec, 0)
     (step,) = trace.steps
-    assert step.moves == (Move(0, Rule.TRY_CANDIDACY), Move(1, Rule.BYZ),
-                          Move(2, Rule.TRY_CANDIDACY))
+    assert step.moves == (Move(0, TRY_CANDIDACY), Move(1, BYZ),
+                          Move(2, TRY_CANDIDACY))
     plan = prepare(spec)
     after, draws = apply_transition(plan.algorithm, plan.graph, trace.initial,
                                     step.moves, rng, plan.strategies)

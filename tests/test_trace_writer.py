@@ -14,7 +14,7 @@ from mislab import engine
 from mislab.algorithms import AnonymousMIS
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.cli import main
-from mislab.engine import INITIAL_PRESETS, Rule, TraceWriter
+from mislab.engine import CANDIDACY, INITIAL_PRESETS, REFRESH, TraceWriter
 from mislab.graphs import generate_graph
 from mislab.harness import RunSpec, parse_run_spec, prepare, run_trial
 from reference import recording, traced_trial
@@ -32,7 +32,7 @@ def reference_dump(trace, fh):
     fh.write(f"0 - {reference_fields(trace.initial)}\n")
     for i, step in enumerate(trace.steps, start=1):
         entries = ",".join(
-            f"{m.node}:{m.rule.value}:{'-' if d is None else d}"
+            f"{m.node}:{m.rule}:{'-' if d is None else d}"
             for m, d in zip(step.moves, step.draws))
         fh.write(f"{i} {entries} {reference_fields(step.config)}\n")
 
@@ -180,7 +180,7 @@ def test_writer_rewrites_only_movers():
     cfg = engine.Configuration((False, False, False), (7, 8, 9))
     buf = io.StringIO()
     writer = TraceWriter(buf, cfg)
-    writer.record([1], [Rule.REFRESH], [None],
+    writer.record([1], [REFRESH], [None],
                   SimpleNamespace(s=(True, True, True), x=(0, 1, 2),
                                   transitions=1))
     assert buf.getvalue().splitlines() == ["0 - 000 7,8,9", "1 1:refresh:- 010 7,1,9"]
@@ -190,7 +190,7 @@ def _plant_eager_candidacy(monkeypatch):
     original = AnonymousMIS.enabled_rules
     monkeypatch.setattr(
         AnonymousMIS, "enabled_rules",
-        lambda self, s, x, deg, up, u: (Rule.CANDIDACY if not s[u]
+        lambda self, s, x, deg, up, u: (CANDIDACY if not s[u]
                                         else original(self, s, x, deg, up, u)))
 
 
