@@ -9,7 +9,8 @@ stderr.
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
 (reported with the spec hash, trial and seed, and a command that reruns it).
 An output file appears only once it is complete: a run that exits nonzero
-leaves none behind.
+leaves none behind. Two outputs on one path, or one inside the other's
+directory, exit 2 before any trial.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .analysis import all_maximal_independent_sets, write_ledger_csv
+from .analysis import (MAX_ORACLE_NODES, all_maximal_independent_sets,
+                       write_ledger_csv)
 from .errors import ConfigError, InvariantViolation, ScriptError, read_text
 from .graphs import read_graph
 from .harness import (
@@ -86,15 +88,19 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    # two outputs on one path would leave a mix of both, or only the last
+    # two outputs on one path would leave a mix of both, or only the last;
+    # one inside the other's directory would fail after every trial
     writers = {}
     for f in fields(RunSpec):
         path = f.metadata.get("output") and getattr(spec, f.name)
         if path:
             target = _target(path)
-            if target in writers:
-                raise ConfigError(
-                    f"{writers[target]} and {f.name} both write {target}")
+            for other, key in writers.items():
+                if other == target:
+                    raise ConfigError(f"{key} and {f.name} both write {target}")
+                if other in target.parents or target in other.parents:
+                    raise ConfigError(f"{key} writes {other} and {f.name} "
+                                      f"writes {target}, one inside the other")
             writers[target] = f.name
     # the trace streams to its file as the trials run
     with (_output(spec.trace_out) if spec.trace_out
@@ -116,9 +122,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(spec)
     _write(spec.out, sweep_csv_text(spec, rows))
     for row in rows:
-        print(f"n={row.size}: mean moves {row.moves.mean:.1f} "
-              f"(bound {row.moves_bound}), mean rounds {row.rounds.mean:.1f}, "
-              f"{row.converged}/{row.trials} converged", file=sys.stderr)
+        print(f"n={row['n']}: mean moves {row['mean_moves']:.1f} (bound "
+              f"{row['moves_bound_3n2']}), mean rounds {row['mean_rounds']:.1f}, "
+              f"{row['converged']}/{row['trials']} converged", file=sys.stderr)
     return 0
 
 
@@ -135,7 +141,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    g = read_graph(io.StringIO(read_text(args.graph_file)))
+    g = read_graph(io.StringIO(read_text(args.graph_file)), MAX_ORACLE_NODES)
     sets = all_maximal_independent_sets(g)
     for members in sorted(sets, key=lambda s: (len(s), sorted(s))):
         print(" ".join(str(u) for u in sorted(members)))

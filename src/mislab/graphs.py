@@ -264,7 +264,8 @@ def write_graph(g: Graph, fh: IO[str]) -> None:
                 fh.write(f"{u} {v}\n")
 
 
-def read_graph(fh: IO[str]) -> Graph:
+def read_graph(fh: IO[str], max_nodes: int | None = None) -> Graph:
+    """Read an "n m" header, refused above max_nodes nodes, then m edge lines."""
     header = fh.readline().split()
     if len(header) != 2:
         raise ConfigError("line 1: graph file must start with a 'n m' line")
@@ -276,6 +277,8 @@ def read_graph(fh: IO[str]) -> Graph:
             f"got {' '.join(header)!r}") from None
     if n < 0:
         raise ConfigError(f"line 1: node count must be nonnegative, got {n}")
+    if max_nodes is not None and n > max_nodes:
+        raise ConfigError(f"line 1: at most {max_nodes} nodes, got {n}")
     if m < 0:
         raise ConfigError(f"line 1: edge count must be nonnegative, got {m}")
     edges = []

@@ -597,16 +597,31 @@ def rerun_command(spec: RunSpec, trial_index: int) -> str:
     return " ".join(args)
 
 
-def trial_csv_text(spec: RunSpec, records: list[TrialRecord]) -> str:
+def _cell(value):
+    """A CSV cell: a bool in lower case, a float with four decimals, anything
+    else as it is."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.4f}" if isinstance(value, float) else value
+
+
+def _csv_text(spec: RunSpec, columns: tuple[str, ...],
+              rows: typing.Iterable[typing.Mapping]) -> str:
+    """The CSV of rows under columns: the spec hash first, then each row's
+    values read by the names in columns[1:]."""
     digest = spec_hash(spec)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIAL_COLUMNS)
-    for r in sorted(records, key=lambda r: r.trial):
-        writer.writerow((digest, r.trial, r.seed, r.moves, r.rounds,
-                         str(r.converged).lower(), r.criterion, r.set_size,
-                         str(r.ceiling_hit).lower()))
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([digest, *(_cell(row[name]) for name in columns[1:])])
     return buf.getvalue()
+
+
+def trial_csv_text(spec: RunSpec, records: list[TrialRecord]) -> str:
+    """One row per record, by trial; the columns are TrialRecord fields."""
+    return _csv_text(spec, TRIAL_COLUMNS,
+                     map(vars, sorted(records, key=lambda r: r.trial)))
 
 
 def _percentile(values: list[int], q: float) -> int:
@@ -615,47 +630,24 @@ def _percentile(values: list[int], q: float) -> int:
     return ordered[rank - 1]
 
 
-@dataclass
-class Aggregate:
-    mean: float
-    std: float
-    minimum: int
-    maximum: int
-    p50: int
-    p95: int
+def _summary(name: str, values: list[int]) -> dict[str, float | int]:
+    """The six sweep columns that summarize values of name: its mean, std,
+    min, max, p50 and p95."""
+    return {f"mean_{name}": statistics.fmean(values),
+            f"std_{name}": statistics.stdev(values) if len(values) > 1 else 0.0,
+            f"min_{name}": min(values), f"max_{name}": max(values),
+            f"p50_{name}": _percentile(values, 0.50),
+            f"p95_{name}": _percentile(values, 0.95)}
 
 
-def aggregate(values: list[int]) -> Aggregate:
-    return Aggregate(
-        mean=statistics.fmean(values),
-        std=statistics.stdev(values) if len(values) > 1 else 0.0,
-        minimum=min(values),
-        maximum=max(values),
-        p50=_percentile(values, 0.50),
-        p95=_percentile(values, 0.95),
-    )
-
-
-@dataclass
-class SweepRow:
-    size: int
-    delta: int
-    trials: int
-    converged: int
-    ceiling_hits: int
-    moves: Aggregate
-    rounds: Aggregate
-    moves_bound: int
-    rounds_bound: float
-
-
-def run_sweep(spec: RunSpec) -> list[SweepRow]:
-    """Per-size trial batches with aggregate statistics.
+def run_sweep(spec: RunSpec) -> list[dict[str, float | int]]:
+    """Per-size trial batches with summary statistics.
 
     Sizes come from spec.sizes; each size is prepared in its turn, with a
     graph of that many nodes (kind-specific parameters via sized_params), and
     runs spec.trials trials. `check_invariants` and `instrument` are off
-    here, whatever the spec says; dedicated trials cover them.
+    here, whatever the spec says; dedicated trials cover them. A row is one
+    size's CSV row: a dict keyed by SWEEP_COLUMNS[1:], in that order.
     """
     if not spec.sizes:
         raise ConfigError("sweep requires a nonempty 'sizes' list")
@@ -673,37 +665,21 @@ def run_sweep(spec: RunSpec) -> list[SweepRow]:
                         check_invariants=False, instrument=False)
         outcomes = run_trials(sized)
         records = [o.record for o in outcomes]
-        g = outcomes[0].graph
-        rows.append(SweepRow(
-            size=size,
-            delta=g.max_degree,
-            trials=len(records),
-            converged=sum(1 for r in records if r.converged),
-            ceiling_hits=sum(1 for r in records if r.ceiling_hit),
-            moves=aggregate([r.moves for r in records]),
-            rounds=aggregate([r.rounds for r in records]),
-            moves_bound=3 * size * size,
-            rounds_bound=math.e * (g.max_degree + 1) * size,
-        ))
+        delta = outcomes[0].graph.max_degree
+        rows.append({
+            "n": size, "delta": delta, "trials": len(records),
+            "converged": sum(1 for r in records if r.converged),
+            "ceiling_hits": sum(1 for r in records if r.ceiling_hit),
+            **_summary("moves", [r.moves for r in records]),
+            **_summary("rounds", [r.rounds for r in records]),
+            "moves_bound_3n2": 3 * size * size,
+            "rounds_bound_linear": math.e * (delta + 1) * size,
+        })
     return rows
 
 
-def sweep_csv_text(spec: RunSpec, rows: list[SweepRow]) -> str:
-    digest = spec_hash(spec)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow((
-            digest, row.size, row.delta, row.trials, row.converged,
-            row.ceiling_hits,
-            f"{row.moves.mean:.4f}", f"{row.moves.std:.4f}",
-            row.moves.minimum, row.moves.maximum, row.moves.p50, row.moves.p95,
-            f"{row.rounds.mean:.4f}", f"{row.rounds.std:.4f}",
-            row.rounds.minimum, row.rounds.maximum, row.rounds.p50, row.rounds.p95,
-            row.moves_bound, f"{row.rounds_bound:.4f}",
-        ))
-    return buf.getvalue()
+def sweep_csv_text(spec: RunSpec, rows: list[dict[str, float | int]]) -> str:
+    return _csv_text(spec, SWEEP_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

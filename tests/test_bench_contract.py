@@ -70,7 +70,7 @@ def test_verify_mode_sees_every_trial_of_a_spec(captured):
 def test_verify_mode_sees_every_trial_of_a_sweep(captured):
     rows = run_sweep(RunSpec(algorithm="anonymous", graph="ring", sizes=(8, 16),
                              daemon="singleton", trials=2))
-    assert len(captured) == sum(row.trials for row in rows) == 4
+    assert len(captured) == sum(row["trials"] for row in rows) == 4
     assert [spec.n for spec, _ in captured] == [8, 8, 16, 16]
     assert _all_ok(captured)
 

@@ -187,10 +187,16 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_oracle_rejects_large_graph(tmp_path, capsys):
+    """A header that declares too many nodes is refused before the graph is
+    built, as a file with too many nodes is."""
     target = tmp_path / "g.txt"
     with open(target, "w", encoding="utf-8") as fh:
         write_graph(erdos_renyi(20, 0.2, seed=1), fh)
     assert main(["oracle", str(target)]) == 2
+    target.write_text("99999999999999 0\n", encoding="utf-8")
+    assert main(["oracle", str(target)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: line 1: at most 16 nodes, got 99999999999999\n")
 
 
 def test_config_error_exit_code(capsys):
@@ -396,6 +402,29 @@ def test_two_outputs_on_one_path_exit_2_before_any_trial(
     assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
                  "--n", "4", *(flag.format(out=out) for flag in flags)]) == 2
     assert capsys.readouterr().err == f"error: {keys} both write {out / name}\n"
+    assert trials == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--out", "sub/x.csv", "--trace-out", "sub"],
+     "out writes {out}/sub/x.csv and trace_out writes {out}/sub"),
+    (["--out", "sub", "--trace-out", "sub/x.txt"],
+     "out writes {out}/sub and trace_out writes {out}/sub/x.txt"),
+])
+def test_an_output_inside_another_outputs_directory_exits_2_before_any_trial(
+        flags, message, tmp_path, monkeypatch, capsys):
+    """Either order is refused: the outer output would have to be both a
+    file and the inner one's directory."""
+    out = tmp_path / "out"
+    monkeypatch.setenv("MISLAB_OUT", str(out))
+    trials = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: trials.append(args))
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "5", "--trials", "3", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {message.format(out=out)}, one inside the other\n")
     assert trials == []
     assert list(tmp_path.iterdir()) == []
 

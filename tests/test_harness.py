@@ -16,6 +16,7 @@ from mislab.engine import INITIAL_PRESETS, is_stable
 from mislab.errors import ConfigError
 from mislab.graphs import ring, write_graph
 from mislab.harness import (
+    SWEEP_COLUMNS,
     RunSpec,
     build_graph,
     canonical_text,
@@ -170,8 +171,9 @@ def test_sweep_single_node_row():
     spec = RunSpec(algorithm="anonymous", graph="ring", init="all_bot",
                    daemon="synchronous", trials=20, master_seed=3, sizes=(1,))
     row = run_sweep(spec)[0]
-    assert row.moves.mean == 1.0
-    assert row.moves_bound == 3
+    assert tuple(row) == SWEEP_COLUMNS[1:]
+    assert row["mean_moves"] == 1.0
+    assert row["moves_bound_3n2"] == 3
 
 
 def test_moves_by_rule_tallies_the_run():
@@ -188,10 +190,10 @@ def test_byzantine_ring_sweep_reports_round_columns():
                    sizes=(8, 16))
     rows = run_sweep(spec)
     for row, n in zip(rows, (8, 16)):
-        assert row.delta == 2
-        assert row.converged == 10
+        assert row["delta"] == 2
+        assert row["converged"] == 10
         # fixed-degree rings: mean rounds stay well under e*(delta+1)*n
-        assert row.rounds.mean <= row.rounds_bound
+        assert row["mean_rounds"] <= row["rounds_bound_linear"]
 
 
 def test_sweep_requires_sizes_and_generator():
@@ -367,7 +369,7 @@ def test_per_spec_work_is_done_once(tmp_path, monkeypatch):
     calls.clear()
     rows = run_sweep(RunSpec(algorithm="byzantine", graph="ring", sizes=(6, 9, 12),
                              byzantine=(0,), trials=4))
-    assert [row.trials for row in rows] == [4, 4, 4]
+    assert [row["trials"] for row in rows] == [4, 4, 4]
     assert calls["validate_run_spec"] <= 3 and calls["build_graph"] <= 3, calls
     assert calls["safe_zone"] <= 6, calls
 
