@@ -2,7 +2,10 @@
 
 Subcommands: trial, sweep, replay, oracle. Every run-spec key is mirrored by
 a flag, whose value is taken whole; flags override values read from a spec
-file. Relative output paths resolve against $MISLAB_OUT when it is set.
+file. A plain `trial` or `sweep` command line (`_plain_args`) is read
+directly; every other one goes to argparse, imported only then, with the
+same result and the same help and error texts. Relative output paths
+resolve against $MISLAB_OUT when it is set.
 stdout carries data only; status lines, "wrote <path>" among them, go to
 stderr.
 
@@ -15,13 +18,13 @@ directory, exit 2 before any trial.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import (MAX_ORACLE_NODES, all_maximal_independent_sets,
                        write_ledger_csv)
@@ -40,7 +43,11 @@ from .harness import (
 
 OUTPUT_DIR_ENV = "MISLAB_OUT"
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
+#: each run-spec field's flag -> the field; the parser and `_plain_args` read it
+RUN_FLAGS = {f"--{f.name.replace('_', '-')}": f.name for f in fields(RunSpec)}
+
+
+def _spec_from_args(args) -> RunSpec:
     return parse_run_spec(
         read_text(args.spec) if args.spec else "",
         {f.name: getattr(args, f.name) for f in fields(RunSpec)
@@ -86,7 +93,7 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def cmd_trial(args: argparse.Namespace) -> int:
+def cmd_trial(args) -> int:
     spec = _spec_from_args(args)
     # two outputs on one path would leave a mix of both, or only the last;
     # one inside the other's directory would fail after every trial
@@ -117,7 +124,7 @@ def cmd_trial(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
     rows = run_sweep(spec)
     _write(spec.out, sweep_csv_text(spec, rows))
@@ -128,7 +135,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args) -> int:
     report = reference_replay()
     if args.trace_out:
         _write(args.trace_out, report.trace)
@@ -140,7 +147,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args) -> int:
     g = read_graph(io.StringIO(read_text(args.graph_file)), MAX_ORACLE_NODES)
     sets = all_maximal_independent_sets(g)
     for members in sorted(sets, key=lambda s: (len(s), sorted(s))):
@@ -149,10 +156,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_arguments(parser: argparse.ArgumentParser) -> None:
+def _run_arguments(parser) -> None:
     parser.add_argument("spec", nargs="?", help="run spec file (key = value lines)")
-    for f in fields(RunSpec):
-        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
+    for flag, name in RUN_FLAGS.items():
+        parser.add_argument(flag, dest=name)
 
 
 #: subcommand -> (its function, its help line, what adds its arguments)
@@ -166,11 +173,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None):
     """The command-line parser. Given the command line `argv`, only the
     subcommands it names get their arguments: parsing it reaches no other
     subcommand's parser, and the help and error texts stay those of the
     full parser."""
+    import argparse  # only here: a plain run command line never needs it
     parser = argparse.ArgumentParser(
         prog="mislab",
         description="Simulation lab for randomized self-stabilizing "
@@ -184,10 +192,33 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for a plain run command line: `trial` or `sweep`,
+    at most one spec file, and `--flag value` pairs, each flag in RUN_FLAGS
+    and no value beginning with "-" (the last repeat wins); else None."""
+    if not argv or argv[0] not in ("trial", "sweep"):
+        return None
+    values = dict.fromkeys(RUN_FLAGS.values())
+    spec = None
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            value = next(words, "-")  # a flag with no value is refused too
+            if word not in RUN_FLAGS or value.startswith("-"):
+                return None
+            values[RUN_FLAGS[word]] = value
+        elif spec is None:
+            spec = word
+        else:
+            return None
+    return SimpleNamespace(command=argv[0], func=_COMMANDS[argv[0]][0],
+                           spec=spec, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ScriptError, OSError) as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import IO, Iterable, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
@@ -94,9 +94,12 @@ def _counted(g: Graph, cfg: Configuration) -> tuple[
     the number of u's neighbors with s = 1."""
     s = list(map(bool, cfg.s))
     adjacency = g.adjacency
+    up = [0] * len(s)
+    for u in compress(range(len(s)), s):
+        for v in adjacency[u]:
+            up[v] += 1
     return (s, None if cfg.x is None else list(cfg.x),
-            list(map(len, adjacency)),
-            list(map(sum, map(map, repeat(s.__getitem__), adjacency))))
+            list(map(len, adjacency)), up)
 
 
 def _scan(algo, s, x, deg, up, byz: frozenset[int]) -> dict[int, str]:

@@ -1,17 +1,21 @@
 import io
 import os
 import pkgutil
+import runpy
 import shlex
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mislab
 from mislab import harness
 from mislab.algorithms import AnonymousMIS
-from mislab.cli import build_parser, main
+from mislab.cli import RUN_FLAGS, _plain_args, build_parser, main
 from mislab.daemons import DAEMON_KINDS
 from mislab.engine import CANDIDACY, derive_seed
 from mislab.graphs import erdos_renyi, ring, write_graph
@@ -57,6 +61,91 @@ def test_a_parser_with_only_the_named_subcommands_reads_as_the_full_one(
     parser's, byte for byte."""
     assert _parse_output(build_parser(argv), argv, capsys) == _parse_output(
         build_parser(), argv, capsys)
+
+
+#: what command lines are built from: every exact run flag, forms only
+#: argparse reads (abbreviations, `--flag=value`, help, `--`, values that
+#: begin with "-") and values argparse might split or read as options
+WORDS = ["trial", "sweep", "replay", "oracle", *RUN_FLAGS, "--master", "--n=3",
+         "--trace-out", "-h", "--help", "--", "-1", "-x", "", "a b", "x#1",
+         "a\nb", "ring", "8", "run.spec"]
+
+#: the installed-command lines CI runs in the plain form
+CI_LINES = [
+    "trial --algorithm anonymous --graph ring --n 8 --trials 2",
+    "sweep --algorithm anonymous --graph ring --sizes 4,8 --trials 2",
+]
+
+BENCHMARK_WORKLOADS = runpy.run_path(str(
+    Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+def _assert_reads_as_argparse(argv):
+    """Where the plain reader takes argv, argparse reads it too, to the same
+    namespace."""
+    plain = _plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser(argv).parse_args(argv))
+    return plain
+
+
+@st.composite
+def run_lines(draw):
+    """`trial` or `sweep`, flag-value pairs, most flags exact run flags, and
+    maybe one more word at any place."""
+    word = st.one_of(st.sampled_from(WORDS), st.text(max_size=3))
+    pairs = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(list(RUN_FLAGS)), word), word), max_size=5))
+    argv = [draw(st.sampled_from(["trial", "sweep"])), *chain.from_iterable(pairs)]
+    at = draw(st.integers(1, len(argv)))
+    return argv[:at] + draw(st.lists(word, max_size=1)) + argv[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(
+    st.lists(st.one_of(st.sampled_from(WORDS), st.text(max_size=3)), max_size=7),
+    run_lines()))
+@example(argv=["trial", "run.spec", "--n", "3", "--n", "4", "--out", "x#1"])
+@example(argv=["sweep", "--n", "3", "", "--graph", "a\nb"])
+def test_the_plain_reader_reads_as_argparse(argv):
+    _assert_reads_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    *(w.argv(0, "out") for w in BENCHMARK_WORKLOADS.values()),
+    *(line.split() for line in CI_LINES),
+])
+def test_benchmark_and_ci_command_lines_take_the_plain_path(argv):
+    assert _assert_reads_as_argparse(argv) is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["trial", "--algorithm=anonymous", "--graph=ring", "--n=8", "--trials=2"],
+    ["trial", "--help"], ["sweep", "-h"], ["trial", "-x"], ["trial", "-1"],
+    ["trial", "--master", "3"], ["trial", "--n", "-1"],
+    ["trial", "a.spec", "b.spec"], ["trial", "--n"], ["trial", "--", "a.spec"],
+    ["replay"], ["oracle", "g.txt"], [],
+])
+def test_other_command_lines_go_to_argparse(argv):
+    assert _plain_args(argv) is None
+
+
+def test_a_plain_run_loads_no_argparse():
+    """A plain run command line runs without importing argparse, or the
+    gettext module it brings, in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "import mislab.cli\n"
+        "mislab.cli.main(['trial', '--algorithm', 'anonymous', '--graph', 'ring',"
+        " '--n', '8', '--trials', '1'])\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(mislab.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_trial_to_stdout(spec_file, capsys):
