@@ -280,12 +280,12 @@ class ColorLedger:
             raise InvariantViolation(
                 f"index {i}: color {color} died at {record.died} but "
                 f"node {u} can still move with it")
-        up = activity.up
+        # a member still stamped with a dying color is up with no up
+        # neighbor: one would give it a possible withdrawal of that color
         for color in [c for c in live if c not in possible]:
             record = live.pop(color)
             record.died = i
-            record.success = any(top_since[u] == color and not up[u]
-                                 for u in record.members)
+            record.success = any(top_since[u] == color for u in record.members)
 
     def all_dead(self) -> bool:
         return not self._live

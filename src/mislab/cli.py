@@ -22,7 +22,6 @@ import contextlib
 import io
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,6 +30,7 @@ from .analysis import (MAX_ORACLE_NODES, all_maximal_independent_sets,
 from .errors import ConfigError, InvariantViolation, ScriptError, read_text
 from .graphs import read_graph
 from .harness import (
+    SPEC_KEYS,
     RunSpec,
     parse_run_spec,
     reference_replay,
@@ -43,15 +43,15 @@ from .harness import (
 
 OUTPUT_DIR_ENV = "MISLAB_OUT"
 
-#: each run-spec field's flag -> the field; the parser and `_plain_args` read it
-RUN_FLAGS = {f"--{f.name.replace('_', '-')}": f.name for f in fields(RunSpec)}
+#: each run-spec key's flag -> the key; the parser and `_plain_args` read it
+RUN_FLAGS = {f"--{key.replace('_', '-')}": key for key in SPEC_KEYS}
 
 
 def _spec_from_args(args) -> RunSpec:
     return parse_run_spec(
         read_text(args.spec) if args.spec else "",
-        {f.name: getattr(args, f.name) for f in fields(RunSpec)
-         if getattr(args, f.name) is not None})
+        {key: getattr(args, key) for key in SPEC_KEYS
+         if getattr(args, key) is not None}, args.command)
 
 
 def _target(path: str) -> Path:
@@ -98,17 +98,17 @@ def cmd_trial(args) -> int:
     # two outputs on one path would leave a mix of both, or only the last;
     # one inside the other's directory would fail after every trial
     writers = {}
-    for f in fields(RunSpec):
-        path = f.metadata.get("output") and getattr(spec, f.name)
+    for name, (_, _, readers) in SPEC_KEYS.items():
+        path = readers is None and getattr(spec, name)
         if path:
             target = _target(path)
             for other, key in writers.items():
                 if other == target:
-                    raise ConfigError(f"{key} and {f.name} both write {target}")
+                    raise ConfigError(f"{key} and {name} both write {target}")
                 if other in target.parents or target in other.parents:
-                    raise ConfigError(f"{key} writes {other} and {f.name} "
+                    raise ConfigError(f"{key} writes {other} and {name} "
                                       f"writes {target}, one inside the other")
-            writers[target] = f.name
+            writers[target] = name
     # the trace streams to its file as the trials run
     with (_output(spec.trace_out) if spec.trace_out
           else contextlib.nullcontext()) as trace_fh:

@@ -208,10 +208,31 @@ GENERATORS = {
 }
 GRAPH_KINDS = tuple(GENERATORS)
 
+#: The largest graph a generator builds: its nodes, and the node pairs it
+#: walks, which are complete's edges and the pairs G(n, p) draws.
+MAX_NODES, MAX_PAIRS = 10**7, 10**8
+
+
+def check_size(kind: str, params: dict, where: str | None = None) -> None:
+    """Refuse, before generate_graph builds it, a graph of kind above either
+    cap, naming params as `where`; values the generator refuses pass."""
+    names = [name for name in GENERATORS[kind][0] if name != "p"]
+    values = [params.get(name) for name in names]
+    if not all(type(value) is int for value in values):
+        return
+    nodes = math.prod(values) + (kind == "star")
+    pairs = nodes * (nodes - 1) // 2 if kind in ("complete", "erdos_renyi") else 0
+    where = where or ", ".join(f"{name} = {params[name]}" for name in names)
+    for count, what, cap in ((nodes, "nodes", MAX_NODES),
+                             (pairs, "node pairs", MAX_PAIRS)):
+        if count > cap:
+            raise ConfigError(f"{where} gives {count} {what}; at most {cap}")
+
 
 def generate_graph(kind: str, seed: int = 0, **params) -> Graph:
     """Dispatch to a generator by kind. Identical (kind, params, seed) gives identical edges."""
     names, build, _ = GENERATORS[known_kind(kind, GENERATORS, "graph kind")]
+    check_size(kind, params)
     return build(seed, *(params.get(name) for name in names))
 
 
@@ -264,7 +285,7 @@ def write_graph(g: Graph, fh: IO[str]) -> None:
                 fh.write(f"{u} {v}\n")
 
 
-def read_graph(fh: IO[str], max_nodes: int | None = None) -> Graph:
+def read_graph(fh: IO[str], max_nodes: int = MAX_NODES) -> Graph:
     """Read an "n m" header, refused above max_nodes nodes, then m edge lines."""
     header = fh.readline().split()
     if len(header) != 2:
@@ -277,7 +298,7 @@ def read_graph(fh: IO[str], max_nodes: int | None = None) -> Graph:
             f"got {' '.join(header)!r}") from None
     if n < 0:
         raise ConfigError(f"line 1: node count must be nonnegative, got {n}")
-    if max_nodes is not None and n > max_nodes:
+    if n > max_nodes:
         raise ConfigError(f"line 1: at most {max_nodes} nodes, got {n}")
     if m < 0:
         raise ConfigError(f"line 1: edge count must be nonnegative, got {m}")

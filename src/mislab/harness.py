@@ -16,10 +16,10 @@ import operator
 import re
 import statistics
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, make_dataclass, replace
 
 from . import byzantine as byz_mod
-from .algorithms import AnonymousMIS, ByzantineMIS, get_algorithm
+from .algorithms import ALGORITHMS, AnonymousMIS, ByzantineMIS, get_algorithm
 from .analysis import (
     ColorLedger,
     SafeAloneTracker,
@@ -42,6 +42,7 @@ from .graphs import (
     GENERATORS,
     GRAPH_KINDS,
     Graph,
+    check_size,
     generate_graph,
     make_graph,
     read_graph,
@@ -58,42 +59,6 @@ SWEEP_COLUMNS = ("spec_hash", "n", "delta", "trials", "converged", "ceiling_hits
                  "mean_rounds", "std_rounds", "min_rounds", "max_rounds",
                  "p50_rounds", "p95_rounds",
                  "moves_bound_3n2", "rounds_bound_linear")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything that determines an experiment. Seeds included: two specs
-    that compare equal produce identical results. The spec-file keys, their
-    parsing and the CLI flags all come from these fields."""
-
-    algorithm: str
-    graph: str
-    n: int | None = None
-    leaves: int | None = None
-    rows: int | None = None
-    cols: int | None = None
-    p: float | None = None
-    graph_seed: int = 0
-    graph_file: str | None = None
-    daemon: str = "synchronous"
-    fairness: int | None = None
-    density: float = 0.5
-    script_file: str | None = None
-    init: str = "random"
-    trials: int = 1
-    master_seed: int = 0
-    move_ceiling: int = 0
-    round_ceiling: int = 0
-    byzantine: tuple[int, ...] = ()
-    strategies: tuple[tuple[int, str, int | None], ...] = ()
-    x_cap: int = byz_mod.DEFAULT_X_CAP
-    hold_rounds: int = 0
-    instrument: bool = False
-    check_invariants: bool = True
-    sizes: tuple[int, ...] = ()
-    out: str | None = field(default=None, metadata={"output": True})
-    trace_out: str | None = field(default=None, metadata={"output": True})
-    ledger_out: str | None = field(default=None, metadata={"output": True})
 
 
 @dataclass
@@ -151,27 +116,78 @@ def _parse_strategy(key: str, token: str) -> tuple[int, str, int | None]:
     return _number(int, key, parts[0]), parts[1], cap
 
 
-def _value_parser(annotation):
-    """Parser (key, text) -> value for a RunSpec field so annotated. Optional
-    fields read "None" as unset, as canonical_text writes it."""
-    args = typing.get_args(annotation)
-    if type(None) in args:
-        inner = _value_parser(args[0])
-        return lambda key, value: None if value == "None" else inner(key, value)
-    if typing.get_origin(annotation) is tuple:
-        item = (_parse_strategy if typing.get_origin(args[0]) is tuple
-                else _value_parser(args[0]))
-        return lambda key, value: tuple(
-            item(key, v.strip()) for v in value.split(",") if v.strip())
-    if annotation is bool:
-        return _parse_bool
-    if annotation is str:
-        return lambda key, value: value
-    return functools.partial(_number, annotation)
+def _optional(parse):
+    """parse, reading "None" as unset, as canonical_text writes it."""
+    return lambda key, value: None if value == "None" else parse(key, value)
 
 
-_PARSERS = {key: _value_parser(annotation)
-            for key, annotation in typing.get_type_hints(RunSpec).items()}
+def _list(parse):
+    """parse for each item of a comma-separated list, as a tuple."""
+    return lambda key, value: tuple(
+        parse(key, v.strip()) for v in value.split(",") if v.strip())
+
+
+_int, _float = functools.partial(_number, int), functools.partial(_number, float)
+_text = lambda key, value: value
+_name = _optional(_text)
+
+#: Every run-spec key, in flag order: its default (MISSING: required), its
+#: parser (key, text) -> value, and the choices that read it, None for an
+#: output, which no run reads. A run chooses an algorithm, a graph kind, a
+#: daemon and a command, and reads a key if its choice of each kind that
+#: the key's choices name is among them: () is every run.
+SPEC_KEYS = {
+    "algorithm": (MISSING, _text, ()),
+    "graph": (MISSING, _text, ()),
+    **{key: (None, _optional(_float if key == "p" else _int),
+             tuple(kind for kind, row in GENERATORS.items() if key in row[0]))
+       for key in ("n", "leaves", "rows", "cols", "p")},
+    "graph_seed": (0, _int, ("erdos_renyi", "random_tree")),
+    "graph_file": (None, _name, ("file",)),
+    "daemon": ("synchronous", _text, ()),
+    "fairness": (None, _optional(_int), ("aged_fair",)),
+    "density": (0.5, _float, ("random_subset",)),
+    "script_file": (None, _name, ("scripted",)),
+    "init": ("random", _text, ()),
+    "trials": (1, _int, ()),
+    "master_seed": (0, _int, ()),
+    "move_ceiling": (0, _int, ()),
+    "round_ceiling": (0, _int, ()),
+    "byzantine": ((), _list(_int), ("byzantine",)),
+    "strategies": ((), _list(_parse_strategy), ("byzantine",)),
+    "x_cap": (byz_mod.DEFAULT_X_CAP, _int, ("byzantine",)),
+    "hold_rounds": (0, _int, ("byzantine",)),
+    "instrument": (False, _parse_bool, ("anonymous", "trial")),  # a sweep turns
+    "check_invariants": (True, _parse_bool, ("trial",)),         # these two off
+    "sizes": ((), _list(_int), ("sweep",)),
+    "out": (None, _name, None),
+    "trace_out": (None, _name, None),
+    "ledger_out": (None, _name, None),
+}
+_CHOICE_KINDS = (ALGORITHMS, (*GRAPH_KINDS, "file"), DAEMON_KINDS, ("trial", "sweep"))
+#: the keys canonical text writes, sorted -> the kinds of choice their readers name
+_HASHED = {key: [i for i, kinds in enumerate(_CHOICE_KINDS)
+                 if any(kind in SPEC_KEYS[key][2] for kind in kinds)]
+           for key in sorted(SPEC_KEYS) if SPEC_KEYS[key][2] is not None}
+
+#: Everything that determines an experiment, seeds included: two specs that
+#: compare equal produce identical results.
+RunSpec = make_dataclass("RunSpec", [
+    (key, object, field(default=default)) if default is not MISSING else (key, object)
+    for key, (default, _, _) in SPEC_KEYS.items()],
+    frozen=True, namespace={"__module__": __name__})
+
+
+def _read_keys(spec: RunSpec, command: str) -> set[str]:
+    """The keys a `command` run of spec reads; a sweep's sizes stand in for
+    the size parameters."""
+    choices = (spec.algorithm, spec.graph, spec.daemon, command)
+    keys = {key for key, kinds in _HASHED.items()
+            if all(choices[i] in SPEC_KEYS[key][2] for i in kinds)}
+    if command == "sweep" and spec.graph in GENERATORS:
+        keys -= sized_params(spec.graph, 1).keys()
+    return keys
+
 
 #: a '#' that opens a comment: at the start of a line or after whitespace,
 #: so a value such as "g#1.txt" keeps its '#'
@@ -183,10 +199,11 @@ def _uncommented(line: str) -> str:
     return _COMMENT.split(line, 1)[0].strip()
 
 
-def parse_run_spec(text: str, flags: typing.Mapping[str, str] = {}) -> RunSpec:
+def parse_run_spec(text: str, flags: typing.Mapping[str, str] = {},
+                   command: str | None = None) -> RunSpec:
     """Parse the flat one-key-per-line format ('#' at the start of a line or
     after whitespace starts a comment), then `flags`, key -> value text
-    taken whole, which override the text."""
+    taken whole, which override the text; validate it for `command`."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _uncommented(raw)
@@ -196,22 +213,22 @@ def parse_run_spec(text: str, flags: typing.Mapping[str, str] = {}) -> RunSpec:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _PARSERS:
+        if key not in SPEC_KEYS:
             raise ConfigError(f"line {lineno}: unknown run spec key {key!r}")
-        values[key] = _PARSERS[key](key, value)
+        values[key] = SPEC_KEYS[key][1](key, value)
     for key, value in flags.items():
-        values[key] = _PARSERS[key](key, value.strip())
-    for f in fields(RunSpec):
-        if f.default is MISSING and f.name not in values:
-            raise ConfigError(f"run spec must set {f.name!r}")
+        values[key] = SPEC_KEYS[key][1](key, value.strip())
+    for key, (default, _, _) in SPEC_KEYS.items():
+        if default is MISSING and key not in values:
+            raise ConfigError(f"run spec must set {key!r}")
     spec = RunSpec(**values)
-    validate_run_spec(spec)
+    validate_run_spec(spec, command)
     return spec
 
 
-def validate_run_spec(spec: RunSpec) -> None:
-    """Reject a spec that could not run, as far as that shows without
-    building its graph; parse_run_spec calls it before any trial starts."""
+def validate_run_spec(spec: RunSpec, command: str | None = None) -> None:
+    """Reject a spec that could not run as `command` (None: as either), as
+    far as that shows without building its graph, before any trial starts."""
     get_algorithm(spec.algorithm)
     if known_kind(spec.graph, (*GRAPH_KINDS, "file"), "graph kind") == "file":
         if not spec.graph_file:
@@ -222,7 +239,8 @@ def validate_run_spec(spec: RunSpec) -> None:
         for size in spec.sizes:
             sized = sized_params(spec.graph, size)
         for name in GENERATORS[spec.graph][0]:
-            if name not in sized and getattr(spec, name) is None:
+            if getattr(spec, name) is None and (command == "trial"
+                                                or name not in sized):
                 raise ConfigError(
                     f"graph kind {spec.graph!r} is missing parameter {name!r}")
     # a file name must read back from the spec's canonical text as itself
@@ -238,8 +256,17 @@ def validate_run_spec(spec: RunSpec) -> None:
                 "hold no line break, no whitespace at either end and no '#' "
                 "at its start or after whitespace")
     known_kind(spec.daemon, DAEMON_KINDS, "daemon kind")
-    if (spec.daemon == "scripted") != bool(spec.script_file):
-        raise ConfigError("daemon = scripted and script_file go together")
+    # a key set under an algorithm or daemon that does not read it; a sweep
+    # accepts, and turns off, the keys only trials read
+    for key, message in (
+            ("byzantine", "anonymous runs converge to stability and admit no "
+                          "Byzantine nodes"),
+            ("instrument", "color instrumentation applies to anonymous runs only"),
+            ("script_file", "daemon = scripted and script_file go together")):
+        if getattr(spec, key) and key not in _read_keys(spec, "trial"):
+            raise ConfigError(message)
+    if spec.daemon == "scripted" and not spec.script_file:
+        raise ConfigError("daemon = scripted requires script_file")
     known_kind(spec.init, INITIAL_PRESETS, "initial preset")
     if not 0.0 < spec.density <= 1.0:
         raise ConfigError(f"density must be in (0,1], got {spec.density}")
@@ -254,11 +281,6 @@ def validate_run_spec(spec: RunSpec) -> None:
     if not 0 <= spec.master_seed < 2**64:
         raise ConfigError(
             f"master_seed must be in [0, 2**64), got {spec.master_seed}")
-    if spec.algorithm == "anonymous" and spec.byzantine:
-        raise ConfigError("anonymous runs converge to stability and admit no "
-                          "Byzantine nodes")
-    if spec.instrument and spec.algorithm != "anonymous":
-        raise ConfigError("color instrumentation applies to anonymous runs only")
     if spec.ledger_out and not spec.instrument:
         raise ConfigError("ledger_out requires instrument = true")
     if spec.move_ceiling < 0 or spec.round_ceiling < 0:
@@ -288,14 +310,15 @@ def _spec_text(value, sep: str = ",") -> str:
 
 
 def canonical_text(spec: RunSpec) -> str:
-    """Stable serialization of the semantic fields (output paths excluded)."""
-    return "".join(
-        f"{f.name} = {_spec_text(getattr(spec, f.name))}\n"
-        for f in sorted(fields(RunSpec), key=lambda f: f.name)
-        if not f.metadata.get("output"))
+    """Stable serialization of the semantic keys (output paths excluded)."""
+    return "".join(f"{key} = {_spec_text(getattr(spec, key))}\n" for key in _HASHED)
 
 
-def spec_hash(spec: RunSpec) -> str:
+def spec_hash(spec: RunSpec, command: str = "trial") -> str:
+    """The canonical text's digest, with every key that a `command` run of
+    spec does not read at its default: one experiment, one hash."""
+    read = _read_keys(spec, command)
+    spec = replace(spec, **{k: SPEC_KEYS[k][0] for k in _HASHED if k not in read})
     return hashlib.sha256(canonical_text(spec).encode()).hexdigest()[:12]
 
 
@@ -417,7 +440,7 @@ def prepare(spec: RunSpec) -> Plan:
     """Validate spec, build (or read) its graph, check the Byzantine nodes
     and the script against that graph, and compute what its trials share.
     Every failure is a ConfigError raised before any trial runs."""
-    validate_run_spec(spec)
+    validate_run_spec(spec, "trial")
     g = build_graph(spec)
     _check_byzantine(spec.byzantine, g.n)
     script = spec.script_file and io.StringIO(read_text(spec.script_file))
@@ -560,12 +583,12 @@ def run_trial(spec: RunSpec, trial_index: int,
     return TrialOutcome(record=record, final=cfg, graph=g, ledger=ledger)
 
 
-def run_trials(spec: RunSpec,
-               trace_to: typing.IO[str] | None = None) -> list[TrialOutcome]:
+def run_trials(spec: RunSpec, trace_to: typing.IO[str] | None = None,
+               command: str = "trial") -> list[TrialOutcome]:
     """Prepare spec once and run every trial of it, streaming their traces
     one after another to trace_to when it is given; an invariant violation
-    is re-raised naming the spec hash, trial and seed, with a command line
-    that reruns it."""
+    is re-raised naming the spec hash of the `command` run, the trial and
+    the seed, with a command line that reruns it."""
     plan = prepare(spec)
     outcomes = []
     for t in range(spec.trials):
@@ -573,7 +596,7 @@ def run_trials(spec: RunSpec,
             outcomes.append(run_trial(spec, t, trace_to=trace_to, plan=plan))
         except InvariantViolation as exc:
             raise InvariantViolation(
-                f"spec {spec_hash(spec)} trial {t} seed "
+                f"spec {spec_hash(spec, command)} trial {t} seed "
                 f"{derive_seed(spec.master_seed, t)}: {exc}",
                 rerun=rerun_command(spec, t)) from exc
     return outcomes
@@ -583,14 +606,16 @@ def rerun_command(spec: RunSpec, trial_index: int) -> str:
     """A `mislab trial` command line that ends with the given trial of spec.
 
     A trial's stream depends only on master_seed and its index, so running
-    trials 0..trial_index reproduces it as the last one.
+    trials 0..trial_index reproduces it as the last one. Only the keys a
+    trial reads are written, so the line hashes like the failing run.
     """
     import shlex  # only a failing run needs it; keeps it out of start-up
 
     args = ["mislab", "trial"]
+    read = _read_keys(spec, "trial") - {"master_seed", "trials"}
     for line in canonical_text(spec).splitlines():
         key, _, value = line.partition(" = ")
-        if key not in ("master_seed", "trials") and value not in ("", "None"):
+        if key in read and value not in ("", "None"):
             args += [f"--{key.replace('_', '-')}", shlex.quote(value)]
     args += ["--master-seed", str(spec.master_seed),
              "--trials", str(trial_index + 1)]
@@ -605,11 +630,11 @@ def _cell(value):
     return f"{value:.4f}" if isinstance(value, float) else value
 
 
-def _csv_text(spec: RunSpec, columns: tuple[str, ...],
+def _csv_text(spec: RunSpec, command: str, columns: tuple[str, ...],
               rows: typing.Iterable[typing.Mapping]) -> str:
-    """The CSV of rows under columns: the spec hash first, then each row's
-    values read by the names in columns[1:]."""
-    digest = spec_hash(spec)
+    """The CSV of rows under columns: the spec hash of the `command` run
+    first, then each row's values read by the names in columns[1:]."""
+    digest = spec_hash(spec, command)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -620,7 +645,7 @@ def _csv_text(spec: RunSpec, columns: tuple[str, ...],
 
 def trial_csv_text(spec: RunSpec, records: list[TrialRecord]) -> str:
     """One row per record, by trial; the columns are TrialRecord fields."""
-    return _csv_text(spec, TRIAL_COLUMNS,
+    return _csv_text(spec, "trial", TRIAL_COLUMNS,
                      map(vars, sorted(records, key=lambda r: r.trial)))
 
 
@@ -659,11 +684,13 @@ def run_sweep(spec: RunSpec) -> list[dict[str, float | int]]:
     # a generator builds exactly `size` nodes, so the smallest size decides
     # before any trial whether every Byzantine node fits
     _check_byzantine(spec.byzantine, min(spec.sizes))
+    for size in spec.sizes:
+        check_size(spec.graph, sized_params(spec.graph, size), f"sizes item {size}")
     rows = []
     for size in spec.sizes:
         sized = replace(spec, **sized_params(spec.graph, size),
                         check_invariants=False, instrument=False)
-        outcomes = run_trials(sized)
+        outcomes = run_trials(sized, command="sweep")
         records = [o.record for o in outcomes]
         delta = outcomes[0].graph.max_degree
         rows.append({
@@ -679,7 +706,7 @@ def run_sweep(spec: RunSpec) -> list[dict[str, float | int]]:
 
 
 def sweep_csv_text(spec: RunSpec, rows: list[dict[str, float | int]]) -> str:
-    return _csv_text(spec, SWEEP_COLUMNS, rows)
+    return _csv_text(spec, "sweep", SWEEP_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mislab
-from mislab import harness
+from mislab import graphs, harness
 from mislab.algorithms import AnonymousMIS
 from mislab.cli import RUN_FLAGS, _plain_args, build_parser, main
 from mislab.daemons import DAEMON_KINDS
 from mislab.engine import CANDIDACY, derive_seed
-from mislab.graphs import erdos_renyi, ring, write_graph
+from mislab.errors import ConfigError
+from mislab.graphs import GRAPH_KINDS, erdos_renyi, ring, write_graph
 from mislab.harness import parse_run_spec, spec_hash
 
 ANON_SPEC = """
@@ -73,6 +74,8 @@ WORDS = ["trial", "sweep", "replay", "oracle", *RUN_FLAGS, "--master", "--n=3",
 #: the installed-command lines CI runs in the plain form
 CI_LINES = [
     "trial --algorithm anonymous --graph ring --n 8 --trials 2",
+    "trial --algorithm anonymous --graph ring --n 8 --trials 2 --p 0.3 --hold-rounds 3",
+    "trial --algorithm anonymous --graph ring --n 99999999999999999999",
     "sweep --algorithm anonymous --graph ring --sizes 4,8 --trials 2",
 ]
 
@@ -538,3 +541,112 @@ def test_an_input_file_that_is_not_utf8_exits_2(command, kind, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {target}: not UTF-8 text at byte ")
     assert captured.out == ""
+
+
+RING_TRIAL = ["trial", "--algorithm", "anonymous", "--graph", "ring", "--n", "8",
+              "--daemon", "synchronous", "--trials", "2"]
+RING_SWEEP = ["sweep", "--algorithm", "anonymous", "--graph", "ring",
+              "--daemon", "synchronous", "--trials", "2", "--sizes", "4,8"]
+
+
+@pytest.mark.parametrize("command, extras, digest", [
+    (RING_TRIAL, [[], ["--p", "0.3"], ["--fairness", "3"], ["--x-cap", "7"],
+                  ["--sizes", "4,8"], ["--hold-rounds", "3"], ["--graph-seed", "5"],
+                  ["--density", "0.2"], ["--graph-file", "g.txt"]], "f1686b900b7a"),
+    (RING_SWEEP, [[], ["--check-invariants", "false"], ["--instrument", "true"],
+                  ["--n", "8"]], "5f095ad8bdfb"),
+], ids=["trial", "sweep"])
+def test_keys_a_run_does_not_read_leave_its_csv_alone(command, extras, digest,
+                                                      capsys):
+    """A key the run does not read is accepted and left out of the spec
+    hash: each variant writes the same bytes, under the hash it has
+    without the key."""
+    outputs = set()
+    for extra in extras:
+        assert main([*command, *extra]) == 0
+        outputs.add(capsys.readouterr().out)
+    (csv_text,) = outputs
+    assert {line.split(",")[0] for line in csv_text.splitlines()[1:]} == {digest}
+
+
+def _spec_of(flags):
+    """The spec that `--flag value` pairs set."""
+    return parse_run_spec(
+        "", {RUN_FLAGS[flag]: value for flag, value in zip(flags[::2], flags[1::2])})
+
+
+@pytest.mark.parametrize("base, flags", [
+    (["--graph", "ring", "--n", "8", "--daemon", "aged_fair"], ["--fairness", "3"]),
+    (["--graph", "ring", "--n", "8", "--daemon", "random_subset"],
+     ["--density", "0.2"]),
+    (["--graph", "erdos_renyi", "--n", "8", "--p", "0.5"], ["--p", "0.3"]),
+    (["--graph", "erdos_renyi", "--n", "8", "--p", "0.5"], ["--graph-seed", "5"]),
+    (["--graph", "ring", "--n", "8", "--algorithm", "byzantine"],
+     ["--hold-rounds", "3"]),
+])
+@pytest.mark.parametrize("command", ["trial", "sweep"])
+def test_a_key_the_run_reads_moves_its_hash(base, flags, command):
+    base = ["--algorithm", "anonymous", *base]
+    assert (spec_hash(_spec_of(base), command)
+            != spec_hash(_spec_of(base + flags), command))
+
+
+def test_sizes_stand_in_for_the_size_parameters_only_in_a_sweep(capsys):
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--sizes", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: graph kind 'ring' is missing parameter 'n'\n")
+    text = "algorithm = anonymous\ngraph = ring\nsizes = 4, 8\n"
+    assert parse_run_spec(text, command="sweep") == parse_run_spec(text)
+    with pytest.raises(ConfigError,
+                       match="^graph kind 'ring' is missing parameter 'n'$"):
+        parse_run_spec(text, command="trial")
+    # the benchmark parses its sweep, which sets no n, without a command
+    ring_sweep = BENCHMARK_WORKLOADS["ring-singleton"].spec_text(0)
+    assert parse_run_spec(ring_sweep, command="sweep").n is None
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trial", "--graph", "ring", "--n", "99999999999999999999"],
+     "n = 99999999999999999999 gives 99999999999999999999 nodes; "
+     "at most 10000000"),
+    (["trial", "--graph", "complete", "--n", "200000"],
+     "n = 200000 gives 19999900000 node pairs; at most 100000000"),
+    (["trial", "--graph", "grid", "--rows", "100000", "--cols", "100000"],
+     "rows = 100000, cols = 100000 gives 10000000000 nodes; at most 10000000"),
+    (["trial", "--graph", "star", "--leaves", "99999999999"],
+     "leaves = 99999999999 gives 100000000000 nodes; at most 10000000"),
+    (["trial", "--graph", "erdos_renyi", "--n", "300000", "--p", "0.5"],
+     "n = 300000 gives 44999850000 node pairs; at most 100000000"),
+    (["trial", "--graph", "file", "--graph-file", "{big}"],
+     "line 1: at most 10000000 nodes, got 99999999999999"),
+    (["sweep", "--graph", "ring", "--sizes", "4,99999999999999999999"],
+     "sizes item 99999999999999999999 gives 99999999999999999999 nodes; "
+     "at most 10000000"),
+    (["sweep", "--graph", "complete", "--sizes", "4,20000"],
+     "sizes item 20000 gives 199990000 node pairs; at most 100000000"),
+], ids=["ring", "complete", "grid", "star", "erdos_renyi", "file", "sweep",
+        "sweep-pairs"])
+def test_an_oversized_graph_exits_2_before_any_graph_is_built(
+        argv, message, tmp_path, monkeypatch, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("99999999999999 0\n", encoding="utf-8")
+    for name in ("_from_rows", "make_graph", *GRAPH_KINDS):
+        monkeypatch.setattr(graphs, name, lambda *args: pytest.fail("built"))
+    argv = [word.format(big=big) for word in argv]
+    assert main([*argv, "--algorithm", "anonymous"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_rerun_line_sets_only_the_keys_a_trial_reads():
+    spec = harness.RunSpec(
+        algorithm="anonymous", graph="ring", n=8, p=0.3, graph_seed=5,
+        fairness=3, density=0.2, x_cap=7, hold_rounds=3, sizes=(4, 8),
+        trials=4, master_seed=9)
+    argv = shlex.split(harness.rerun_command(spec, 3))
+    assert argv[:2] == ["mislab", "trial"]
+    assert set(argv[2::2]) == {"--algorithm", "--graph", "--n", "--daemon",
+                               "--init", "--move-ceiling", "--round-ceiling",
+                               "--check-invariants", "--instrument",
+                               "--master-seed", "--trials"}
+    assert spec_hash(_spec_of(argv[2:])) == spec_hash(spec)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mislab import graphs
 from mislab.errors import ConfigError
 from mislab.graphs import (
     GRAPH_KINDS,
+    MAX_NODES,
     UNREACHABLE,
+    check_size,
     complete,
     distances_from,
     erdos_renyi,
@@ -327,3 +330,30 @@ def test_sized_params_cover_sweep_kinds():
     assert sized_params("grid", 12) == {"rows": 3, "cols": 4}
     with pytest.raises(ConfigError):
         sized_params("file", 8)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ring", {"n": 10**6}), ("ring", {"n": MAX_NODES}),
+    ("grid", {"rows": 1000, "cols": 10**4}), ("star", {"leaves": MAX_NODES - 1}),
+    ("erdos_renyi", {"n": 2000, "p": 0.01}), ("complete", {"n": 14142}),
+    # values the generator refuses itself are left to it
+    ("ring", {"n": None}), ("ring", {"n": -5}), ("path", {"n": 2.0}),
+])
+def test_graphs_within_both_caps_pass_the_size_check(kind, params):
+    check_size(kind, params)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("ring", {"n": MAX_NODES + 1},
+     "^n = 10000001 gives 10000001 nodes; at most 10000000$"),
+    ("star", {"leaves": MAX_NODES}, "^leaves = 10000000 gives 10000001 nodes; "),
+    ("complete", {"n": 14143}, "^n = 14143 gives 100005153 node pairs; "
+                               "at most 100000000$"),
+    ("random_tree", {"n": 2 * MAX_NODES}, " 20000000 nodes; "),
+])
+def test_graphs_above_a_cap_are_refused_before_they_are_built(
+        kind, params, message, monkeypatch):
+    for name in ("_from_rows", "make_graph", *GRAPH_KINDS):
+        monkeypatch.setattr(graphs, name, lambda *args: pytest.fail("built"))
+    with pytest.raises(ConfigError, match=message):
+        generate_graph(kind, **params)
