@@ -11,9 +11,10 @@ stderr.
 
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
 (reported with the spec hash, trial and seed, and a command that reruns it).
-An output file appears only once it is complete: a run that exits nonzero
-leaves none behind. Two outputs on one path, or one inside the other's
-directory, exit 2 before any trial.
+Every output is checked and opened before the first trial: one on an
+existing directory, two on one path, or one inside the other's directory
+exit 2. All outputs replace their targets together after the last trial,
+so a run that exits nonzero leaves none behind.
 """
 
 from __future__ import annotations
@@ -63,14 +64,16 @@ def _target(path: str) -> Path:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """A text stream for an output: stdout without a path, else a temporary
-    file beside `_target(path)` that replaces it, and is reported, only once
-    the block completes; on any exception it is removed, with the
-    directories made for it."""
+    """A text stream for an output: None without a path, else a temporary
+    file beside `_target(path)`, refused first if that is a directory, that
+    replaces it, and is reported, only once the block completes; on any
+    exception it is removed, with the directories made for it."""
     if not path:
-        yield sys.stdout
+        yield None
         return
     target = _target(path)
+    if target.is_dir():
+        raise ConfigError(f"{target} is a directory, not a file")
     made = [d for d in target.parents if not d.exists()]  # deepest first
     target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(f".{target.name}.{os.getpid()}.partial")
@@ -87,16 +90,18 @@ def _output(path: str | None):
     print(f"wrote {target}", file=sys.stderr)
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to path, or to stdout without a path, through `_output`."""
+def _write(path: str, text: str) -> None:
+    """Write text to path through `_output`."""
     with _output(path) as fh:
         fh.write(text)
 
 
 def cmd_trial(args) -> int:
     spec = _spec_from_args(args)
+    if spec.ledger_out and not spec.instrument:
+        raise ConfigError("ledger_out requires instrument = true")
     # two outputs on one path would leave a mix of both, or only the last;
-    # one inside the other's directory would fail after every trial
+    # one inside the other's directory could not be written
     writers = {}
     for name, (_, _, readers) in SPEC_KEYS.items():
         path = readers is None and getattr(spec, name)
@@ -109,15 +114,15 @@ def cmd_trial(args) -> int:
                     raise ConfigError(f"{key} writes {other} and {name} "
                                       f"writes {target}, one inside the other")
             writers[target] = name
-    # the trace streams to its file as the trials run
-    with (_output(spec.trace_out) if spec.trace_out
-          else contextlib.nullcontext()) as trace_fh:
+    # every output opens before the first trial, the trace streams to its
+    # file as the trials run, and all replace their targets as the block ends
+    with (_output(spec.ledger_out) as ledger_fh,
+          _output(spec.trace_out) as trace_fh, _output(spec.out) as out_fh):
         outcomes = run_trials(spec, trace_to=trace_fh)
         records = [o.record for o in outcomes]
-        _write(spec.out, trial_csv_text(spec, records))
-    if spec.ledger_out:
-        with _output(spec.ledger_out) as fh:
-            write_ledger_csv((outcome.ledger for outcome in outcomes), fh)
+        (out_fh or sys.stdout).write(trial_csv_text(spec, records))
+        if ledger_fh:
+            write_ledger_csv((outcome.ledger for outcome in outcomes), ledger_fh)
     converged = sum(1 for r in records if r.converged)
     print(f"spec {spec_hash(spec)}: {converged}/{len(records)} trials converged",
           file=sys.stderr)
@@ -126,8 +131,12 @@ def cmd_trial(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_args(args)
-    rows = run_sweep(spec)
-    _write(spec.out, sweep_csv_text(spec, rows))
+    if spec.trace_out or spec.ledger_out:
+        raise ConfigError("a sweep writes no trace or color ledger; "
+                          "drop trace_out and ledger_out")
+    with _output(spec.out) as fh:
+        rows = run_sweep(spec)
+        (fh or sys.stdout).write(sweep_csv_text(spec, rows))
     for row in rows:
         print(f"n={row['n']}: mean moves {row['mean_moves']:.1f} (bound "
               f"{row['moves_bound_3n2']}), mean rounds {row['mean_rounds']:.1f}, "
@@ -173,22 +182,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None):
-    """The command-line parser. Given the command line `argv`, only the
-    subcommands it names get their arguments: parsing it reaches no other
-    subcommand's parser, and the help and error texts stay those of the
-    full parser."""
+def build_parser():
+    """The command-line parser, for every line `_plain_args` does not read."""
     import argparse  # only here: a plain run command line never needs it
     parser = argparse.ArgumentParser(
         prog="mislab",
         description="Simulation lab for randomized self-stabilizing "
                     "maximal-independent-set algorithms.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, add_arguments) in _COMMANDS.items():
-        p_command = sub.add_parser(name, help=text)
-        p_command.set_defaults(func=func)
-        if argv is None or name in argv:
-            add_arguments(p_command)
+    for name, (_, text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
@@ -211,16 +214,15 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
             spec = word
         else:
             return None
-    return SimpleNamespace(command=argv[0], func=_COMMANDS[argv[0]][0],
-                           spec=spec, **values)
+    return SimpleNamespace(command=argv[0], spec=spec, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv) or build_parser(argv).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,8 +51,6 @@ class AgedFairDaemon(Daemon):
     """Random subsets, but any node whose age reaches F-1 is forcibly included."""
 
     def __init__(self, fairness: int):
-        if fairness < 1:
-            raise ConfigError(f"fairness bound must be >= 1, got {fairness}")
         self.fair_bound = fairness
 
     def select(self, g, cfg, activable, rng):
@@ -70,8 +68,6 @@ class RandomSubsetDaemon(Daemon):
     """Each activable node independently with the given density; redrawn if empty."""
 
     def __init__(self, density: float = 0.5):
-        if not (0.0 < density <= 1.0):
-            raise ConfigError(f"density must be in (0,1], got {density}")
         self.density = density
 
     def select(self, g, cfg, activable, rng):
@@ -134,9 +130,7 @@ class ScriptedDaemon(Daemon):
 
     stream = FixedDraws
 
-    def __init__(self, script: Sequence[ScriptStep] | None):
-        if script is None:
-            raise ConfigError("scripted daemon needs a script")
+    def __init__(self, script: Sequence[ScriptStep]):
         self._script = script
         self._next = 0
 

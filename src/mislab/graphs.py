@@ -97,16 +97,19 @@ def path(n: int) -> Graph:
 
 
 def star(leaves: int) -> Graph:
-    """Star with center 0 and `leaves` outer nodes 1..leaves; without leaves,
-    the center alone."""
+    """Star with center 0, row 1..leaves, and `leaves` outer nodes, row (0,)
+    each; without leaves, the center alone."""
     if not isinstance(leaves, int) or leaves < 0:
         raise ConfigError(f"leaves must be a nonnegative integer, got {leaves!r}")
-    return make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return _from_rows(leaves + 1, [range(1, leaves + 1)] + [(0,)] * leaves)
 
 
 def complete(n: int) -> Graph:
+    """Every pair of nodes adjacent: row u is 0..n-1 without u, sliced from
+    one tuple so that the rows share its ints."""
     _require_positive("n", n)
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    nodes = tuple(range(n))
+    return _from_rows(n, [nodes[:u] + nodes[u + 1:] for u in range(n)])
 
 
 def grid(rows: int, cols: int) -> Graph:

@@ -281,8 +281,6 @@ def validate_run_spec(spec: RunSpec, command: str | None = None) -> None:
     if not 0 <= spec.master_seed < 2**64:
         raise ConfigError(
             f"master_seed must be in [0, 2**64), got {spec.master_seed}")
-    if spec.ledger_out and not spec.instrument:
-        raise ConfigError("ledger_out requires instrument = true")
     if spec.move_ceiling < 0 or spec.round_ceiling < 0:
         raise ConfigError("ceilings must be nonnegative (0 means default)")
     if spec.hold_rounds < 0:
@@ -671,16 +669,13 @@ def run_sweep(spec: RunSpec) -> list[dict[str, float | int]]:
     Sizes come from spec.sizes; each size is prepared in its turn, with a
     graph of that many nodes (kind-specific parameters via sized_params), and
     runs spec.trials trials. `check_invariants` and `instrument` are off
-    here, whatever the spec says; dedicated trials cover them. A row is one
-    size's CSV row: a dict keyed by SWEEP_COLUMNS[1:], in that order.
+    here, whatever the spec says; dedicated trials cover them. A row is a
+    dict keyed by SWEEP_COLUMNS[1:], in that order.
     """
     if not spec.sizes:
         raise ConfigError("sweep requires a nonempty 'sizes' list")
     if spec.graph == "file":
         raise ConfigError("sweeps need a generator graph kind, not a file")
-    if spec.trace_out or spec.ledger_out:
-        raise ConfigError("a sweep writes no trace or color ledger; "
-                          "drop trace_out and ledger_out")
     # a generator builds exactly `size` nodes, so the smallest size decides
     # before any trial whether every Byzantine node fits
     _check_byzantine(spec.byzantine, min(spec.sizes))

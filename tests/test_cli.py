@@ -40,30 +40,6 @@ def spec_file(tmp_path):
     return target
 
 
-def _parse_output(parser, argv, capsys):
-    """What parsing argv with parser prints and how it exits: (exit code,
-    stdout, stderr)."""
-    with pytest.raises(SystemExit) as stop:
-        parser.parse_args(argv)
-    captured = capsys.readouterr()
-    return stop.value.code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("argv", [
-    [], ["-h"], ["--help"], ["trial", "--help"], ["sweep", "-h"],
-    ["replay", "--help"], ["oracle", "-h"], ["trial", "--bogus", "1"],
-    ["sweep", "a.spec", "b.spec"], ["replay", "--n", "3"], ["oracle"],
-    ["nosuch"], ["--bogus", "trial", "--n", "3"], ["trial", "--n"],
-])
-def test_a_parser_with_only_the_named_subcommands_reads_as_the_full_one(
-        argv, capsys):
-    """main builds the arguments of the subcommands its command line names
-    only; help, usage and error texts and exit codes are the full
-    parser's, byte for byte."""
-    assert _parse_output(build_parser(argv), argv, capsys) == _parse_output(
-        build_parser(), argv, capsys)
-
-
 #: what command lines are built from: every exact run flag, forms only
 #: argparse reads (abbreviations, `--flag=value`, help, `--`, values that
 #: begin with "-") and values argparse might split or read as options
@@ -88,7 +64,7 @@ def _assert_reads_as_argparse(argv):
     namespace."""
     plain = _plain_args(argv)
     if plain is not None:
-        assert vars(plain) == vars(build_parser(argv).parse_args(argv))
+        assert vars(plain) == vars(build_parser().parse_args(argv))
     return plain
 
 
@@ -519,6 +495,97 @@ def test_an_output_inside_another_outputs_directory_exits_2_before_any_trial(
         f"error: {message.format(out=out)}, one inside the other\n")
     assert trials == []
     assert list(tmp_path.iterdir()) == []
+
+
+#: a trial's three outputs, by key: its flag and the file name it writes
+OUTPUT_FILES = {"out": ("--out", "r.csv"), "trace_out": ("--trace-out", "t.txt"),
+                "ledger_out": ("--ledger-out", "c.csv")}
+
+
+def _no_trial(monkeypatch):
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: pytest.fail("a trial ran"))
+
+
+@pytest.mark.parametrize("key", OUTPUT_FILES)
+def test_an_output_on_a_directory_exits_2_before_any_trial_and_writes_nothing(
+        key, tmp_path, monkeypatch, capsys):
+    """The other outputs keep their older files: no output replaces its
+    target unless every one can be written."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("D")
+    flags = ["--instrument", "true"]
+    for other, (flag, name) in OUTPUT_FILES.items():
+        if other != key:
+            Path(name).write_text("old", encoding="utf-8")
+        flags += [flag, "D" if other == key else name]
+    _no_trial(monkeypatch)
+    before = sorted(tmp_path.iterdir())
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "6", "--trials", "2", *flags]) == 2
+    assert capsys.readouterr().err == "error: D is a directory, not a file\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert list(Path("D").iterdir()) == []
+    for other, (_, name) in OUTPUT_FILES.items():
+        if other != key:
+            assert Path(name).read_text(encoding="utf-8") == "old"
+
+
+def test_a_sweep_output_on_a_directory_exits_2_before_any_trial(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("D")
+    _no_trial(monkeypatch)
+    assert main(["sweep", "--algorithm", "anonymous", "--graph", "ring",
+                 "--sizes", "4,8", "--out", "D"]) == 2
+    assert capsys.readouterr().err == "error: D is a directory, not a file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["D"]
+    assert list(Path("D").iterdir()) == []
+
+
+def test_an_output_under_a_regular_file_exits_2_before_any_trial(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_text("old", encoding="utf-8")
+    _no_trial(monkeypatch)
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "6", "--trials", "2", "--out", "f/x.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert Path("f").read_text(encoding="utf-8") == "old"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("trial", ["--n", "6", "--ledger-out", "c.csv"],
+     "ledger_out requires instrument = true"),
+    ("sweep", ["--sizes", "4,8", "--trace-out", "t.txt"],
+     "a sweep writes no trace or color ledger; drop trace_out and ledger_out"),
+    ("sweep", ["--sizes", "4,8", "--instrument", "true", "--ledger-out", "c.csv"],
+     "a sweep writes no trace or color ledger; drop trace_out and ledger_out"),
+], ids=["ledger-without-instrument", "sweep-trace", "sweep-ledger"])
+def test_an_output_its_run_cannot_write_exits_2_before_any_trial(
+        command, flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _no_trial(monkeypatch)
+    assert main([command, "--algorithm", "anonymous", "--graph", "ring",
+                 *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_trial_reports_its_outputs_in_order(tmp_path, monkeypatch, capsys):
+    """The CSV, then the trace, then the ledger, then the summary line."""
+    monkeypatch.chdir(tmp_path)
+    flags = ["--instrument", "true"]
+    for flag, name in OUTPUT_FILES.values():
+        flags += [flag, name]
+    assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "6", "--trials", "2", *flags]) == 0
+    *wrote, summary = capsys.readouterr().err.splitlines()
+    assert wrote == [f"wrote {name}" for _, name in OUTPUT_FILES.values()]
+    assert summary.endswith(": 2/2 trials converged")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for _, name in OUTPUT_FILES.values())
 
 
 @pytest.mark.parametrize("command, kind", [

@@ -125,23 +125,28 @@ def test_every_generator_builds_well_formed_rows(kind, size, p, seed):
 
 
 def test_erdos_renyi_memory_stays_bounded():
-    """G(2000, 0.01) is held once, as rows: the build peaks under 2.5 MiB
-    and the graph keeps under 1.5 MiB."""
+    """Generated graphs are held once, as rows: G(2000, 0.01) peaks under
+    2.5 MiB and keeps under 1.5 MiB; complete(1000), whose rows share one
+    tuple's ints, under 10 MiB (its 999 000 row entries take 7.6 MiB)."""
     erdos_renyi(10, 0.5)  # one-time allocations of a first call are not the build's
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        g = erdos_renyi(2000, 0.01)
-        now, peak = tracemalloc.get_traced_memory()
-    finally:
+    complete(10)
+    for build, n, peak_mib, kept_mib in (
+            (lambda: erdos_renyi(2000, 0.01), 2000, 2.5, 1.5),
+            (lambda: complete(1000), 1000, 10, 10)):
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert g.n == 2000
-    assert peak - before < 2.5 * 2**20
-    assert now - before < 1.5 * 2**20
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g = build()
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert g.n == n
+        assert peak - before < peak_mib * 2**20
+        assert now - before < kept_mib * 2**20
 
 
 def test_grid_two_by_three():
