@@ -1,20 +1,18 @@
 """Command line front end.
 
-Subcommands: trial, sweep, replay, oracle. Every run-spec key is mirrored by
-a flag, whose value is taken whole; flags override values read from a spec
-file. A plain `trial` or `sweep` command line (`_plain_args`) is read
-directly; every other one goes to argparse, imported only then, with the
-same result and the same help and error texts. Relative output paths
-resolve against $MISLAB_OUT when it is set.
-stdout carries data only; status lines, "wrote <path>" among them, go to
-stderr.
+Subcommands: trial, sweep, replay, oracle, read by `read_args` in one pass;
+a line it cannot read exits 2 like any other bad input. Every run-spec key
+is mirrored by a flag; flags override values read from a spec file.
+Relative output paths resolve against $MISLAB_OUT when it is set. stdout
+carries data only; status lines, "wrote <path>" among them, go to stderr.
 
 Exit codes: 0 success, 1 replay mismatch, 2 bad input, 3 invariant violation
 (reported with the spec hash, trial and seed, and a command that reruns it).
 Every output is checked and opened before the first trial: one on an
-existing directory, two on one path, or one inside the other's directory
-exit 2. All outputs replace their targets together after the last trial,
-so a run that exits nonzero leaves none behind.
+existing directory, two on one path (compared once `..` and symlinks
+resolve), or one inside the other's directory exit 2. All outputs replace
+their targets together after the last trial, so a run that exits nonzero
+leaves none behind.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .harness import (
 
 OUTPUT_DIR_ENV = "MISLAB_OUT"
 
-#: each run-spec key's flag -> the key; the parser and `_plain_args` read it
+#: each run-spec key's flag -> the key: the flags of trial and sweep
 RUN_FLAGS = {f"--{key.replace('_', '-')}": key for key in SPEC_KEYS}
 
 
@@ -100,20 +98,21 @@ def cmd_trial(args) -> int:
     spec = _spec_from_args(args)
     if spec.ledger_out and not spec.instrument:
         raise ConfigError("ledger_out requires instrument = true")
-    # two outputs on one path would leave a mix of both, or only the last;
-    # one inside the other's directory could not be written
-    writers = {}
+    # two outputs on one path, however spelled, would leave a mix of both or
+    # only the last; one inside the other's directory could not be written
+    writers = {}  # resolved target -> its key and its target as given
     for name, (_, _, readers) in SPEC_KEYS.items():
         path = readers is None and getattr(spec, name)
         if path:
             target = _target(path)
-            for other, key in writers.items():
-                if other == target:
+            real = target.resolve()
+            for other, (key, given) in writers.items():
+                if other == real:
                     raise ConfigError(f"{key} and {name} both write {target}")
-                if other in target.parents or target in other.parents:
-                    raise ConfigError(f"{key} writes {other} and {name} "
+                if other in real.parents or real in other.parents:
+                    raise ConfigError(f"{key} writes {given} and {name} "
                                       f"writes {target}, one inside the other")
-            writers[target] = name
+            writers[real] = name, target
     # every output opens before the first trial, the trace streams to its
     # file as the trials run, and all replace their targets as the block ends
     with (_output(spec.ledger_out) as ledger_fh,
@@ -165,64 +164,64 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _run_arguments(parser) -> None:
-    parser.add_argument("spec", nargs="?", help="run spec file (key = value lines)")
-    for flag, name in RUN_FLAGS.items():
-        parser.add_argument(flag, dest=name)
-
-
-#: subcommand -> (its function, its help line, what adds its arguments)
+#: command -> its function, its help line, its flags (flag -> key) and its
+#: positional argument, if any, as its usage shows it: in brackets if optional
 _COMMANDS = {
-    "trial": (cmd_trial, "run seeded trials from a run spec", _run_arguments),
-    "sweep": (cmd_sweep, "run a size sweep and emit aggregates", _run_arguments),
+    "trial": (cmd_trial, "run seeded trials from a run spec", RUN_FLAGS, "[spec]"),
+    "sweep": (cmd_sweep, "run a size sweep and emit aggregates", RUN_FLAGS, "[spec]"),
     "replay": (cmd_replay, "check the built-in scripted reference execution",
-               lambda p: p.add_argument("--trace-out", dest="trace_out")),
+               {"--trace-out": "trace_out"}, ""),
     "oracle": (cmd_oracle, "enumerate all maximal independent sets of a graph file",
-               lambda p: p.add_argument("graph_file")),
+               {}, "graph_file"),
 }
 
 
-def build_parser():
-    """The command-line parser, for every line `_plain_args` does not read."""
-    import argparse  # only here: a plain run command line never needs it
-    parser = argparse.ArgumentParser(
-        prog="mislab",
-        description="Simulation lab for randomized self-stabilizing "
-                    "maximal-independent-set algorithms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=text))
-    return parser
+def _usage(command: str) -> str:
+    """What `command` does, and its usage line."""
+    _, text, flags, positional = _COMMANDS[command]
+    words = [command, "[-h]", positional.upper(), flags and "[--FLAG VALUE]..."]
+    return f"mislab {command}: {text}\nusage: mislab {' '.join(filter(None, words))}"
 
 
-def _plain_args(argv: list[str]) -> SimpleNamespace | None:
-    """argparse's namespace for a plain run command line: `trial` or `sweep`,
-    at most one spec file, and `--flag value` pairs, each flag in RUN_FLAGS
-    and no value beginning with "-" (the last repeat wins); else None."""
-    if not argv or argv[0] not in ("trial", "sweep"):
+def read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command line, or None once its help is printed:
+    the command; flags spelled in full, each taking the next word whole or
+    the text after "="; one positional word. Else a ConfigError."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(*map(_usage, _COMMANDS), sep="\n")
         return None
-    values = dict.fromkeys(RUN_FLAGS.values())
-    spec = None
+    if command not in _COMMANDS:
+        raise ConfigError(f"expected a command: {', '.join(_COMMANDS)} (mislab -h)")
+    _, _, flags, positional = _COMMANDS[command]
+    slots = positional.strip("[]").split()  # the positional's name until set
+    values = dict.fromkeys([*flags.values(), *slots])
     words = iter(argv[1:])
     for word in words:
-        if word.startswith("-"):
-            value = next(words, "-")  # a flag with no value is refused too
-            if word not in RUN_FLAGS or value.startswith("-"):
-                return None
-            values[RUN_FLAGS[word]] = value
-        elif spec is None:
-            spec = word
-        else:
+        if word in ("-h", "--help"):
+            print(_usage(command), *flags, sep="\n  ")
             return None
-    return SimpleNamespace(command=argv[0], spec=spec, **values)
+        if word.startswith("-"):
+            flag, eq, value = word.partition("=")
+            if flag not in flags:
+                raise ConfigError(f"{command}: unknown flag {flag!r}")
+            value = value if eq else next(words, None)
+            if value is None:
+                raise ConfigError(f"{command}: {flag} takes a value")
+            values[flags[flag]] = value
+        elif slots:
+            values[slots.pop()] = word
+        else:
+            raise ConfigError(f"{command}: unexpected argument {word!r}")
+    if slots and not positional.startswith("["):
+        raise ConfigError(f"{command}: missing {positional}")
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        args = read_args(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _COMMANDS[args.command][0](args)
     except (ConfigError, ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -234,8 +234,8 @@ def validate_run_spec(spec: RunSpec, command: str | None = None) -> None:
         if not spec.graph_file:
             raise ConfigError("graph = file requires graph_file")
     else:
-        # a sweep sets the size parameters of each size itself
-        sized = {}
+        # a sweep sets the size parameters of each size itself, even of none
+        sized = sized_params(spec.graph, 1) if command == "sweep" else {}
         for size in spec.sizes:
             sized = sized_params(spec.graph, size)
         for name in GENERATORS[spec.graph][0]:

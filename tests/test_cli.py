@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import pkgutil
@@ -15,12 +16,12 @@ from hypothesis import strategies as st
 import mislab
 from mislab import graphs, harness
 from mislab.algorithms import AnonymousMIS
-from mislab.cli import RUN_FLAGS, _plain_args, build_parser, main
+from mislab.cli import RUN_FLAGS, _spec_from_args, main, read_args
 from mislab.daemons import DAEMON_KINDS
 from mislab.engine import CANDIDACY, derive_seed
 from mislab.errors import ConfigError
 from mislab.graphs import GRAPH_KINDS, erdos_renyi, ring, write_graph
-from mislab.harness import parse_run_spec, spec_hash
+from mislab.harness import SPEC_KEYS, parse_run_spec, spec_hash
 
 ANON_SPEC = """
 algorithm = anonymous
@@ -40,9 +41,9 @@ def spec_file(tmp_path):
     return target
 
 
-#: what command lines are built from: every exact run flag, forms only
-#: argparse reads (abbreviations, `--flag=value`, help, `--`, values that
-#: begin with "-") and values argparse might split or read as options
+#: what command lines are built from: every exact run flag, forms the reader
+#: refuses or reads specially (abbreviations, `--flag=value`, help, `--`,
+#: values that begin with "-") and values with blanks, '#' or a newline
 WORDS = ["trial", "sweep", "replay", "oracle", *RUN_FLAGS, "--master", "--n=3",
          "--trace-out", "-h", "--help", "--", "-1", "-x", "", "a b", "x#1",
          "a\nb", "ring", "8", "run.spec"]
@@ -57,15 +58,6 @@ CI_LINES = [
 
 BENCHMARK_WORKLOADS = runpy.run_path(str(
     Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))["WORKLOADS"]
-
-
-def _assert_reads_as_argparse(argv):
-    """Where the plain reader takes argv, argparse reads it too, to the same
-    namespace."""
-    plain = _plain_args(argv)
-    if plain is not None:
-        assert vars(plain) == vars(build_parser().parse_args(argv))
-    return plain
 
 
 @st.composite
@@ -86,8 +78,18 @@ def run_lines(draw):
     run_lines()))
 @example(argv=["trial", "run.spec", "--n", "3", "--n", "4", "--out", "x#1"])
 @example(argv=["sweep", "--n", "3", "", "--graph", "a\nb"])
-def test_the_plain_reader_reads_as_argparse(argv):
-    _assert_reads_as_argparse(argv)
+def test_read_args_returns_a_namespace_or_none_or_raises_config_error(argv):
+    """No command line ends in SystemExit or any other exception; a
+    namespace holds the command's keys and no other."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = read_args(argv)
+        except ConfigError:
+            return
+    if args is not None:
+        keys = set(vars(args)) - {"command"}
+        assert keys == {"trial": {"spec", *SPEC_KEYS}, "sweep": {"spec", *SPEC_KEYS},
+                        "replay": {"trace_out"}, "oracle": {"graph_file"}}[args.command]
 
 
 @pytest.mark.parametrize("argv", [
@@ -95,36 +97,96 @@ def test_the_plain_reader_reads_as_argparse(argv):
     *(line.split() for line in CI_LINES),
 ])
 def test_benchmark_and_ci_command_lines_take_the_plain_path(argv):
-    assert _assert_reads_as_argparse(argv) is not None
+    """Each benchmark and CI line is `--flag value` pairs, read as such."""
+    assert vars(read_args(argv)) == {
+        "command": argv[0], "spec": None, **dict.fromkeys(SPEC_KEYS),
+        **{RUN_FLAGS[flag]: value for flag, value in zip(argv[1::2], argv[2::2])}}
 
 
-@pytest.mark.parametrize("argv", [
-    ["trial", "--algorithm=anonymous", "--graph=ring", "--n=8", "--trials=2"],
-    ["trial", "--help"], ["sweep", "-h"], ["trial", "-x"], ["trial", "-1"],
-    ["trial", "--master", "3"], ["trial", "--n", "-1"],
-    ["trial", "a.spec", "b.spec"], ["trial", "--n"], ["trial", "--", "a.spec"],
-    ["replay"], ["oracle", "g.txt"], [],
+#: flag values the reader takes whole
+ODD_VALUES = ["-1", "-g.txt", "-h", "--help", "--n", "a=b", "=", "x#1", "a b",
+              " 4 ", "a\nb", ""]
+
+
+@pytest.mark.parametrize("flag", RUN_FLAGS)
+def test_a_flag_reads_the_same_with_and_without_equals(flag):
+    """In either form the value is taken whole, and the last repeat wins."""
+    for value in ODD_VALUES:
+        apart = read_args(["trial", flag, value, "run.spec"])
+        assert getattr(apart, RUN_FLAGS[flag]) == value
+        assert vars(read_args(["trial", f"{flag}={value}", "run.spec"])) == vars(apart)
+    last = read_args(["sweep", flag, "1", f"{flag}=2", flag, "3"])
+    assert getattr(last, RUN_FLAGS[flag]) == "3"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "expected a command: trial, sweep, replay, oracle (mislab -h)"),
+    (["run"], "expected a command: trial, sweep, replay, oracle (mislab -h)"),
+    (["--n", "8"], "expected a command: trial, sweep, replay, oracle (mislab -h)"),
+    (["trial", "--master", "3"], "trial: unknown flag '--master'"),
+    (["sweep", "--alg=anonymous"], "sweep: unknown flag '--alg'"),
+    (["trial", "-x"], "trial: unknown flag '-x'"),
+    (["trial", "-1"], "trial: unknown flag '-1'"),
+    (["trial", "--", "a.spec"], "trial: unknown flag '--'"),
+    (["replay", "--out", "r.csv"], "replay: unknown flag '--out'"),
+    (["trial", "--n"], "trial: --n takes a value"),
+    (["replay", "--trace-out"], "replay: --trace-out takes a value"),
+    (["trial", "a.spec", "b.spec"], "trial: unexpected argument 'b.spec'"),
+    (["replay", "x"], "replay: unexpected argument 'x'"),
+    (["oracle", "g.txt", "h.txt"], "oracle: unexpected argument 'h.txt'"),
+    (["oracle"], "oracle: missing graph_file"),
+], ids=["none", "unknown-command", "flag-first", "abbreviated", "abbreviated-equals",
+        "short", "negative", "double-dash", "other-commands-flag", "no-value",
+        "replay-no-value", "second-spec", "replay-argument", "second-graph-file",
+        "no-graph-file"])
+def test_a_line_the_reader_refuses_exits_2_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("trial", RUN_FLAGS), ("sweep", RUN_FLAGS), ("replay", ["--trace-out"]),
+    ("oracle", []),
 ])
-def test_other_command_lines_go_to_argparse(argv):
-    assert _plain_args(argv) is None
+def test_help_exits_0_and_names_every_flag(command, flags, capsys):
+    assert main([command, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"mislab {command}: ")
+    assert [line.strip() for line in out.splitlines()[2:]] == list(flags)
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == out
 
 
-def test_a_plain_run_loads_no_argparse():
-    """A plain run command line runs without importing argparse, or the
-    gettext module it brings, in a fresh interpreter."""
+def test_mislab_help_lists_the_commands(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()[::2]] == [
+        "mislab trial", "mislab sweep", "mislab replay", "mislab oracle"]
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_a_plain_run_loads_no_argparse(tmp_path):
+    """No command line imports argparse, or the gettext module it brings,
+    in a fresh interpreter: a plain run, an `=` run, help, replay, oracle
+    and a refused line."""
+    graph = tmp_path / "path3.txt"
+    graph.write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    run = ["--algorithm", "anonymous", "--graph", "ring", "--n", "8", "--trials", "1"]
+    lines = [["trial", *run], ["trial", *map("=".join, zip(run[::2], run[1::2]))],
+             ["trial", "-h"], ["replay"], ["oracle", str(graph)], ["trial", "--master", "3"]]
     code = (
         "import sys\n"
         "import mislab.cli\n"
-        "mislab.cli.main(['trial', '--algorithm', 'anonymous', '--graph', 'ring',"
-        " '--n', '8', '--trials', '1'])\n"
-        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        f"codes = [mislab.cli.main(argv) for argv in {lines!r}]\n"
+        "print(codes, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
     )
     env = dict(os.environ,
                PYTHONPATH=str(Path(mislab.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 2] []"
 
 
 def test_trial_to_stdout(spec_file, capsys):
@@ -456,19 +518,23 @@ def test_a_flag_value_cannot_set_another_key(capsys):
     (["--out", "r.txt", "--trace-out", "r.txt"], "out and trace_out", "r.txt"),
     (["--instrument", "true", "--out", "{out}/q.txt", "--ledger-out", "./q.txt"],
      "out and ledger_out", "q.txt"),
+    (["--out", "d/../r.csv", "--trace-out", "r.csv"], "out and trace_out", "r.csv"),
+    (["--out", "{link}/s.csv", "--trace-out", "s.csv"], "out and trace_out", "s.csv"),
 ])
 def test_two_outputs_on_one_path_exit_2_before_any_trial(
-        flags, keys, name, tmp_path, monkeypatch, capsys):
+        flags, keys, name, tmp_path, tmp_path_factory, monkeypatch, capsys):
     """Paths compare as the run would write them: under $MISLAB_OUT, with
-    './' dropped."""
+    './' and '..' dropped and symlinks followed; no directory is made."""
     out = tmp_path / "out"
+    link = tmp_path_factory.mktemp("links") / "link"  # another name for out
+    link.symlink_to(out, target_is_directory=True)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("MISLAB_OUT", str(out))
     trials = []
     monkeypatch.setattr(harness, "run_trial",
                         lambda *args, **kwargs: trials.append(args))
     assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
-                 "--n", "4", *(flag.format(out=out) for flag in flags)]) == 2
+                 "--n", "4", *(flag.format(out=out, link=link) for flag in flags)]) == 2
     assert capsys.readouterr().err == f"error: {keys} both write {out / name}\n"
     assert trials == []
     assert list(tmp_path.iterdir()) == []
@@ -703,6 +769,43 @@ def test_an_oversized_graph_exits_2_before_any_graph_is_built(
     argv = [word.format(big=big) for word in argv]
     assert main([*argv, "--algorithm", "anonymous"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_sweep_without_sizes_names_sizes(capsys):
+    """A sweep sets the size parameters itself, so it is refused for its
+    missing sizes, not for a size parameter; G(n, p) still needs p."""
+    base = ["sweep", "--algorithm", "anonymous"]
+    assert main([*base, "--graph", "ring"]) == 2
+    assert capsys.readouterr().err == "error: sweep requires a nonempty 'sizes' list\n"
+    for extra in [], ["--sizes", "4,8"]:
+        assert main([*base, "--graph", "erdos_renyi", *extra]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph kind 'erdos_renyi' is missing parameter 'p'\n")
+
+
+@pytest.mark.parametrize("spec", [
+    harness.RunSpec(algorithm="anonymous", graph="file", graph_file="-g.txt",
+                    trials=2, master_seed=3),
+    harness.RunSpec(algorithm="anonymous", graph="file", graph_file="g.txt",
+                    daemon="scripted", script_file="-s.txt", init="all_bot",
+                    trials=2, master_seed=3),
+], ids=["graph-file", "script-file"])
+def test_a_rerun_line_naming_a_file_that_begins_with_a_dash_reruns(
+        spec, tmp_path, monkeypatch, capsys):
+    """The line reads back to the spec's hash, and runs, with the file name
+    as its flag's value."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("-g.txt", "g.txt"):
+        with open(name, "w", encoding="utf-8") as fh:
+            write_graph(graphs.make_graph(4, harness.REFERENCE_EDGES), fh)
+    Path("-s.txt").write_text("".join(
+        line.split()[1] + "\n" for line in harness.REFERENCE_TRACE.splitlines()[1:]),
+        encoding="utf-8")
+    argv = shlex.split(harness.rerun_command(spec, 1))[1:]
+    assert spec_hash(_spec_from_args(read_args(argv))) == spec_hash(spec)
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [spec_hash(spec)] * 2
 
 
 def test_a_rerun_line_sets_only_the_keys_a_trial_reads():

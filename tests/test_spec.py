@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mislab import harness
 from mislab.algorithms import ALGORITHMS
 from mislab.byzantine import STRATEGY_KINDS
-from mislab.cli import _spec_from_args, build_parser, main
+from mislab.cli import _spec_from_args, main, read_args
 from mislab.daemons import DAEMON_KINDS
 from mislab.engine import (
     BYZ,
@@ -96,15 +96,14 @@ def test_spec_round_trips_through_canonical_text_and_flags(spec):
     for line in text.splitlines():
         key, _, value = line.partition(" = ")
         argv += [f"--{key.replace('_', '-')}", value]
-    assert _spec_from_args(build_parser().parse_args(argv)) == spec
+    assert _spec_from_args(read_args(argv)) == spec
 
 
 @pytest.mark.parametrize("command", ["trial", "sweep"])
 def test_every_field_is_a_cli_flag(command):
-    parser = build_parser()
     assert tuple(f"--{f.name.replace('_', '-')}" for f in fields(RunSpec)) == SPEC_FLAGS
     for f in fields(RunSpec):
-        args = parser.parse_args([command, f"--{f.name.replace('_', '-')}", "v"])
+        args = read_args([command, f"--{f.name.replace('_', '-')}", "v"])
         assert getattr(args, f.name) == "v"
 
 
