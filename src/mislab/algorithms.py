@@ -19,24 +19,25 @@ of u's neighbors with s = 1: O(1) per evaluation. The guards of each rule
 set are mutually exclusive, so it returns u's one enabled rule, or None.
 
 A transition is one call, `step(g, state, nodes, activable, strategies,
-rng) -> (rules, draws, new_s, new_x)`, over the ascending list of its
-movers. One loop reads each mover's rule from the activable map, checks
-the order and the membership of the list, and computes every mover's next
-state from the current `state.s` and `state.x`, writing none: a mover on
-the algorithm's `random_rule` draws its Bernoulli from `rng`, and a faulty
-mover's move is its strategy's `act`, each at its node's place in
-ascending order, so a seed still fixes one draw per probabilistic move in
-that order. A list that is empty, not strictly ascending or names a node
-without a rule gives None; the stepper then has `validate_move_set` name
-the violation. The stepper calls it once per transition.
+rng) -> (rules, draws, new_s, new_x)`, shared by both rule sets, over the
+ascending list of its movers. One loop reads each mover's rule from the
+activable map, checks the order and the membership of the list, and
+computes every mover's next state from the current `state.s` and
+`state.x`, writing none: new_x[i] is the x the move writes, or None if it
+writes none. A mover on a probabilistic rule draws its Bernoulli from
+`rng`, and a faulty mover's move is its strategy's `act`, taken whole,
+each at its node's place in ascending order, so a seed still fixes one
+draw per probabilistic move in that order. A list that is empty, not
+strictly ascending or names a node without a rule gives None; the stepper
+then has `validate_move_set` name the violation.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .engine import BYZ, CANDIDACY, REFRESH, TRY_CANDIDACY, TRY_WITHDRAW, WITHDRAW
-from .errors import EngineError, known_kind
+from .engine import CANDIDACY, REFRESH, TRY_CANDIDACY, TRY_WITHDRAW, WITHDRAW
+from .errors import known_kind
 from .graphs import Graph
 
 
@@ -54,7 +55,48 @@ def candidacy_probability(g: Graph, x, u: int) -> float:
     return 1.0 / (1.0 + m)
 
 
-class ByzantineMIS:
+class RuleSet:
+    """One `step` for both rule sets (module docstring); a subclass gives
+    its `name`, `uses_x`, `rules`, `random_rule` and `enabled_rules`."""
+
+    def step(self, g: Graph, state, nodes: Sequence[int],
+             activable: dict[int, str], strategies: dict, rng):
+        """(rules, draws, new_s, new_x) of the movers `nodes`, or None for
+        a bad list (module docstring)."""
+        if not nodes:
+            return None
+        s, x, adjacency, bernoulli = state.s, state.x, g.adjacency, rng.bernoulli
+        rules, draws, new_s, new_x = [], [], [], []
+        prev = -1
+        for u in nodes:
+            rule = activable.get(u)
+            if rule is None or u <= prev:
+                return None
+            prev = u
+            draw = xu = None
+            # the two rule sets alternate, each one's most frequent first
+            if rule is TRY_CANDIDACY:
+                draw = bernoulli(candidacy_probability(g, x, u))
+                su = True if draw == 1 else s[u]
+            elif rule is TRY_WITHDRAW:
+                draw = bernoulli(0.5)
+                su = False if draw == 1 else s[u]
+            elif rule is REFRESH:
+                su, xu = s[u], len(adjacency[u])
+            elif rule is CANDIDACY:
+                su = True
+            elif rule is WITHDRAW:
+                su = False
+            else:  # BYZ
+                su, xu = strategies[u].act(state, u, rng)
+            rules.append(rule)
+            draws.append(draw)
+            new_s.append(su)
+            new_x.append(xu)
+        return rules, draws, new_s, new_x
+
+
+class ByzantineMIS(RuleSet):
     """Refresh / Try-candidacy / Withdrawal rules over (s, x) states."""
 
     name = "byzantine"
@@ -71,46 +113,8 @@ class ByzantineMIS:
             return None if up[u] else TRY_CANDIDACY
         return WITHDRAW if up[u] else None
 
-    def step(self, g: Graph, state, nodes: Sequence[int],
-             activable: dict[int, str], strategies: dict, rng):
-        """(rules, draws, new_s, new_x) of the movers `nodes`, or None for
-        a bad list (module docstring)."""
-        if not nodes:
-            return None
-        s, x, adjacency, bernoulli = state.s, state.x, g.adjacency, rng.bernoulli
-        rules, draws, new_s, new_x = [], [], [], []
-        prev = -1
-        for u in nodes:
-            rule = activable.get(u)
-            if rule is None or u <= prev:
-                return None
-            prev = u
-            if rule is TRY_CANDIDACY:
-                draw = bernoulli(candidacy_probability(g, x, u))
-                new_s.append(True if draw == 1 else s[u])
-                new_x.append(x[u])
-            elif rule is REFRESH:
-                draw = None
-                new_s.append(s[u])
-                new_x.append(len(adjacency[u]))
-            elif rule is WITHDRAW:
-                draw = None
-                new_s.append(False)
-                new_x.append(x[u])
-            elif rule is BYZ:
-                draw = None
-                su, xu = strategies[u].act(state, u, rng)
-                new_s.append(su)
-                new_x.append(xu)
-            else:
-                raise EngineError(
-                    f"rule {rule} does not belong to {self.name}")
-            rules.append(rule)
-            draws.append(draw)
-        return rules, draws, new_s, new_x
 
-
-class AnonymousMIS:
+class AnonymousMIS(RuleSet):
     """Candidacy / Try-withdrawal rules over bare s states."""
 
     name = "anonymous"
@@ -124,36 +128,6 @@ class AnonymousMIS:
         if s[u]:
             return TRY_WITHDRAW if up[u] else None
         return None if up[u] else CANDIDACY
-
-    def step(self, g: Graph, state, nodes: Sequence[int],
-             activable: dict[int, str], strategies: dict, rng):
-        """(rules, draws, new_s, None) of the movers `nodes`, or None for a
-        bad list (module docstring); a faulty mover's x is dropped."""
-        if not nodes:
-            return None
-        s, bernoulli = state.s, rng.bernoulli
-        rules, draws, new_s = [], [], []
-        prev = -1
-        for u in nodes:
-            rule = activable.get(u)
-            if rule is None or u <= prev:
-                return None
-            prev = u
-            if rule is TRY_WITHDRAW:
-                draw = bernoulli(0.5)
-                new_s.append(False if draw == 1 else s[u])
-            elif rule is CANDIDACY:
-                draw = None
-                new_s.append(True)
-            elif rule is BYZ:
-                draw = None
-                new_s.append(strategies[u].act(state, u, rng)[0])
-            else:
-                raise EngineError(
-                    f"rule {rule} does not belong to {self.name}")
-            rules.append(rule)
-            draws.append(draw)
-        return rules, draws, new_s, None
 
 
 ALGORITHMS = {

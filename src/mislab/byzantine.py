@@ -3,7 +3,8 @@
 A faulty node never runs algorithm rules; when the daemon activates it, its
 strategy rewrites the node's own s (and x) arbitrarily. A strategy gets the
 run's stepper (`engine.Activity`) and reads only the node's own `.s` and
-`.x`, so it stays within the model's information access.
+`.x`, so it stays within the model's information access. It returns the
+node's (s, x), with x None where the state keeps no x.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class DegreeLiar(Strategy):
     """Advertises a huge degree to depress neighbors' candidacy probability."""
 
     def act(self, state, u: int, rng):
-        return False, self.x_cap
+        return False, self.x_cap if state.x is not None else None
 
 
 class UniformRandom(Strategy):

@@ -48,7 +48,7 @@ RUN_FLAGS = {f"--{key.replace('_', '-')}": key for key in SPEC_KEYS}
 
 def _spec_from_args(args) -> RunSpec:
     return parse_run_spec(
-        read_text(args.spec) if args.spec else "",
+        read_text(args.spec) if args.spec is not None else "",
         {key: getattr(args, key) for key in SPEC_KEYS
          if getattr(args, key) is not None}, args.command)
 
@@ -117,11 +117,19 @@ def cmd_trial(args) -> int:
     # file as the trials run, and all replace their targets as the block ends
     with (_output(spec.ledger_out) as ledger_fh,
           _output(spec.trace_out) as trace_fh, _output(spec.out) as out_fh):
-        outcomes = run_trials(spec, trace_to=trace_fh)
-        records = [o.record for o in outcomes]
-        (out_fh or sys.stdout).write(trial_csv_text(spec, records))
+        # hold one trial at a time: write its ledger rows, keep its record
+        records = []
+
+        def ledgers():
+            for outcome in run_trials(spec, trace_to=trace_fh):
+                records.append(outcome.record)
+                yield outcome.ledger
         if ledger_fh:
-            write_ledger_csv((outcome.ledger for outcome in outcomes), ledger_fh)
+            write_ledger_csv(ledgers(), ledger_fh)
+        else:
+            for _ in ledgers():
+                pass
+        (out_fh or sys.stdout).write(trial_csv_text(spec, records))
     converged = sum(1 for r in records if r.converged)
     print(f"spec {spec_hash(spec)}: {converged}/{len(records)} trials converged",
           file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import IO, Iterable, Sequence
 
 from .errors import EngineError, ScriptError, known_kind
@@ -138,7 +138,7 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     The order is checked first and then membership, so an order violation
     anywhere in the list is reported before any node that is not activable.
     Violations are engine errors: daemons must only emit valid sets. The
-    algorithms' `step` makes the same checks as it runs and only reports
+    rule sets' one `step` makes the same checks as it runs and only reports
     a bad list; the stepper then calls this function, which words every
     move-set error.
     """
@@ -289,8 +289,7 @@ class Activity:
         # its guard, unless a flipped neighbor already touched it. Every
         # mover has age 0 after the transition
         self.touched = touched = set()
-        for node, ns, nx in zip(nodes, new_s,
-                                repeat(None) if new_x is None else new_x):
+        for node, ns, nx in zip(nodes, new_s, new_x):
             since[node] = now
             if ns != s[node]:
                 s[node] = ns

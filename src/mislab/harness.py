@@ -582,22 +582,23 @@ def run_trial(spec: RunSpec, trial_index: int,
 
 
 def run_trials(spec: RunSpec, trace_to: typing.IO[str] | None = None,
-               command: str = "trial") -> list[TrialOutcome]:
-    """Prepare spec once and run every trial of it, streaming their traces
-    one after another to trace_to when it is given; an invariant violation
-    is re-raised naming the spec hash of the `command` run, the trial and
-    the seed, with a command line that reruns it."""
+               command: str = "trial") -> typing.Iterator[TrialOutcome]:
+    """Prepare spec once and run every trial of it, handing on each outcome
+    as its trial ends, so a caller that keeps only what it needs holds one
+    trial's state at a time. Their traces stream one after another to
+    trace_to when it is given; an invariant violation is re-raised naming
+    the spec hash of the `command` run, the trial and the seed, with a
+    command line that reruns it."""
     plan = prepare(spec)
-    outcomes = []
     for t in range(spec.trials):
         try:
-            outcomes.append(run_trial(spec, t, trace_to=trace_to, plan=plan))
+            outcome = run_trial(spec, t, trace_to=trace_to, plan=plan)
         except InvariantViolation as exc:
             raise InvariantViolation(
                 f"spec {spec_hash(spec, command)} trial {t} seed "
                 f"{derive_seed(spec.master_seed, t)}: {exc}",
                 rerun=rerun_command(spec, t)) from exc
-    return outcomes
+        yield outcome
 
 
 def rerun_command(spec: RunSpec, trial_index: int) -> str:
@@ -685,9 +686,10 @@ def run_sweep(spec: RunSpec) -> list[dict[str, float | int]]:
     for size in spec.sizes:
         sized = replace(spec, **sized_params(spec.graph, size),
                         check_invariants=False, instrument=False)
-        outcomes = run_trials(sized, command="sweep")
-        records = [o.record for o in outcomes]
-        delta = outcomes[0].graph.max_degree
+        records = []
+        for outcome in run_trials(sized, command="sweep"):
+            records.append(outcome.record)
+        delta = outcome.graph.max_degree
         rows.append({
             "n": size, "delta": delta, "trials": len(records),
             "converged": sum(1 for r in records if r.converged),

@@ -232,11 +232,13 @@ def forced_draws(draws):
 
 def step_one(algo, g, state, u, rule, rng, strategies=None):
     """u's move by `rule` through the engine's `step`, as a one-move list
-    whose activable map gives u that rule: (new_s, new_x, draw)."""
+    whose activable map gives u that rule: (new_s, new_x, draw), where an
+    x the move does not write reads as u's own."""
     rules, draws, new_s, new_x = algo.step(g, state, [u], {u: rule},
                                            strategies or {}, rng)
     assert rules == [rule]
-    return new_s[0], None if new_x is None else new_x[0], draws[0]
+    x = new_x[0] if new_x[0] is not None or state.x is None else state.x[u]
+    return new_s[0], x, draws[0]
 
 
 def move(algo, g, cfg, u, rule, draw=None):

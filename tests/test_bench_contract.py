@@ -62,7 +62,7 @@ def test_verify_mode_sees_every_trial_of_a_spec(captured):
     spec = RunSpec(algorithm="byzantine", graph="ring", n=12, daemon="aged_fair",
                    byzantine=(0, 6), strategies=((0, "oscillate", None),),
                    master_seed=2, trials=3)
-    outcomes = run_trials(spec)
+    outcomes = list(run_trials(spec))
     assert len(captured) == len(outcomes) == 3
     assert _all_ok(captured)
 
@@ -89,7 +89,7 @@ def test_the_counts_the_benchmark_divides_by_are_the_trace_moves_and_lines(captu
                    strategies=((0, "oscillate", None), (20, "degree_liar", None)),
                    hold_rounds=2, trials=3)
     trace = io.StringIO()
-    outcomes = run_trials(spec, trace_to=trace)
+    outcomes = list(run_trials(spec, trace_to=trace))
     # every trial's trace opens with its line 0, which holds no move
     lines = [line for line in trace.getvalue().splitlines()
              if not line.startswith("0 - ")]

@@ -459,6 +459,20 @@ def test_missing_spec_is_config_error(capsys):
     assert main(["trial"]) == 2
 
 
+@pytest.mark.parametrize("command", ["trial", "sweep"])
+def test_an_empty_spec_file_name_is_refused(command, tmp_path, monkeypatch,
+                                            capsys):
+    """"" names no file, as a name that does not exist names none: it is
+    read, and refused, rather than taken for no spec file."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "", "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "4", "--sizes", "4", "--out", "r.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ledger_output(tmp_path):
     spec = tmp_path / "run.spec"
     spec.write_text(ANON_SPEC + "instrument = true\n", encoding="utf-8")
@@ -467,6 +481,29 @@ def test_ledger_output(tmp_path):
     lines = ledger_out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "color,size,born,died,withdrawal_moves,success"
     assert len(lines) > 1
+
+
+def test_a_run_holds_one_trial_at_a_time(tmp_path):
+    """Each trial's ledger rows are written as it ends and only its record
+    is kept, so the memory a run holds at its peak does not grow with the
+    number of its instrumented trials."""
+    import tracemalloc
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",
+                         "--n", "2000", "--daemon", "synchronous",
+                         "--check-invariants", "false", "--instrument", "true",
+                         "--trials", str(trials),
+                         "--out", str(tmp_path / f"r{trials}.csv"),
+                         "--ledger-out", str(tmp_path / f"l{trials}.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(3), peak(15)
+    assert many < 1.3 * few, (few, many)
 
 
 def test_invariant_violation_names_the_trial_and_exits_3(monkeypatch, capsys):

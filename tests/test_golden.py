@@ -1,8 +1,9 @@
 """Golden output bytes: a fixed matrix of CLI runs whose every output file is
-pinned by sha256. Covers both algorithms, every daemon, strategy and initial
-preset, hold_rounds, a move and a round ceiling, a graph file, two sweeps,
-traces, a color ledger and the scripted reference replay. The trial CSVs
-carry the spec hash, so spec hashes are pinned too.
+pinned by sha256. Covers both algorithms, every daemon and initial preset,
+every strategy acting (byz-ring-all-strategies), hold_rounds, a move and a
+round ceiling, a graph file, two sweeps, traces, a color ledger and the
+scripted reference replay. The trial CSVs carry the spec hash, so spec
+hashes are pinned too.
 
 Paths are relative to the test's working directory because graph_file and
 script_file enter the spec hash.
@@ -55,6 +56,14 @@ CASES = {
         "trial --algorithm byzantine --graph ring --n 12 --daemon random_subset "
         "--byzantine 0,4,8 --strategies 0:always_top,4:uniform_random,8:silent "
         "--x-cap 50 --init random --trials 2 --master-seed 6",
+        ("out", "trace_out")),
+    # zone 2 is {3, 9, 15, 21, 27}, so no trial starts legitimate and every
+    # strategy acts in both
+    "byz-ring-all-strategies": (
+        "trial --algorithm byzantine --graph ring --n 30 --daemon random_subset "
+        "--byzantine 0,6,12,18,24 --strategies 0:always_top,6:uniform_random,"
+        "12:silent,18:oscillate,24:degree_liar --x-cap 50 --init random "
+        "--trials 2 --master-seed 6",
         ("out", "trace_out")),
     "byz-er-sync-advx": (
         "trial --algorithm byzantine --graph erdos_renyi --n 12 --p 0.3 "
@@ -122,6 +131,10 @@ GOLDEN = {
         "740ac944e8770f3b2bdf3b5e6f998a5ce2393dca18e2ffbe2236014860db1712",
     "byz-grid-sweep/out":
         "2e198ccdd5ad7da85dbd3f45be1f7aa31d327068b87e5168d95f7bc91b61f08b",
+    "byz-ring-all-strategies/out":
+        "b060b9c9186eb6bda8dacfc3f8702a1719fb9f5be940676fc7f1d0e1ea2ba7c9",
+    "byz-ring-all-strategies/trace_out":
+        "56866f0498cbc8bb9b674ce077e3dae980989ff0b5ab9f74b613327cc3f6cb8e",
     "byz-ring-strategies/out":
         "27db40324b70dc29129db8d5f86912f51e84a830fb860315285e93451c342b91",
     "byz-ring-strategies/trace_out":

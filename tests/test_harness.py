@@ -363,7 +363,7 @@ def test_per_spec_work_is_done_once(tmp_path, monkeypatch):
             RunSpec(algorithm="anonymous", graph="ring", n=4, init="all_bot",
                     daemon="scripted", script_file=str(script), trials=3)):
         calls.clear()
-        assert len(run_trials(spec)) == spec.trials
+        assert len(list(run_trials(spec))) == spec.trials
         assert max(calls[name] for name in per_spec[:3]) <= 1, calls
         assert calls["safe_zone"] <= 2, calls
     calls.clear()
@@ -385,8 +385,8 @@ def test_a_graph_file_is_read_once_per_spec(tmp_path, monkeypatch):
         opened.append(file)
         return real_open(file, *args, **kwargs)
     monkeypatch.setattr(builtins, "open", counting_open)
-    outcomes = run_trials(RunSpec(algorithm="anonymous", graph="file",
-                                  graph_file=str(path), trials=4))
+    outcomes = list(run_trials(RunSpec(algorithm="anonymous", graph="file",
+                                       graph_file=str(path), trials=4)))
     monkeypatch.undo()
     assert len(outcomes) == 4
     assert opened.count(str(path)) == 1

@@ -653,7 +653,7 @@ def test_safe_zones_are_computed_once_per_spec(monkeypatch):
     spec = RunSpec(algorithm="byzantine", graph="grid", rows=6, cols=6,
                    daemon="aged_fair", byzantine=(0, 20), master_seed=5,
                    trials=12)
-    outcomes = harness.run_trials(spec)
+    outcomes = list(harness.run_trials(spec))
     assert len(outcomes) == 12
     assert calls["safe_zone"] <= 2, calls
     assert calls["locally_alone_set"] == 0, calls

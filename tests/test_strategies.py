@@ -53,7 +53,8 @@ def test_uniform_random_ranges():
 
 def test_strategies_without_x_leave_it_none():
     cfg = Configuration((False, False))
-    for kind in ("silent", "always_top", "oscillate", "uniform_random"):
+    for kind in ("silent", "always_top", "oscillate", "degree_liar",
+                 "uniform_random"):
         _, x = make_strategy(kind).act(cfg, 0, RngStream(2))
         assert x is None
 
