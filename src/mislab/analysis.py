@@ -7,11 +7,10 @@ the stepper's `transitions`."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .engine import CANDIDACY, TRY_WITHDRAW, Activity, Configuration
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, Record
 from .graphs import Graph, safe_zone
 
 
@@ -153,8 +152,7 @@ def all_maximal_independent_sets(g: Graph) -> set[frozenset[int]]:
     return out
 
 
-@dataclass
-class ColorRecord:
+class ColorRecord(Record):
     """Lifetime accounting for one color: the batch of nodes that came up
     together at transition `color` (or were up initially, for color 0)."""
 

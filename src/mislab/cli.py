@@ -31,6 +31,7 @@ from .graphs import read_graph
 from .harness import (
     SPEC_KEYS,
     RunSpec,
+    output_name,
     parse_run_spec,
     reference_replay,
     run_sweep,
@@ -152,8 +153,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.trace_out is not None:  # "" is refused before the replay runs
+        output_name("trace_out", args.trace_out)
     report = reference_replay()
-    if args.trace_out:
+    if args.trace_out is not None:
         _write(args.trace_out, report.trace)
     if report.ok:
         print("replay ok: 8 transitions, stable end, settled set {1, 3}")

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress
 from typing import IO, Iterable, Sequence
 
-from .errors import EngineError, ScriptError, known_kind
+from .errors import EngineError, Record, ScriptError, known_kind
 from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
@@ -43,8 +42,7 @@ CANDIDACY, TRY_WITHDRAW, BYZ = "candidacy", "withdrawal?", "byz"
 RULES = (REFRESH, TRY_CANDIDACY, WITHDRAW, CANDIDACY, TRY_WITHDRAW, BYZ)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record, frozen=True):
     """Per-node local state: s flags, and x counters when the algorithm uses them.
 
     Values are unconstrained on purpose: runs must recover from anything.

@@ -6,10 +6,9 @@ import math
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import ConfigError, known_kind
+from .errors import ConfigError, Record, known_kind
 
 #: Distance value used for nodes that no source can reach.
 UNREACHABLE = math.inf
@@ -20,8 +19,7 @@ _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 _ZERO_BYTE = re.compile(rb"\x00")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record, frozen=True):
     """Undirected simple graph over dense node indices 0..n-1, held once, as
     adjacency: `adjacency[u]` lists u's neighbors in ascending order.
 

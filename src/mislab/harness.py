@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import math
 import operator
 import re
-import statistics
 import typing
-from dataclasses import MISSING, dataclass, field, make_dataclass, replace
+
+try:  # as `random` takes sha512: without loading OpenSSL through hashlib
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12
+    from hashlib import sha256
 
 from . import byzantine as byz_mod
 from .algorithms import ALGORITHMS, AnonymousMIS, ByzantineMIS, get_algorithm
@@ -37,7 +39,8 @@ from .engine import (
     initial_configuration,
     is_stable,
 )
-from .errors import ConfigError, InvariantViolation, known_kind, read_text
+from .errors import (ConfigError, InvariantViolation, Record, known_kind,
+                     read_text, replace)
 from .graphs import (
     GENERATORS,
     GRAPH_KINDS,
@@ -61,8 +64,7 @@ SWEEP_COLUMNS = ("spec_hash", "n", "delta", "trials", "converged", "ceiling_hits
                  "moves_bound_3n2", "rounds_bound_linear")
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(Record):
     """Outcome of one trial.
 
     moves/rounds are the counts at convergence, the first legitimate
@@ -82,8 +84,7 @@ class TrialRecord:
     ceiling_hit: bool
 
 
-@dataclass
-class TrialOutcome:
+class TrialOutcome(Record):
     record: TrialRecord
     final: Configuration
     graph: Graph
@@ -127,18 +128,28 @@ def _list(parse):
         parse(key, v.strip()) for v in value.split(",") if v.strip())
 
 
+def output_name(key: str, value: str) -> str:
+    """An output's file name. "" names no file, and is refused rather than
+    read as no output: an unset output is None."""
+    if not value:
+        raise ConfigError(f"{key}: an output name cannot be empty; leave "
+                          f"{key} unset to write none")
+    return value
+
+
 _int, _float = functools.partial(_number, int), functools.partial(_number, float)
 _text = lambda key, value: value
 _name = _optional(_text)
 
-#: Every run-spec key, in flag order: its default (MISSING: required), its
+_REQUIRED = object()  # the default of a key that every spec must set
+#: Every run-spec key, in flag order: its default (_REQUIRED: none), its
 #: parser (key, text) -> value, and the choices that read it, None for an
 #: output, which no run reads. A run chooses an algorithm, a graph kind, a
 #: daemon and a command, and reads a key if its choice of each kind that
 #: the key's choices name is among them: () is every run.
 SPEC_KEYS = {
-    "algorithm": (MISSING, _text, ()),
-    "graph": (MISSING, _text, ()),
+    "algorithm": (_REQUIRED, _text, ()),
+    "graph": (_REQUIRED, _text, ()),
     **{key: (None, _optional(_float if key == "p" else _int),
              tuple(kind for kind, row in GENERATORS.items() if key in row[0]))
        for key in ("n", "leaves", "rows", "cols", "p")},
@@ -160,9 +171,9 @@ SPEC_KEYS = {
     "instrument": (False, _parse_bool, ("anonymous", "trial")),  # a sweep turns
     "check_invariants": (True, _parse_bool, ("trial",)),         # these two off
     "sizes": ((), _list(_int), ("sweep",)),
-    "out": (None, _name, None),
-    "trace_out": (None, _name, None),
-    "ledger_out": (None, _name, None),
+    "out": (None, _optional(output_name), None),
+    "trace_out": (None, _optional(output_name), None),
+    "ledger_out": (None, _optional(output_name), None),
 }
 _CHOICE_KINDS = (ALGORITHMS, (*GRAPH_KINDS, "file"), DAEMON_KINDS, ("trial", "sweep"))
 #: the keys canonical text writes, sorted -> the kinds of choice their readers name
@@ -172,10 +183,10 @@ _HASHED = {key: [i for i, kinds in enumerate(_CHOICE_KINDS)
 
 #: Everything that determines an experiment, seeds included: two specs that
 #: compare equal produce identical results.
-RunSpec = make_dataclass("RunSpec", [
-    (key, object, field(default=default)) if default is not MISSING else (key, object)
-    for key, (default, _, _) in SPEC_KEYS.items()],
-    frozen=True, namespace={"__module__": __name__})
+RunSpec = type("RunSpec", (Record,), {
+    "__module__": __name__, "__annotations__": dict.fromkeys(SPEC_KEYS, "object"),
+    **{key: default for key, (default, _, _) in SPEC_KEYS.items()
+       if default is not _REQUIRED}}, frozen=True)
 
 
 def _read_keys(spec: RunSpec, command: str) -> set[str]:
@@ -219,7 +230,7 @@ def parse_run_spec(text: str, flags: typing.Mapping[str, str] = {},
     for key, value in flags.items():
         values[key] = SPEC_KEYS[key][1](key, value.strip())
     for key, (default, _, _) in SPEC_KEYS.items():
-        if default is MISSING and key not in values:
+        if default is _REQUIRED and key not in values:
             raise ConfigError(f"run spec must set {key!r}")
     spec = RunSpec(**values)
     validate_run_spec(spec, command)
@@ -317,7 +328,7 @@ def spec_hash(spec: RunSpec, command: str = "trial") -> str:
     spec does not read at its default: one experiment, one hash."""
     read = _read_keys(spec, command)
     spec = replace(spec, **{k: SPEC_KEYS[k][0] for k in _HASHED if k not in read})
-    return hashlib.sha256(canonical_text(spec).encode()).hexdigest()[:12]
+    return sha256(canonical_text(spec).encode()).hexdigest()[:12]
 
 
 def build_graph(spec: RunSpec) -> Graph:
@@ -417,8 +428,7 @@ def _strategy_map(spec: RunSpec) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record, frozen=True):
     """What every trial of a spec shares, built once by `prepare`. The
     strategies hold only their x cap, so trials share them; a daemon keeps
     per-trial state, so each trial makes its own (from `script` if scripted).
@@ -654,11 +664,24 @@ def _percentile(values: list[int], q: float) -> int:
     return ordered[rank - 1]
 
 
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, correctly rounded:
+    the integer root of num / den scaled by 4**k to at least 55 bits, its
+    last bit set if inexact (round to odd), then divided by 2**k."""
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    num <<= 2 * k
+    root = math.isqrt(num // den)
+    return (root | (root * root * den != num)) / (1 << k)
+
+
 def _summary(name: str, values: list[int]) -> dict[str, float | int]:
     """The six sweep columns that summarize values of name: its mean, std,
     min, max, p50 and p95."""
-    return {f"mean_{name}": statistics.fmean(values),
-            f"std_{name}": statistics.stdev(values) if len(values) > 1 else 0.0,
+    n, total = len(values), sum(values)
+    # the sample std from exact integer sums, as statistics.stdev has it
+    spread = n * sum(v * v for v in values) - total * total
+    return {f"mean_{name}": math.fsum(values) / n,
+            f"std_{name}": _sqrt_ratio(spread, n * (n - 1)) if n > 1 else 0.0,
             f"min_{name}": min(values), f"max_{name}": max(values),
             f"p50_{name}": _percentile(values, 0.50),
             f"p95_{name}": _percentile(values, 0.95)}
@@ -734,8 +757,7 @@ color,size,born,died,withdrawal_moves,success
 """
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(Record):
     ok: bool
     problems: list[str]
     #: the replay's trace, as `mislab trial --trace-out` writes it

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mislab
-from mislab import graphs, harness
+from mislab import cli, graphs, harness
 from mislab.algorithms import AnonymousMIS
 from mislab.cli import RUN_FLAGS, _spec_from_args, main, read_args
 from mislab.daemons import DAEMON_KINDS
@@ -673,6 +673,55 @@ def test_an_output_its_run_cannot_write_exits_2_before_any_trial(
     assert main([command, "--algorithm", "anonymous", "--graph", "ring",
                  *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _empty_name_error(key: str) -> str:
+    return (f"error: {key}: an output name cannot be empty; leave {key} unset "
+            "to write none\n")
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+@pytest.mark.parametrize("key", OUTPUT_FILES)
+def test_an_empty_output_name_exits_2_before_any_trial(
+        key, where, tmp_path, monkeypatch, capsys):
+    """"" names no file: it is refused, not read as no output, which
+    would drop the trace or the ledger, or send the CSV to stdout."""
+    monkeypatch.chdir(tmp_path)
+    _no_trial(monkeypatch)
+    flags = ["--instrument", "true"]
+    for other, (flag, name) in OUTPUT_FILES.items():
+        if other != key:
+            flags += [flag, name]
+    if where == "flag":
+        flags += [OUTPUT_FILES[key][0], ""]
+    else:
+        Path("run.spec").write_text(f"{key} =\n", encoding="utf-8")
+        flags.insert(0, "run.spec")
+    assert main(["trial", *flags, "--algorithm", "anonymous", "--graph", "ring",
+                 "--n", "6"]) == 2
+    assert capsys.readouterr() == ("", _empty_name_error(key))
+    assert [p.name for p in tmp_path.iterdir()] == ["run.spec"] * (where == "spec")
+
+
+@pytest.mark.parametrize("key", OUTPUT_FILES)
+def test_an_empty_sweep_output_name_exits_2_before_any_trial(
+        key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _no_trial(monkeypatch)
+    assert main(["sweep", "--algorithm", "anonymous", "--graph", "ring",
+                 "--sizes", "4,8", OUTPUT_FILES[key][0], ""]) == 2
+    assert capsys.readouterr() == ("", _empty_name_error(key))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_replay_trace_name_exits_2_before_the_replay(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "reference_replay",
+                        lambda: pytest.fail("the replay ran"))
+    assert main(["replay", "--trace-out", ""]) == 2
+    assert capsys.readouterr() == ("", _empty_name_error("trace_out"))
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,8 +1,10 @@
 import builtins
+import statistics
 from collections import Counter
-from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mislab import harness
 from mislab.algorithms import get_algorithm
@@ -12,8 +14,8 @@ from mislab.analysis import (
     locally_alone_set,
 )
 from mislab.daemons import DAEMON_KINDS
-from mislab.engine import INITIAL_PRESETS, is_stable
-from mislab.errors import ConfigError
+from mislab.engine import INITIAL_PRESETS, Configuration, is_stable
+from mislab.errors import ConfigError, replace
 from mislab.graphs import ring, write_graph
 from mislab.harness import (
     SWEEP_COLUMNS,
@@ -23,6 +25,7 @@ from mislab.harness import (
     default_round_ceiling,
     legitimacy_round_bound,
     parse_run_spec,
+    prepare,
     reference_replay,
     run_sweep,
     run_trial,
@@ -165,6 +168,21 @@ def test_sweep_csv_reproducible():
     b = sweep_csv_text(spec, run_sweep(spec))
     assert a == b
     assert len(a.splitlines()) == 3
+
+
+@given(st.lists(st.integers(0, 10**6) | st.integers(10**12 - 10**3, 10**12 + 10**3)
+                | st.integers(0, 2 * 10**12), min_size=1, max_size=30))
+def test_sweep_mean_and_std_cells_are_those_of_statistics(values):
+    """The summary computes the mean and the sample std itself, without
+    the statistics module, and its cells read as that module's do."""
+    row = harness._summary("moves", values)
+    assert harness._cell(row["mean_moves"]) == harness._cell(statistics.fmean(values))
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    assert harness._cell(row["std_moves"]) == harness._cell(std)
+
+
+def test_sweep_std_of_one_value_is_zero():
+    assert harness._summary("moves", [10**12])["std_moves"] == 0.0
 
 
 def test_sweep_single_node_row():
@@ -404,3 +422,31 @@ def test_legitimacy_round_bound_value():
     g = build_graph(RunSpec(algorithm="byzantine", graph="ring", n=16))
     # (2 + sqrt(2)) * e * 3 * 16, rounded up
     assert legitimacy_round_bound(g) == 446
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: ring(4), "n"),
+    (lambda: Configuration((False, True), (1, 1)), "s"),
+    (lambda: parse_run_spec(SPEC_TEXT), "trials"),
+    (lambda: prepare(parse_run_spec(SPEC_TEXT)), "graph"),
+], ids=["Graph", "Configuration", "RunSpec", "Plan"])
+def test_a_frozen_record_refuses_assignment(make, field):
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_a_record_compares_hashes_and_prints_by_its_fields():
+    cfg = Configuration((True, False))
+    assert cfg == Configuration(s=(True, False), x=None)
+    assert hash(cfg) == hash(Configuration((True, False), None))
+    assert replace(cfg, x=(1, 1)) == Configuration((True, False), (1, 1)) != cfg
+    assert repr(cfg) == "Configuration(s=(True, False), x=None)"
+    with pytest.raises(TypeError):
+        replace(cfg, y=1)
+    with pytest.raises(TypeError):
+        Configuration((True,), s=(False,))

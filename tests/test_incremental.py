@@ -19,7 +19,6 @@ import io
 import os
 import tempfile
 from collections import Counter
-from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +49,7 @@ from mislab.engine import (
     derive_seed,
     initial_configuration,
 )
-from mislab.errors import EngineError, InvariantViolation
+from mislab.errors import EngineError, InvariantViolation, replace
 from mislab.graphs import generate_graph, safe_zone
 from mislab.harness import (
     RunSpec,
@@ -297,7 +296,7 @@ def _assert_matches_reference(spec: RunSpec, trial: int) -> None:
     if expected is None:
         return
     (record, trace), (outcome, got_trace) = expected, got
-    assert asdict(outcome.record) == asdict(record)
+    assert vars(outcome.record) == vars(record)
     assert got_trace.initial == trace.initial
     assert [s.moves for s in got_trace.steps] == [s.moves for s in trace.steps]
     assert [s.draws for s in got_trace.steps] == [s.draws for s in trace.steps]
@@ -764,7 +763,7 @@ def _assert_ledgers_match_reference(spec: RunSpec, trial: int) -> None:
         assert ledger.move_colors == expected.move_colors
         assert list(ledger.records) == list(expected.records)
         for color, record in expected.records.items():
-            assert asdict(ledger.records[color]) == asdict(record), color
+            assert vars(ledger.records[color]) == vars(record), color
         assert ledger.all_dead() == expected.all_dead()
         assert _ledger_csv(ledger) == _ledger_csv(expected)
 

@@ -3,7 +3,6 @@ canonical text and through the CLI flags, and every spec that could not run
 is refused with exit code 2 before a trial starts."""
 
 import csv
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -101,10 +100,10 @@ def test_spec_round_trips_through_canonical_text_and_flags(spec):
 
 @pytest.mark.parametrize("command", ["trial", "sweep"])
 def test_every_field_is_a_cli_flag(command):
-    assert tuple(f"--{f.name.replace('_', '-')}" for f in fields(RunSpec)) == SPEC_FLAGS
-    for f in fields(RunSpec):
-        args = read_args([command, f"--{f.name.replace('_', '-')}", "v"])
-        assert getattr(args, f.name) == "v"
+    assert tuple(f"--{name.replace('_', '-')}" for name in RunSpec._fields) == SPEC_FLAGS
+    for name in RunSpec._fields:
+        args = read_args([command, f"--{name.replace('_', '-')}", "v"])
+        assert getattr(args, name) == "v"
 
 
 BASE = ["--algorithm", "anonymous", "--graph", "ring", "--n", "6"]

@@ -4,7 +4,6 @@ script, gives the same trace, byte for byte."""
 
 import io
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -17,6 +16,7 @@ from mislab.engine import (
     RngStream,
     derive_seed,
 )
+from mislab.errors import replace
 from mislab.harness import RunSpec, prepare, run_trial
 from reference import Move, apply_transition, traced_trial
 
