@@ -62,7 +62,9 @@ class RuleSet:
     def step(self, g: Graph, state, nodes: Sequence[int],
              activable: dict[int, str], strategies: dict, rng):
         """(rules, draws, new_s, new_x) of the movers `nodes`, or None for
-        a bad list (module docstring)."""
+        a bad list (module docstring). A Try-candidacy mover's probability
+        is `candidacy_probability`, computed in this loop, without a call
+        per mover; the tests compare the two."""
         if not nodes:
             return None
         s, x, adjacency, bernoulli = state.s, state.x, g.adjacency, rng.bernoulli
@@ -76,7 +78,11 @@ class RuleSet:
             draw = xu = None
             # the two rule sets alternate, each one's most frequent first
             if rule is TRY_CANDIDACY:
-                draw = bernoulli(candidacy_probability(g, x, u))
+                m = x[u]
+                for v in adjacency[u]:
+                    if x[v] > m:
+                        m = x[v]
+                draw = bernoulli(1.0 / (1.0 + m))
                 su = True if draw == 1 else s[u]
             elif rule is TRY_WITHDRAW:
                 draw = bernoulli(0.5)

@@ -329,9 +329,10 @@ class Activity:
 
 _ONE, _ZERO = b"10"
 
-#: (rule, draw) -> the ":rule:draw" end of a trace entry
-_ENTRY_SUFFIX = {(rule, draw): f":{rule}:{'-' if draw is None else draw}"
-                 for rule in RULES for draw in (None, 0, 1)}
+#: rule -> draw -> the ":rule:draw" end of a trace entry
+_ENTRY_SUFFIX = {rule: {draw: f":{rule}:{'-' if draw is None else draw}"
+                        for draw in (None, 0, 1)}
+                 for rule in RULES}
 
 
 class TraceWriter:
@@ -346,14 +347,22 @@ class TraceWriter:
     turned into text only when it changed, and the comma-joined x text is
     joined again only on such a line: a line costs O(|movers|) plus a copy
     of the s bytes, and one join of the kept x text when an x changed.
+    A mover's entry is two table reads joined: its node's label from
+    `labels`, each node's number as text, and its ":rule:draw" suffix from
+    a table keyed by rule, then by draw, so an entry converts no number
+    and builds no key. `labels` is only read, so a spec's trials share one;
+    without it the writer builds its own.
     `record` takes the movers and their rules and draws, as
     `Activity.transition` returns them, and reads the state from `state`,
     the run's live `Activity`: its `.s` and `.x`, and `.transitions`, which
     numbers the line.
     """
 
-    def __init__(self, fh: IO[str], initial: Configuration):
+    def __init__(self, fh: IO[str], initial: Configuration,
+                 labels: Sequence[str] | None = None):
         self._fh = fh
+        self._labels = (list(map(str, range(len(initial.s))))
+                        if labels is None else labels)
         self._s = bytearray(_ONE if v else _ZERO for v in initial.s)
         self._x_num = None if initial.x is None else list(initial.x)
         self._x = None if initial.x is None else list(map(str, initial.x))
@@ -363,7 +372,7 @@ class TraceWriter:
     def record(self, nodes: Sequence[int], rules: Sequence[str],
                draws: Sequence[int | None], state) -> None:
         s, x, s_text = state.s, state.x, self._s
-        x_num, x_text = self._x_num, self._x
+        x_num, x_text, labels = self._x_num, self._x, self._labels
         one, zero, suffix = _ONE, _ZERO, _ENTRY_SUFFIX
         entries = []
         x_changed = False
@@ -373,7 +382,7 @@ class TraceWriter:
                 x_num[node] = v = x[node]
                 x_text[node] = str(v)
                 x_changed = True
-            entries.append(f"{node}{suffix[rule, d]}")
+            entries.append(labels[node] + suffix[rule][d])
         if x_changed:
             self._x_line = self._join_x()
         self._fh.write(

@@ -442,6 +442,9 @@ class Plan(Record, frozen=True):
     zones: tuple[frozenset[int], frozenset[int]] | None
     move_ceiling: int
     round_ceiling: int
+    #: each node's number as trace text, filled by the spec's first traced
+    #: trial: its other trials and their writers share it
+    labels: list[str]
 
 
 def prepare(spec: RunSpec) -> Plan:
@@ -469,6 +472,7 @@ def _plan(spec: RunSpec, g: Graph, script: typing.Iterable[str] | None,
         zones=(safe_zone(g, byz, 1), safe_zone(g, byz, 2)) if tracked else None,
         move_ceiling=spec.move_ceiling or default_move_ceiling(g.n),
         round_ceiling=spec.round_ceiling or default_round_ceiling(g),
+        labels=[],
     )
 
 
@@ -484,10 +488,18 @@ def run_trial(spec: RunSpec, trial_index: int,
     stability; the first hit remains the reported convergence time, since
     legitimacy persists once reached.
 
-    trace_to receives the execution, encoded as each transition happens.
-    The trial draws from a stream of the daemon's `stream` type, seeded by
-    master_seed and the trial index. plan is `prepare(spec)`, shared by the
-    spec's trials; without it the trial prepares its own.
+    With check_invariants, every transition is checked. A fair daemon's
+    bound F is checked only where it can fail: an age grows by at most one
+    per transition, so after a scan that reads worst age w at transition
+    t no age can reach F before transition t + F - w, where the next scan
+    is made; the first scan follows transition F. The first violation is
+    still raised at its transition, with the same age and message.
+
+    trace_to receives the execution, encoded as each transition happens,
+    with the node labels of the plan, built by the spec's first traced
+    trial. The trial draws from a stream of the daemon's `stream` type,
+    seeded by master_seed and the trial index. plan is `prepare(spec)`,
+    shared by the spec's trials; without it the trial prepares its own.
     """
     if plan is None:
         plan = prepare(spec)
@@ -500,13 +512,20 @@ def run_trial(spec: RunSpec, trial_index: int,
     cfg = initial_configuration(g, algo.uses_x, spec.init, rng)
 
     move_ceiling, round_ceiling = plan.move_ceiling, plan.round_ceiling
-    fair_bound = daemon.fair_bound
+    # every age is 0 at the start, so none can reach the fairness bound
+    # before transition fair_bound
+    fair_bound = next_scan = daemon.fair_bound
 
     activity = Activity(algo, g, cfg, plan.strategies)
     activable, tracker = activity.activable, activity.tracker
     x, deg = activity.x, activity.deg
     ledger = ColorLedger(activity) if spec.instrument else None
-    writer = TraceWriter(trace_to, cfg) if trace_to is not None else None
+    writer = None
+    if trace_to is not None:
+        labels = plan.labels
+        if not labels:
+            labels.extend(map(str, range(g.n)))
+        writer = TraceWriter(trace_to, cfg, labels)
     # the monotone set, and a Byzantine run's legitimacy: without faulty
     # nodes that set is the settled set of the whole graph, with them the
     # safe alone set; an anonymous run's legitimacy is its stability
@@ -550,12 +569,15 @@ def run_trial(spec: RunSpec, trial_index: int,
         if spec.check_invariants:
             if lost:
                 raise InvariantViolation(f"{monotone} shrank: lost {lost}")
-            if fair_bound is not None:
+            if fair_bound is not None and activity.transitions >= next_scan:
                 worst = activity.oldest_age()
                 if worst > fair_bound - 1:
                     raise InvariantViolation(
                         f"fairness bound {fair_bound} violated: a node waited "
                         f"{worst} transitions while activable")
+                # an age grows by at most one per transition, so none can
+                # reach the bound before worst has grown to it
+                next_scan = activity.transitions + fair_bound - worst
             if algo.uses_x and tracker.rounds_completed >= 1:
                 # once the first round is over, every non-faulty x is the
                 # degree; x changes only at movers, so scan every node when

@@ -33,7 +33,7 @@ from mislab.analysis import (
     write_ledger_csv,
 )
 from mislab.byzantine import STRATEGY_KINDS, make_strategy
-from mislab.daemons import DAEMON_KINDS, make_daemon
+from mislab.daemons import DAEMON_KINDS, AgedFairDaemon, make_daemon
 from mislab.engine import (
     BYZ,
     CANDIDACY,
@@ -376,6 +376,97 @@ def test_stepper_stamps_read_as_plain_ages(spec):
     assert len(plain) == spec.trials
     # some node waited, so the stamps were read at nonzero ages
     assert max(oldest) > 0
+
+
+def _plant_unfair_aged_fair(monkeypatch) -> list:
+    """aged_fair without its overdue clause: any node may be passed over
+    for any number of transitions, while the daemon still declares its
+    bound F. Returns the list of its selections, one per transition."""
+    selections = []
+
+    def select(self, g, cfg, activable, rng):
+        nodes = sorted(activable)
+        chosen = ([u for u in nodes if rng.random() < 0.5]
+                  or [rng.choice(nodes)])
+        selections.append(chosen)
+        return chosen
+
+    monkeypatch.setattr(AgedFairDaemon, "select", select)
+    return selections
+
+
+@pytest.mark.parametrize("fairness", range(1, 7))
+@pytest.mark.parametrize("graph", [
+    {"graph": "ring", "n": 5}, {"graph": "ring", "n": 12},
+    {"graph": "grid", "rows": 3, "cols": 4},
+], ids=["ring5", "ring12", "grid3x4"])
+def test_skipped_fairness_scans_raise_the_reference_violation(
+        monkeypatch, graph, fairness):
+    """`run_trial` scans the ages only where one can have reached F. Under
+    an unfair daemon it must still raise the violation the reference,
+    which reads every age after every transition, raises: the same text,
+    after the same transition."""
+    selections = _plant_unfair_aged_fair(monkeypatch)
+    # two faulty nodes stay activable, so the run lasts until one of them
+    # is passed over F times in a row
+    spec = RunSpec(algorithm="byzantine", **graph, daemon="aged_fair",
+                   fairness=fairness, byzantine=(0, 4),
+                   strategies=((0, "oscillate", None), (4, "degree_liar", None)),
+                   master_seed=fairness, hold_rounds=300)
+    raised = []
+    for run in (reference_trial, run_trial):
+        selections.clear()
+        with pytest.raises(InvariantViolation) as exc:
+            run(spec, 0)
+        raised.append((str(exc.value), len(selections)))
+    assert raised[1] == raised[0]
+    assert raised[1][0] == (f"fairness bound {fairness} violated: a node "
+                            f"waited {fairness} transitions while activable")
+
+
+def test_fairness_ages_are_scanned_only_where_one_can_reach_the_bound(
+        monkeypatch):
+    """The first scan follows transition F, when every age started at 0,
+    and a scan that reads worst age w at transition t is followed by the
+    next one at t + F - w: with F = n no scan is made in a trial shorter
+    than n transitions, and with F = 1 one follows every transition."""
+    scans = []
+    oldest_age = Activity.oldest_age
+
+    def counting(self):
+        worst = oldest_age(self)
+        scans.append((self.transitions, worst))
+        return worst
+
+    monkeypatch.setattr(Activity, "oldest_age", counting)
+    faulty = {"byzantine": (0, 20),
+              "strategies": ((0, "oscillate", None), (20, "degree_liar", None))}
+    grid = {"algorithm": "byzantine", "graph": "grid", "rows": 8, "cols": 8,
+            "check_invariants": True, **faulty}
+
+    # aged_fair's F defaults to n = 64
+    for trial in range(4):
+        record = run_trial(RunSpec(**grid, daemon="aged_fair", master_seed=3),
+                           trial).record
+        assert 0 < record.transitions < 64
+    assert scans == []
+
+    record = run_trial(RunSpec(**grid, daemon="synchronous", master_seed=3,
+                               hold_rounds=3), 0).record
+    assert [t for t, _ in scans] == list(range(1, record.transitions + 1))
+
+    for fairness in (2, 3, 5):
+        scans.clear()
+        spec = RunSpec(**grid, daemon="aged_fair", fairness=fairness,
+                       master_seed=fairness, hold_rounds=10)
+        record = run_trial(spec, 0).record
+        assert scans[0][0] == fairness
+        assert [t for t, _ in scans[1:]] == [t + fairness - w
+                                            for t, w in scans[:-1]]
+        last, worst = scans[-1]
+        assert last <= record.transitions < last + fairness - worst
+        # some scan read a nonzero age, so the gaps were not all F
+        assert max(w for _, w in scans) > 0
 
 
 def _assert_tracker_matches_whole_graph(spec: RunSpec, trial: int) -> None:

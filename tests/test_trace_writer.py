@@ -7,17 +7,19 @@ import os
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mislab import engine
+from mislab import engine, harness
 from mislab.algorithms import AnonymousMIS
 from mislab.byzantine import STRATEGY_KINDS
 from mislab.cli import main
-from mislab.engine import CANDIDACY, INITIAL_PRESETS, REFRESH, TraceWriter
+from mislab.engine import (BYZ, CANDIDACY, INITIAL_PRESETS, REFRESH, RULES,
+                           Configuration, TraceWriter)
 from mislab.graphs import generate_graph
-from mislab.harness import RunSpec, parse_run_spec, prepare, run_trial
-from reference import recording, traced_trial
+from mislab.harness import (RunSpec, parse_run_spec, prepare, run_trial,
+                            run_trials)
+from reference import Move, Trace, TraceStep, recording, traced_trial
 
 
 def reference_fields(cfg):
@@ -84,6 +86,98 @@ def test_writer_matches_whole_configuration_encoder(spec, trial):
     streamed = io.StringIO()
     _, trace = traced_trial(spec, trial, trace_to=streamed)
     assert streamed.getvalue() == _reference_text(trace)
+
+
+#: every (rule, draw) pair a trace entry can end with
+SUFFIXES = [(rule, draw) for rule in RULES for draw in (None, 0, 1)]
+
+X_VALUES = st.integers(0, 20) | st.integers(2**40, 2**70)
+
+
+@st.composite
+def writer_runs(draw):
+    """An initial configuration of n nodes, with or without x, and lines of
+    moves: each a (node, (rule, draw), new s, new x) per mover, at most one
+    per node, in any order; a state without x ignores the new x."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    x = (draw(st.lists(X_VALUES, min_size=n, max_size=n))
+         if draw(st.booleans()) else None)
+    moves = st.tuples(st.integers(0, n - 1), st.sampled_from(SUFFIXES),
+                      st.booleans(), X_VALUES)
+    lines = draw(st.lists(st.lists(moves, min_size=1, max_size=n,
+                                   unique_by=lambda m: m[0]), max_size=6))
+    return s, x, lines
+
+
+#: every suffix once, over two lines, then a faulty mover whose x changes
+#: on three consecutive lines, on the last back to its value of two lines
+#: before
+EVERY_SUFFIX = (
+    [False] * 10, [3, 3, 2, 2, 7, 1, 0, 2**40, 5, 9],
+    [[(u, pair, u % 2 == 0, u) for u, pair in enumerate(SUFFIXES[:9])],
+     [(u, pair, u % 3 == 0, 2 * u) for u, pair in enumerate(SUFFIXES[9:])],
+     [(4, (BYZ, None), True, 2**70)],
+     [(4, (BYZ, None), False, 8), (5, (REFRESH, None), False, 2)],
+     [(4, (BYZ, None), True, 2**70)]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=writer_runs())
+@example(run=EVERY_SUFFIX)
+def test_writer_encodes_every_entry_as_the_whole_configuration_encoder(run):
+    """`record` fed each line's movers, with the state written at the
+    movers only, gives the text of the encoder that rebuilds every line
+    from the whole configuration: every (rule, draw) suffix, x values that
+    change on consecutive lines, and a state without x. The node labels
+    come from a table the writer only reads."""
+    s, x, lines = run
+    state = SimpleNamespace(s=list(s), x=None if x is None else list(x),
+                            transitions=0)
+    initial = Configuration(tuple(s), None if x is None else tuple(x))
+    labels = [str(u) for u in range(len(s))]
+    buf = io.StringIO()
+    writer = TraceWriter(buf, initial, labels)
+    trace = Trace(initial=initial)
+    for moves in lines:
+        moves = sorted(moves)
+        for node, _, new_s, new_x in moves:
+            state.s[node] = new_s
+            if state.x is not None:
+                state.x[node] = new_x
+        state.transitions += 1
+        nodes = [node for node, _, _, _ in moves]
+        rules = [rule for _, (rule, _), _, _ in moves]
+        draws = [d for _, (_, d), _, _ in moves]
+        writer.record(nodes, rules, draws, state)
+        trace.steps.append(TraceStep(
+            tuple(map(Move, nodes, rules)), tuple(draws),
+            Configuration(tuple(state.s),
+                          None if state.x is None else tuple(state.x))))
+    assert buf.getvalue() == _reference_text(trace)
+    assert labels == [str(u) for u in range(len(s))]
+
+
+def test_trace_labels_are_built_once_per_spec(monkeypatch):
+    """Every writer of a spec's trials reads one table of node labels,
+    built by the first."""
+    tables = []
+
+    class Recording(TraceWriter):
+        def __init__(self, fh, initial, labels=None):
+            tables.append(labels)
+            super().__init__(fh, initial, labels)
+
+    monkeypatch.setattr(harness, "TraceWriter", Recording)
+    spec = RunSpec(algorithm="byzantine", graph="grid", rows=4, cols=5,
+                   daemon="aged_fair", byzantine=(3,),
+                   strategies=((3, "uniform_random", 50),), trials=3,
+                   master_seed=2)
+    buf = io.StringIO()
+    assert len(list(run_trials(spec, trace_to=buf))) == 3
+    assert len(tables) == 3
+    assert all(table is tables[0] for table in tables)
+    assert tables[0] == [str(u) for u in range(20)]
 
 
 GRID_FLAGS = ["--algorithm", "byzantine", "--graph", "grid", "--rows", "6",
