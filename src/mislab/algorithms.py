@@ -28,31 +28,18 @@ writes none. A mover on a probabilistic rule draws its Bernoulli from
 `rng`, and a faulty mover's move is its strategy's `act`, taken whole,
 each at its node's place in ascending order, so a seed still fixes one
 draw per probabilistic move in that order. A list that is empty, not
-strictly ascending or names a node without a rule gives None; the stepper
-then has `validate_move_set` name the violation.
+strictly ascending or names a node without a rule is refused by
+`validate_move_set`, which words the violation.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .engine import CANDIDACY, REFRESH, TRY_CANDIDACY, TRY_WITHDRAW, WITHDRAW
+from .engine import (CANDIDACY, REFRESH, TRY_CANDIDACY, TRY_WITHDRAW, WITHDRAW,
+                     validate_move_set)
 from .errors import known_kind
 from .graphs import Graph
-
-
-def candidacy_probability(g: Graph, x, u: int) -> float:
-    """1 / (1 + max x over N[u]), read from the x-values `x`.
-
-    Uses u's own advertised x, not its true degree; the candidacy guard pins
-    the two together for honest nodes, while faulty neighbors may feed any
-    value into the max.
-    """
-    m = x[u]
-    for v in g.adjacency[u]:
-        if x[v] > m:
-            m = x[v]
-    return 1.0 / (1.0 + m)
 
 
 class RuleSet:
@@ -61,19 +48,19 @@ class RuleSet:
 
     def step(self, g: Graph, state, nodes: Sequence[int],
              activable: dict[int, str], strategies: dict, rng):
-        """(rules, draws, new_s, new_x) of the movers `nodes`, or None for
-        a bad list (module docstring). A Try-candidacy mover's probability
-        is `candidacy_probability`, computed in this loop, without a call
-        per mover; the tests compare the two."""
+        """(rules, draws, new_s, new_x) of the movers `nodes` (module
+        docstring). A Try-candidacy mover's probability is 1 / (1 + max x
+        over N[u]): u's own advertised x, not its true degree, is in the
+        max, and a faulty neighbor may feed any value into it."""
         if not nodes:
-            return None
+            validate_move_set(g, nodes, activable)
         s, x, adjacency, bernoulli = state.s, state.x, g.adjacency, rng.bernoulli
         rules, draws, new_s, new_x = [], [], [], []
         prev = -1
         for u in nodes:
             rule = activable.get(u)
             if rule is None or u <= prev:
-                return None
+                validate_move_set(g, nodes, activable)
             prev = u
             draw = xu = None
             # the two rule sets alternate, each one's most frequent first

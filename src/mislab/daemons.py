@@ -144,8 +144,6 @@ class ScriptedDaemon(Daemon):
                 raise ScriptError(
                     f"scripted move ({node},{rule}) not enabled "
                     f"at transition {self._next}")
-        if not nodes:
-            raise ScriptError(f"scripted transition {self._next} is empty")
         rng.forced.extend(draws)
         return list(nodes)
 

@@ -136,9 +136,8 @@ def validate_move_set(g: Graph, nodes: Sequence[int],
     The order is checked first and then membership, so an order violation
     anywhere in the list is reported before any node that is not activable.
     Violations are engine errors: daemons must only emit valid sets. The
-    rule sets' one `step` makes the same checks as it runs and only reports
-    a bad list; the stepper then calls this function, which words every
-    move-set error.
+    rule sets' one `step` makes the same checks as it runs and, on a list
+    that fails one, calls this function, which words every move-set error.
     """
     if not nodes:
         raise EngineError("move set must be nonempty")
@@ -266,17 +265,14 @@ class Activity:
         the algorithm's `step` built them, and whether the transition closed
         a round; the new state is the stepper's own, and `transitions`
         numbers the transition. The whole transition is one `step` call on
-        the algorithm, which draws the Bernoullis and runs the faulty nodes'
-        strategies.
+        the algorithm, which checks the list, draws the Bernoullis and runs
+        the faulty nodes' strategies.
         """
         g, activable = self.g, self.activable
         # every next state is computed against the current one before any
         # is written: simultaneous activation
-        stepped = self._algo.step(g, self, nodes, activable, self._strategies,
-                                  rng)
-        if stepped is None:
-            validate_move_set(g, nodes, activable)
-        rules, draws, new_s, new_x = stepped
+        rules, draws, new_s, new_x = self._algo.step(
+            g, self, nodes, activable, self._strategies, rng)
         s, x, deg, up, adjacency = self.s, self.x, self.deg, self.up, g.adjacency
         self.transitions = now = self.transitions + 1
         since = self.since

@@ -1,17 +1,13 @@
-"""Immutable graphs, deterministic generators, and distance strata around faulty nodes."""
+"""Immutable graphs, deterministic generators, and the safe zones around faulty nodes."""
 
 from __future__ import annotations
 
 import math
 import random
 import re
-from collections import deque
 from typing import IO, Iterable
 
 from .errors import ConfigError, Record, known_kind
-
-#: Distance value used for nodes that no source can reach.
-UNREACHABLE = math.inf
 
 #: 2**-53, the scale of `random.random()`'s 53-bit integer
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
@@ -244,35 +240,19 @@ def sized_params(kind: str, size: int) -> dict:
     return realize(_require_positive("sweep size", size))
 
 
-def distances_from(g: Graph, sources: Iterable[int]) -> list[float]:
-    """Multi-source BFS distance per node; UNREACHABLE where no source reaches.
-
-    An empty source set makes every node unreachable.
-    """
-    dist: list[float] = [UNREACHABLE] * g.n
-    queue: deque[int] = deque()
-    for s in sources:
-        if not (0 <= s < g.n):
-            raise ConfigError(f"source node {s} out of range for n={g.n}")
-        if dist[s] != 0:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def safe_zone(g: Graph, faulty: Iterable[int], i: int) -> frozenset[int]:
-    """Nodes at graph distance strictly greater than i from every faulty node.
-
-    With an empty faulty set this is all of V, for every i.
-    """
-    dist = distances_from(g, faulty)
-    return frozenset(u for u in range(g.n) if dist[u] > i)
+    """Nodes at graph distance strictly greater than i >= 0 from every
+    faulty node: V less the ball of radius i around the faulty set, grown
+    one frontier at a time. With an empty faulty set this is all of V."""
+    frontier = ball = set(faulty)
+    for s in ball:
+        if not 0 <= s < g.n:
+            raise ConfigError(f"source node {s} out of range for n={g.n}")
+    adjacency = g.adjacency
+    for _ in range(i):
+        frontier = {v for u in frontier for v in adjacency[u]}.difference(ball)
+        ball |= frontier
+    return frozenset(range(g.n)).difference(ball)
 
 
 def write_graph(g: Graph, fh: IO[str]) -> None:

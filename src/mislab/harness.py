@@ -112,7 +112,7 @@ def _number(kind: type, key: str, value: str):
 def _parse_strategy(key: str, token: str) -> tuple[int, str, int | None]:
     parts = token.split(":")
     if len(parts) not in (2, 3):
-        raise ConfigError(f"strategy entries are node:kind[:x_cap], got {token!r}")
+        raise ConfigError(f"{key}: entries are node:kind[:x_cap], got {token!r}")
     cap = _number(int, key, parts[2]) if len(parts) == 3 else None
     return _number(int, key, parts[0]), parts[1], cap
 

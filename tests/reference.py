@@ -6,13 +6,18 @@
   each evaluated on its own, scanning N(u) for an up neighbor and comparing
   x[u] with the degree. The engine's counted guards (`enabled_rules` over
   s, x, deg, up) must return the one rule they enable, or None.
+- `bfs_distances` and `bfs_safe_zone`: every node's full multi-source BFS
+  distance, and the safe zone read off it; `graphs.safe_zone` grows only
+  the ball of radius i and must return the same set.
 - `safe_alone_set`: the locally alone nodes beyond direct Byzantine
   influence, recomputed from a whole configuration.
 - `PAPER_COMMANDS` and `paper_move`: each algorithm's commands in the
   paper's two-call form over a whole configuration, `rule_probability` and
   then `apply` given the draw. The engine's batched `step` (one call per
   transition that draws its own Bernoullis), given a one-move list
-  (`step_one`), must agree with them.
+  (`step_one`), must agree with them. `RecordingStream` records the
+  probability of every draw, and `drawn_candidacy_probability` reads the
+  one a Try-candidacy `step` draws with.
 - `ordered_move_set_error`: the stepper's move-set checks made one after
   another, order first and then membership, giving the message of the
   first violation; `validate_move_set` must name the same, and the stepper
@@ -54,6 +59,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from mislab.algorithms import ALGORITHMS
 from mislab.analysis import (
     ColorLedger,
     ColorRecord,
@@ -72,6 +78,7 @@ from mislab.engine import (
     Activity,
     Configuration,
     FixedDraws,
+    RngStream,
     activable_map,
 )
 from mislab.errors import ConfigError, EngineError, InvariantViolation
@@ -153,6 +160,31 @@ def enabled(algo, g, cfg, u):
     rule = algo.enabled_rules(*counted_state(g, cfg), u)
     assert rule == (rules[0] if rules else None), (u, cfg)
     return rules
+
+
+def bfs_distances(g, sources):
+    """Every node's BFS distance from the nearest source; None where no
+    source reaches."""
+    dist = [None] * g.n
+    frontier = list(sources)
+    for s in frontier:
+        dist[s] = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.adjacency[u]:
+                if dist[v] is None:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def bfs_safe_zone(g, faulty, i):
+    """The nodes whose full BFS distance from the faulty set exceeds i,
+    unreachable ones included."""
+    dist = bfs_distances(g, faulty)
+    return frozenset(u for u in range(g.n) if dist[u] is None or dist[u] > i)
 
 
 def safe_alone_set(g, byz, cfg):
@@ -239,6 +271,34 @@ def step_one(algo, g, state, u, rule, rng, strategies=None):
     assert rules == [rule]
     x = new_x[0] if new_x[0] is not None or state.x is None else state.x[u]
     return new_s[0], x, draws[0]
+
+
+class RecordingStream:
+    """A draw stream that records the probability of every draw it makes."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.probabilities = []
+
+    def bernoulli(self, p):
+        self.probabilities.append(p)
+        return self.rng.bernoulli(p)
+
+    def __getattr__(self, name):
+        # a strategy's draws other than Bernoullis, from the stream itself
+        return getattr(self.rng, name)
+
+
+def drawn_candidacy_probability(g, x, u):
+    """The probability the Byzantine `step` draws u's Try-candidacy coin
+    with, every node down and advertising the x-values `x`, read off a
+    recording stream."""
+    rng = RecordingStream(RngStream(0))
+    cfg = Configuration((False,) * g.n, tuple(x))
+    step_one(ALGORITHMS["byzantine"], g, counted_state(g, cfg), u,
+             TRY_CANDIDACY, rng)
+    [p] = rng.probabilities
+    return p
 
 
 def move(algo, g, cfg, u, rule, draw=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mislab.algorithms import candidacy_probability, get_algorithm
+from mislab.algorithms import get_algorithm
 from mislab.byzantine import make_strategy
 from mislab.engine import (
     BYZ,
@@ -20,7 +20,9 @@ from mislab.engine import (
 from mislab.errors import EngineError, ScriptError
 from mislab.graphs import complete, erdos_renyi, make_graph, path, ring, star
 from reference import (
+    RecordingStream as _Recorded,
     counted_state,
+    drawn_candidacy_probability,
     enabled,
     forced_draws,
     move,
@@ -56,26 +58,26 @@ def test_candidacy_probability_uses_neighborhood_max():
     # closed neighborhood advertises x-values {3, 2, 3}
     g = path(3)
     cfg = Configuration((False,) * 3, (3, 2, 3))
-    assert candidacy_probability(g, cfg.x, 1) == 0.25
+    assert drawn_candidacy_probability(g, cfg.x, 1) == 0.25
 
 
 def test_candidacy_probability_counts_own_x():
     # u's own advertised x is in the max, even above its neighbors'
     g = path(3)
     cfg = Configuration((False,) * 3, (1, 5, 1))
-    assert candidacy_probability(g, cfg.x, 1) == 1.0 / 6
+    assert drawn_candidacy_probability(g, cfg.x, 1) == 1.0 / 6
 
 
 def test_candidacy_probability_isolated_node():
     g = make_graph(1, [])
     cfg = Configuration((False,), (0,))
-    assert candidacy_probability(g, cfg.x, 0) == 1.0
+    assert drawn_candidacy_probability(g, cfg.x, 0) == 1.0
 
 
 def test_candidacy_probability_with_lying_neighbor():
     g = path(2)
     cfg = Configuration((False, False), (1, 10**6))
-    assert candidacy_probability(g, cfg.x, 0) == 1.0 / (1 + 10**6)
+    assert drawn_candidacy_probability(g, cfg.x, 0) == 1.0 / (1 + 10**6)
 
 
 def test_try_candidacy_guard():
@@ -180,22 +182,6 @@ def _outcome(fn):
         return fn()
     except (EngineError, ScriptError) as exc:
         return type(exc).__name__, str(exc)
-
-
-class _Recorded:
-    """A draw stream that records the probability of every draw it makes."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.probabilities = []
-
-    def bernoulli(self, p):
-        self.probabilities.append(p)
-        return self.rng.bernoulli(p)
-
-    def __getattr__(self, name):
-        # a strategy's draws other than Bernoullis, from the stream itself
-        return getattr(self.rng, name)
 
 
 def _stream_state(rng):

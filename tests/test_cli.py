@@ -432,6 +432,27 @@ def test_non_numeric_strategy_node_is_config_error(capsys):
     assert "strategies: expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--algorithm", "byzantine", "--graph", "ring", "--n", "4",
+      "--byzantine", "0", "--strategies", "0"],
+     "strategies: entries are node:kind[:x_cap], got '0'"),
+    (["--algorithm", "anonymous", "--graph", "ring", "--n", "4",
+      "--move-ceiling", "-1"],
+     "ceilings must be nonnegative (0 means default)"),
+    (["--algorithm", "anonymous", "--graph", "ring", "--n", "4",
+      "--hold-rounds", "-1"],
+     "hold_rounds must be nonnegative"),
+    (["--algorithm", "anonymous", "--graph", "star", "--leaves", "-1"],
+     "leaves must be a nonnegative integer, got -1"),
+], ids=["strategy-arity", "move-ceiling", "hold-rounds", "leaves"])
+def test_a_value_the_spec_refuses_exits_2_and_writes_nothing(
+        flags, message, tmp_path, capsys):
+    assert main(["trial", *flags, "--out", str(tmp_path / "trials.csv"),
+                 "--trace-out", str(tmp_path / "trials.trace")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_density_that_chooses_no_node_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "trials.csv"
     assert main(["trial", "--algorithm", "anonymous", "--graph", "ring",

@@ -10,10 +10,8 @@ from mislab.errors import ConfigError
 from mislab.graphs import (
     GRAPH_KINDS,
     MAX_NODES,
-    UNREACHABLE,
     check_size,
     complete,
-    distances_from,
     erdos_renyi,
     generate_graph,
     grid,
@@ -28,7 +26,7 @@ from mislab.graphs import (
     star,
     write_graph,
 )
-from reference import pairwise_erdos_renyi_edges
+from reference import bfs_safe_zone, pairwise_erdos_renyi_edges
 
 
 def test_ring_four():
@@ -165,8 +163,8 @@ def test_path_and_complete():
 def test_random_tree_shape():
     g = random_tree(10, seed=4)
     assert len(g.edges) == 9
-    dist = distances_from(g, [0])
-    assert all(d != UNREACHABLE for d in dist)
+    # connected: every node lies within distance n of node 0
+    assert safe_zone(g, {0}, g.n) == frozenset()
 
 
 def test_make_graph_rejects_bad_edges():
@@ -234,24 +232,45 @@ def test_generator_determinism(kind, n, seed):
 
 def test_distances_on_ring_six():
     g = ring(6)
-    dist = distances_from(g, [0])
-    assert dist == [0, 1, 2, 3, 2, 1]
+    assert safe_zone(g, {0}, 1) == frozenset({2, 3, 4})
+    assert safe_zone(g, {0}, 2) == frozenset({3})
+    assert safe_zone(g, {0}, 3) == frozenset()
 
 
 def test_distances_empty_sources():
+    # no faulty node: no node lies within any radius, however large
     g = ring(6)
-    assert all(d == UNREACHABLE for d in distances_from(g, []))
+    for i in (0, 1, 6, 100):
+        assert safe_zone(g, frozenset(), i) == frozenset(range(6))
 
 
 def test_distances_star_center():
-    g = star(5)
-    dist = distances_from(g, [0])
-    assert all(dist[u] == 1 for u in range(1, 6))
+    # every leaf lies at distance exactly 1 from the centre, at every size
+    for leaves in range(6):
+        g = star(leaves)
+        assert safe_zone(g, {0}, 0) == frozenset(range(1, leaves + 1))
+        assert safe_zone(g, {0}, 1) == frozenset()
 
 
 def test_distances_source_validation():
-    with pytest.raises(ConfigError):
-        distances_from(ring(4), [9])
+    for node in (9, 4, -1):
+        with pytest.raises(ConfigError,
+                           match=f"^source node {node} out of range for n=4$"):
+            safe_zone(ring(4), {0, node}, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30),
+       p=st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5, 1.0]),
+       seed=st.integers(min_value=0, max_value=10**6),
+       data=st.data())
+def test_safe_zone_matches_the_full_bfs_distances(n, p, seed, data):
+    """The ball of radius i, grown frontier by frontier, leaves exactly the
+    nodes whose full BFS distance exceeds i, unreachable ones included."""
+    g = erdos_renyi(n, p, seed=seed)
+    faulty = data.draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    for i in range(5):
+        assert safe_zone(g, faulty, i) == bfs_safe_zone(g, faulty, i), i
 
 
 def test_safe_zone_star_center():

@@ -927,10 +927,9 @@ def _plant_rising_withdrawal(monkeypatch):
 
     def rising_step(self, g, state, nodes, activable, strategies, rng):
         stepped = step(self, g, state, nodes, activable, strategies, rng)
-        if stepped is not None:
-            rules, _, new_s, _ = stepped
-            new_s[:] = [True if rule is TRY_WITHDRAW and not state.s[u] else v
-                        for u, rule, v in zip(nodes, rules, new_s)]
+        rules, _, new_s, _ = stepped
+        new_s[:] = [True if rule is TRY_WITHDRAW and not state.s[u] else v
+                    for u, rule, v in zip(nodes, rules, new_s)]
         return stepped
 
     def rising_apply(self, g, cfg, u, rule, draw):
@@ -951,10 +950,9 @@ def _plant_stuck_candidacy(monkeypatch):
 
     def stuck_step(self, g, state, nodes, activable, strategies, rng):
         stepped = step(self, g, state, nodes, activable, strategies, rng)
-        if stepped is not None:
-            rules, _, new_s, _ = stepped
-            new_s[:] = [False if rule is CANDIDACY else v
-                        for rule, v in zip(rules, new_s)]
+        rules, _, new_s, _ = stepped
+        new_s[:] = [False if rule is CANDIDACY else v
+                    for rule, v in zip(rules, new_s)]
         return stepped
 
     monkeypatch.setattr(AnonymousMIS, "step", stuck_step)

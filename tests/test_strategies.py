@@ -1,10 +1,11 @@
 import pytest
 
-from mislab.algorithms import candidacy_probability, get_algorithm
+from mislab.algorithms import get_algorithm
 from mislab.byzantine import DEFAULT_X_CAP, make_strategy
 from mislab.engine import Configuration, RngStream
 from mislab.errors import ConfigError
 from mislab.graphs import make_graph, path, ring, safe_zone
+from reference import drawn_candidacy_probability
 
 BYZ = get_algorithm("byzantine")
 
@@ -36,7 +37,7 @@ def test_degree_liar_advertises_cap():
     assert (s, x) == (False, 10**6)
     # the lie lands in the neighbor's candidacy probability
     lied = Configuration((False, False), (10**6, 1))
-    assert candidacy_probability(g, lied.x, 1) == 1.0 / (1 + 10**6)
+    assert drawn_candidacy_probability(g, lied.x, 1) == 1.0 / (1 + 10**6)
 
 
 def test_uniform_random_ranges():
@@ -78,14 +79,15 @@ def test_distance_two_candidacy_probability_noninterference():
     zeroed = Configuration((False,) * 6, (0, 2, 2, 2, 2, 2))
     assert zone1 == frozenset({2, 3, 4})
     for u in zone1:
-        assert candidacy_probability(g, lied.x, u) == \
-            candidacy_probability(g, zeroed.x, u)
+        assert drawn_candidacy_probability(g, lied.x, u) == \
+            drawn_candidacy_probability(g, zeroed.x, u)
     # contrast: a direct neighbor of the liar is affected
-    assert candidacy_probability(g, lied.x, 1) != candidacy_probability(g, zeroed.x, 1)
+    assert drawn_candidacy_probability(g, lied.x, 1) != \
+        drawn_candidacy_probability(g, zeroed.x, 1)
 
 
 def test_star_center_lie_reaches_every_leaf():
     g = make_graph(3, [(0, 1), (0, 2)])
     cfg = Configuration((False,) * 3, (10**6, 1, 1))
     for leaf in (1, 2):
-        assert candidacy_probability(g, cfg.x, leaf) == 1.0 / (1 + 10**6)
+        assert drawn_candidacy_probability(g, cfg.x, leaf) == 1.0 / (1 + 10**6)
